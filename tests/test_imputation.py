@@ -1,9 +1,11 @@
 """Tests for null replacement, grid reshaping, slot filling, and the pipeline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from tsmote.data import Observation, Sample, TimeSeriesDataset
+from tsmote.data import Observation, Sample, TimeSeriesDataset, write_tensor_csv
 from tsmote.imputation import (
     ImputationConfig,
     fill_missing_slices,
@@ -278,3 +280,45 @@ class TestImputeDataset:
             observed_mask = ~np.isnan(expected)
             assert not changed[pos][observed_mask].any()
         assert changed.any()
+
+
+# sha256 of write_tensor_csv(impute_dataset(...)) on the demo training set,
+# keyed by (seed, replacement policy, method)
+GOLDEN_DEMO_SHA256 = {
+    (0, "with", "tsmote"): "74ccc9d81ab6bff4d40fdd7eed0b7bfb4da79620e1932e3b547545b131f641b0",
+    (0, "with", "slice_mean"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
+    (0, "with", "slice_median"): "12744d9901bbcad6a22e34e83e805612944fd3f41b32804fb9bde55cf3595476",
+    (0, "without", "tsmote"): "54b1cb1643c23b0fe57d692c0c300a66d044c68a88f3c4afdcfdd65e68a0e66a",
+    (0, "without", "slice_mean"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
+    (0, "without", "slice_median"): "12744d9901bbcad6a22e34e83e805612944fd3f41b32804fb9bde55cf3595476",
+    (1, "with", "tsmote"): "834530e785c06e3bcf4be45cc429bec2779804d351245d1927a4f0756f8548a7",
+    (1, "with", "slice_mean"): "fa002ee6791e3cc1f1641ca6eba96e092cd7d563d8b207a213faf2e530cf413f",
+    (1, "with", "slice_median"): "4002d0f4af047a126f8e4037396239ac94ccc32d87bbf23af31f30c572eb509e",
+    (1, "without", "tsmote"): "3e93120e0f9919c52730133df9a69263ab09ed9b3100c8fe5d88b3a1de901570",
+    (1, "without", "slice_mean"): "fa002ee6791e3cc1f1641ca6eba96e092cd7d563d8b207a213faf2e530cf413f",
+    (1, "without", "slice_median"): "4002d0f4af047a126f8e4037396239ac94ccc32d87bbf23af31f30c572eb509e",
+}
+
+
+@pytest.fixture(scope="module")
+def demo_experiments():
+    return {seed: generate_two_class_experiment(seed) for seed in (0, 1)}
+
+
+@pytest.mark.parametrize("seed, policy, method", sorted(GOLDEN_DEMO_SHA256))
+def test_demo_output_bytes_pinned(demo_experiments, tmp_path, seed, policy, method):
+    """Imputed CSV bytes on the demo training set stay what they were.
+
+    The hashes were recorded with numpy 2.4.6. A refactor of imputation or
+    synthesis must leave them unchanged; a deliberate change of draw order or
+    arithmetic updates them and says why.
+    """
+    exp = demo_experiments[seed]
+    tensor = impute_dataset(
+        exp.train, exp.grid,
+        synthesis_config=SynthesisConfig(seed=seed, replacement_policy=policy),
+        imputation_config=ImputationConfig(method=method, seed=seed),
+    )
+    path = tmp_path / "imputed.csv"
+    write_tensor_csv(tensor, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DEMO_SHA256[(seed, policy, method)]
