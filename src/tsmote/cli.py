@@ -103,12 +103,20 @@ def _grid_policy(name: str) -> str:
     return MEDIAN_OF_OBSERVATIONS if name == "median" else MIDPOINT
 
 
-def _load_dataset(path: Path, class_column: str, n_slices: int | None):
+def _load_dataset(args):
+    """Read and validate ``args.input``; ``--fixed`` applies before validation."""
     try:
-        dataset = read_long_csv(path, class_column=class_column)
+        dataset = read_long_csv(args.input, class_column=args.class_column)
     except (OSError, ValueError) as e:
         _fail(str(e))
-    report = validate_dataset(dataset, n_slices=n_slices)
+    if args.fixed:
+        dataset = dataclasses.replace(
+            dataset,
+            samples=tuple(
+                dataclasses.replace(s, fixed_prefix_len=args.fixed) for s in dataset.samples
+            ),
+        )
+    report = validate_dataset(dataset, n_slices=args.slices)
     if not report.ok:
         _fail("dataset failed validation", report=report.to_dict())
     return dataset, report
@@ -124,7 +132,7 @@ def _out(args, name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_slice(args) -> int:
-    dataset, report = _load_dataset(args.input, args.class_column, args.slices)
+    dataset, report = _load_dataset(args)
     bounds = (args.t_min, args.t_max)
     grid = build_slice_grid(dataset, args.slices, _grid_policy(args.grid_time), bounds)
     assignment = assign_slices(dataset, grid)
@@ -143,14 +151,7 @@ def cmd_slice(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    dataset, _ = _load_dataset(args.input, args.class_column, args.slices)
-    if args.fixed:
-        dataset = dataclasses.replace(
-            dataset,
-            samples=tuple(
-                dataclasses.replace(s, fixed_prefix_len=args.fixed) for s in dataset.samples
-            ),
-        )
+    dataset, _ = _load_dataset(args)
     try:
         lam = LambdaSpec.parse(args.lambda_dist)
         syn = SynthesisConfig(k_neighbors=args.k, lambda_dist=lam, surplus_factor=args.surplus,

@@ -134,8 +134,8 @@ class ImputedTensor:
             raise ValueError("grid_times must match data slices")
         if np.any(np.diff(self.grid_times) <= 0):
             raise ValueError("grid_times must be strictly increasing")
-        if np.isnan(self.data).any():
-            raise ValueError("imputed tensor must not contain nulls")
+        if not np.isfinite(self.data).all():
+            raise ValueError("imputed tensor must not contain nulls or infinite values")
         if not self.feature_names:
             object.__setattr__(
                 self, "feature_names", tuple(f"f_{k}" for k in range(n_f))
@@ -190,9 +190,9 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
     """Report structural problems without raising.
 
     Checks per sample: sorted times, finite times, vector widths matching the
-    dataset schema, fully-null observations, fixed-prefix consistency, and
-    duplicate timestamps (warning only, resolved later by degeneracy
-    averaging). Dataset-wide: label-presence consistency, and — when a slice
+    dataset schema, finite feature values, fully-null observations,
+    fixed-prefix consistency, and duplicate timestamps (warning only,
+    resolved later by degeneracy averaging). Dataset-wide: label-presence consistency, and — when a slice
     count is given — whether the total observation count can support it
     (at least two observations per slice per class).
     """
@@ -230,6 +230,10 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
                     )
                 )
                 continue
+            if any(v is not None and not math.isfinite(v) for v in o.values):
+                violations.append(
+                    Violation("nonfinite-value", s.id, f"observation at t={o.time} has a non-finite value")
+                )
             if all(v is None for v in o.values):
                 violations.append(
                     Violation("all-null-observation", s.id, f"observation at t={o.time} is entirely null")
@@ -293,12 +297,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _parse_value(cell: str, path, lineno: int) -> Value:
+    if cell == "":
+        return None
+    try:
+        v = float(cell)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: unparseable value {cell!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+    return v
+
+
 def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
     """Parse long-format CSV: ``sample_id, time[, class], features...``.
 
-    The header row is required. An empty feature cell is a null. Observations
-    are grouped by sample id (first-appearance order) and sorted by time
-    within each sample.
+    The header row is required. An empty feature cell is a null; a feature
+    cell that is not a finite number (``nan``, ``inf``) is rejected with its
+    line. Observations are grouped by sample id (first-appearance order) and
+    sorted by time within each sample.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -332,7 +349,7 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
             label = row[2] if has_class else None
             if label == "":
                 label = None
-            vals = tuple(None if cell == "" else float(cell) for cell in row[2 + has_class:])
+            vals = tuple(_parse_value(cell, path, lineno) for cell in row[2 + has_class:])
             if sid not in rows:
                 rows[sid] = []
                 order.append(sid)

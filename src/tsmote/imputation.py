@@ -1,32 +1,38 @@
 """Imputation: reshape ragged samples onto the slice grid and fill the gaps.
 
-Pipeline order per sample: replace null components, reshape observations
-into their slices (averaging degenerate slots componentwise so each slot
-holds one value), then fill empty slots. The tsmote method fills from the
-per-class synthetic pool; the slice_mean / slice_median baselines fill with
-the per-class per-slice per-feature statistic of the observed values.
+Every method runs the same steps on each sample's ``(m, F)`` value matrix:
+pin the time-independent prefix features, replace null components, reshape
+observations into their slices (averaging degenerate slots componentwise so
+each slot holds one value), then fill empty slots. The method only decides
+where a slice's vector comes from: the tsmote method draws it from the
+per-class synthetic pool; the slice_mean / slice_median baselines take the
+per-class per-slice per-feature statistic of the observed values.
 
 Real observations are never overwritten: a slot that had original data keeps
 it exactly (or its degenerate average). Time-independent prefix features are
-copied from the sample itself into every filled slot.
+copied from the sample itself into every filled slot; a prefix feature that
+is null in every observation takes its value from the first replacement.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from .data import ImputedTensor, Observation, Sample, TimeSeriesDataset
-from .slicing import SliceAssignment, SliceGrid, assign_slices
-from .synthesis import SynthesisConfig, SyntheticPool, generate_pool
+from .data import ImputedTensor, TimeSeriesDataset
+from .slicing import SliceAssignment, SliceGrid, assign_slices, group_cells
+from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
 SLICE_MEAN = "slice_mean"
 SLICE_MEDIAN = "slice_median"
 METHODS = (TSMOTE, SLICE_MEAN, SLICE_MEDIAN)
+
+Draw = Callable[[int], np.ndarray]  # slice index -> one feature vector for that slice
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,6 @@ class ImputationConfig:
     replacement_policy: Optional[str] = None  # None -> follow the synthesis config
     allow_null_feature_imputation: bool = False
     seed: int = 0
-    class_blind_baselines: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -44,49 +49,29 @@ class ImputationConfig:
             raise ValueError("replacement_policy must be 'with', 'without' or None")
 
 
-def replace_nulls(
-    sample: Sample,
-    slice_indices: tuple[int, ...],
-    pool: SyntheticPool,
-    rng: np.random.Generator,
-) -> Sample:
-    """Replace each null component from one pool vector of the same slice.
+def replace_nulls(mat: np.ndarray, slice_indices, draw: Draw) -> np.ndarray:
+    """Replace each null component from one vector drawn for its row's slice.
 
-    One vector is drawn per null-bearing observation; non-null components are
-    untouched. The caller is responsible for asserting feature independence
-    (see ``ImputationConfig.allow_null_feature_imputation``).
+    One vector is drawn per null-bearing row, in row order; non-null
+    components are untouched. Returns a copy. The caller is responsible for
+    asserting feature independence (see
+    ``ImputationConfig.allow_null_feature_imputation``).
     """
-    if not any(o.has_nulls() for o in sample.observations):
-        return sample
-    new_obs = []
-    for o, si in zip(sample.observations, slice_indices):
-        if not o.has_nulls():
-            new_obs.append(o)
-            continue
-        drawn = pool.draw(sample.class_label, si, rng)
-        vals = tuple(
-            float(drawn[k]) if v is None else v for k, v in enumerate(o.values)
-        )
-        new_obs.append(Observation(o.time, vals))
-    return dataclasses.replace(sample, observations=tuple(new_obs))
+    out = mat.copy()
+    nulls = np.isnan(mat)
+    for r in np.flatnonzero(nulls.any(axis=1)):
+        out[r, nulls[r]] = draw(slice_indices[r])[nulls[r]]
+    return out
 
 
-def reshape_to_grid(
-    sample: Sample,
-    slice_indices: tuple[int, ...],
-    n_slices: int,
-) -> np.ndarray:
+def reshape_to_grid(mat: np.ndarray, slice_indices, n_slices: int) -> np.ndarray:
     """(n_slices, n_features) row; empty slots are NaN, degenerate slots averaged.
 
     Expects nulls to have been replaced already (or absent).
     """
-    mat = sample.value_matrix()
     if np.isnan(mat).any():
-        raise ValueError(
-            f"sample {sample.id!r} still contains nulls; replace them before reshaping"
-        )
-    n_feat = mat.shape[1]
-    row = np.full((n_slices, n_feat), np.nan)
+        raise ValueError("value matrix still contains nulls; replace them before reshaping")
+    row = np.full((n_slices, mat.shape[1]), np.nan)
     counts = np.zeros(n_slices, dtype=int)
     for obs_vals, si in zip(mat, slice_indices):
         if counts[si] == 0:
@@ -97,56 +82,32 @@ def reshape_to_grid(
     return row
 
 
-def fill_missing_slices(
-    row: np.ndarray,
-    class_label: Optional[str],
-    pool: SyntheticPool,
-    fixed_values: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Fill NaN slots of a reshaped row with pool draws; returns a copy.
+def fill_missing_slices(row: np.ndarray, draw: Draw, fixed_values: np.ndarray) -> np.ndarray:
+    """Fill NaN slots of a reshaped row with draws, in slice order; returns a copy.
 
-    The leading ``len(fixed_values)`` entries of every drawn vector are
-    overwritten with the sample's own fixed values. Without-replacement draws
-    permanently consume pool vectors.
+    The leading ``len(fixed_values)`` entries of every filled slot are
+    overwritten with the sample's own fixed values. Without-replacement pool
+    draws permanently consume pool vectors.
     """
     out = row.copy()
-    n_fix = len(fixed_values)
-    for si in range(out.shape[0]):
-        if not np.isnan(out[si]).any():
-            continue
-        drawn = pool.draw(class_label, si, rng).copy()
-        if n_fix:
-            drawn[:n_fix] = fixed_values
-        out[si] = drawn
+    empty = np.flatnonzero(np.isnan(row).any(axis=1))
+    for si in empty:
+        out[si] = draw(si)
+    out[np.ix_(empty, np.arange(len(fixed_values)))] = fixed_values
     return out
 
 
-def _resolve_fixed_values(sample: Sample, n_feat: int) -> np.ndarray:
-    """First non-null value of each fixed-prefix feature across observations."""
-    n_fix = min(sample.fixed_prefix_len, n_feat)
-    vals = np.full(n_fix, np.nan)
-    for o in sample.observations:
-        for k in range(n_fix):
-            if np.isnan(vals[k]) and o.values[k] is not None:
-                vals[k] = o.values[k]
-    return vals
+def _pin_fixed_prefix(mat: np.ndarray, n_fix: int) -> np.ndarray:
+    """Write each fixed-prefix column's first non-null value into all its rows.
 
-
-def _apply_fixed_prefix(sample: Sample, fixed: np.ndarray) -> Sample:
-    """Overwrite known fixed-prefix entries so they are consistent and non-null."""
-    if fixed.size == 0 or np.isnan(fixed).all():
-        return sample
-    new_obs = []
-    for o in sample.observations:
-        vals = list(o.values)
-        changed = False
-        for k, fv in enumerate(fixed):
-            if not np.isnan(fv) and vals[k] != fv:
-                vals[k] = float(fv)
-                changed = True
-        new_obs.append(Observation(o.time, tuple(vals)) if changed else o)
-    return dataclasses.replace(sample, observations=tuple(new_obs))
+    Works in place and returns the pinned values; a column that is null in
+    every row stays null and its value is NaN.
+    """
+    head = mat[:, :n_fix]
+    fixed = head[np.isnan(head).argmin(axis=0), np.arange(n_fix)]
+    known = ~np.isnan(fixed)
+    head[:, known] = fixed[known]
+    return fixed
 
 
 def _slice_statistics(
@@ -154,32 +115,23 @@ def _slice_statistics(
     n_slices: int,
     assignment: SliceAssignment,
     method: str,
-    class_blind: bool,
 ) -> dict[tuple[Optional[str], int], np.ndarray]:
     """Per-(class, slice) featurewise mean or median of observed values."""
     reduce = np.nanmean if method == SLICE_MEAN else np.nanmedian
-    cells: dict[tuple[Optional[str], int], list[np.ndarray]] = {}
-    for pos, sample in enumerate(dataset.samples):
-        lab = None if class_blind else sample.class_label
-        mat = sample.value_matrix()
-        for row, si in zip(mat, assignment.indices[pos]):
-            cells.setdefault((lab, si), []).append(row)
-
+    cells = group_cells(dataset, assignment)
     stats: dict[tuple[Optional[str], int], np.ndarray] = {}
-    labels = [None] if class_blind else (dataset.class_labels() or [None])
-    for lab in labels:
+    for lab in dataset.class_labels() or [None]:
         for si in range(n_slices):
-            rows = cells.get((lab, si))
-            if not rows:
+            cell = cells.get((lab, si))
+            if cell is None:
                 raise ValueError(
                     f"class={lab!r} has no observations in slice {si}; cannot compute baseline statistic"
                 )
-            stacked = np.vstack(rows)
-            if np.isnan(stacked).all(axis=0).any():
+            if np.isnan(cell).all(axis=0).any():
                 raise ValueError(
                     f"class={lab!r} slice={si} has a feature with no observed values"
                 )
-            stats[(lab, si)] = reduce(stacked, axis=0)
+            stats[(lab, si)] = reduce(cell, axis=0)
     return stats
 
 
@@ -214,51 +166,25 @@ def impute_dataset(
             "Set allow_null_feature_imputation=True only if the features are independent."
         )
 
-    pool: Optional[SyntheticPool] = None
-    stats: Optional[dict] = None
+    # the method decides only where a slice's vector comes from
     if imp.method == TSMOTE:
         pool = generate_pool(dataset, grid, assignment, syn, threads=threads)
+        source = partial(pool.draw, rng=rng)
     else:
-        stats = _slice_statistics(dataset, n_t, assignment, imp.method, imp.class_blind_baselines)
+        stats = _slice_statistics(dataset, n_t, assignment, imp.method)
+
+        def source(lab, si):
+            return stats[(lab, si)]
 
     rows = np.empty((dataset.n_samples, n_t, n_f), dtype=float)
-    for pos, sample in enumerate(dataset.samples):
-        idx = assignment.indices[pos]
-        fixed = _resolve_fixed_values(sample, n_f)
-        work = _apply_fixed_prefix(sample, fixed)
-
-        if imp.method == TSMOTE:
-            work = replace_nulls(work, idx, pool, rng)
-            if fixed.size and np.isnan(fixed).any():
-                # a fully-null fixed feature takes its value from the first
-                # replacement draw, then stays constant
-                fixed = _resolve_fixed_values(work, n_f)
-                work = _apply_fixed_prefix(work, fixed)
-            row = reshape_to_grid(work, idx, n_t)
-            row = fill_missing_slices(row, sample.class_label, pool, fixed, rng)
-        else:
-            lab = None if imp.class_blind_baselines else sample.class_label
-            mat = work.value_matrix()
-            for r, si in enumerate(idx):
-                nulls = np.isnan(mat[r])
-                if nulls.any():
-                    mat[r, nulls] = stats[(lab, si)][nulls]
-            filled_sample = dataclasses.replace(
-                work,
-                observations=tuple(
-                    Observation(o.time, tuple(float(v) for v in mat[r]))
-                    for r, o in enumerate(work.observations)
-                ),
-            )
-            row = reshape_to_grid(filled_sample, idx, n_t)
-            for si in range(n_t):
-                if np.isnan(row[si]).any():
-                    vec = stats[(lab, si)].copy()
-                    if fixed.size:
-                        known = ~np.isnan(fixed)
-                        vec[: fixed.size][known] = fixed[known]
-                    row[si] = vec
-        rows[pos] = row
+    for pos, (sample, idx) in enumerate(zip(dataset.samples, assignment.indices)):
+        draw = partial(source, sample.class_label)
+        n_fix = min(sample.fixed_prefix_len, n_f)
+        mat = sample.value_matrix()
+        _pin_fixed_prefix(mat, n_fix)
+        mat = replace_nulls(mat, idx, draw)
+        fixed = _pin_fixed_prefix(mat, n_fix)
+        rows[pos] = fill_missing_slices(reshape_to_grid(mat, idx, n_t), draw, fixed)
 
     labels = tuple(s.class_label for s in dataset.samples) if dataset.has_labels else None
     return ImputedTensor(

@@ -114,9 +114,19 @@ class SliceAssignment:
     sample_ids: tuple[str, ...]
     indices: tuple[tuple[int, ...], ...]
 
-    def member_slices(self, sample_pos: int) -> frozenset[int]:
-        """Set of slices the sample at this position belongs to."""
-        return frozenset(self.indices[sample_pos])
+
+def group_cells(
+    dataset: TimeSeriesDataset, assignment: SliceAssignment
+) -> dict[tuple[Optional[str], int], np.ndarray]:
+    """Value rows of every non-empty (class, slice) cell, NaN marking nulls.
+
+    Each cell stacks its rows in sample order, then observation order.
+    """
+    cells: dict[tuple[Optional[str], int], list[np.ndarray]] = {}
+    for sample, idx in zip(dataset.samples, assignment.indices):
+        for row, si in zip(sample.value_matrix(), idx):
+            cells.setdefault((sample.class_label, si), []).append(row)
+    return {key: np.vstack(rows) for key, rows in cells.items()}
 
 
 def compute_time_bounds(

@@ -6,29 +6,30 @@ of its k nearest neighbors ``y`` along that single feature direction:
 [0, 1]. Nulls are dropped per feature column, never whole rows, so sparse
 slices still contribute every measured value.
 
-When a slice cell is null-free, all components of one synthetic vector use
-the same seed observation (each feature keeping its own 1-D neighbor list),
-so the vector is assembled from values of one small neighborhood and
-cross-feature correlations survive. With nulls present, columns fall back to
-fully independent generation, which samples each feature from its marginal
-distribution — valid only for (approximately) independent features.
-
-Generation enumerates (seed, neighbor-rank) pairs deterministically:
-round-robin over the column entries first, then over neighbor ranks, cycling
-when more vectors are requested than the enumeration holds.
+Generation enumerates (seed, neighbor-rank) pairs deterministically for each
+column: round-robin over the column's non-null entries first, then over
+neighbor ranks, cycling when more vectors are requested than the enumeration
+holds. When a slice cell is null-free every column has the same entries, so
+all components of one synthetic vector use the same seed observation (each
+feature keeping its own 1-D neighbor list): the vector is assembled from
+values of one small neighborhood and cross-feature correlations survive.
+With nulls present the columns' enumerations drift apart, which samples each
+feature from its marginal distribution — valid only for (approximately)
+independent features.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .slicing import SliceAssignment, SliceGrid
+from .slicing import SliceAssignment, SliceGrid, group_cells
 
 logger = logging.getLogger(__name__)
 
@@ -93,13 +94,6 @@ class LambdaSpec:
             return rng.beta(self.a, self.b, size)
         return np.full(size, self.a, dtype=float)
 
-    def describe(self) -> str:
-        if self.kind == "uniform01":
-            return "uniform"
-        if self.kind == "beta":
-            return f"beta({self.a:g},{self.b:g})"
-        return f"point({self.a:g})"
-
     @classmethod
     def parse(cls, text: str) -> "LambdaSpec":
         """Parse ``uniform``, ``beta:a,b`` or ``point:c``."""
@@ -138,21 +132,22 @@ def knn_1d(values: np.ndarray, query_index: int, k: int) -> np.ndarray:
     requested neighborhood).
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 2:
+    if values.size < 2:
         raise SynthesisError("need at least 2 values for nearest-neighbor search")
-    if k >= n:
-        logger.warning("k=%d >= %d values in slice; reducing to %d", k, n, n - 1)
-        k = n - 1
-    d = np.abs(values - values[query_index])
-    d[query_index] = np.inf
-    order = np.argsort(d, kind="stable")
-    return order[:k]
+    return _neighbor_table(values, k)[query_index]
 
 
-def _neighbor_table(values: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) neighbor indices per entry; same tie semantics as :func:`knn_1d`."""
+def _neighbor_table(values: np.ndarray, k: int, label: str = "") -> np.ndarray:
+    """(n, min(k, n - 1)) neighbor indices per entry, nearest first.
+
+    Distance is ``|values[i] - values[j]|``; ties break toward the smaller
+    index. A ``k`` of ``n`` or more is reduced to ``n - 1`` with a warning.
+    """
     n = values.size
+    if k >= n:
+        where = f" in {label}" if label else ""
+        logger.warning("k=%d >= %d values%s; reducing to %d", k, n, where, n - 1)
+        k = n - 1
     d = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(d, np.inf)
     return np.argsort(d, kind="stable", axis=1)[:, :k]
@@ -174,7 +169,7 @@ def synthesize_slice(
     obs = np.asarray(slice_obs, dtype=float)
     if obs.ndim != 2:
         raise ValueError("slice_obs must be 2-dimensional")
-    n_obs, n_feat = obs.shape
+    n_feat = obs.shape[1]
     out = np.empty((count, n_feat), dtype=float)
     if count == 0:
         return out
@@ -187,32 +182,13 @@ def synthesize_slice(
                 f"feature {f}{where} has {idx.size} non-null values; need at least 2"
             )
 
-    nulls_present = any(idx.size < n_obs for idx in col_valid)
     j = np.arange(count)
-
-    if not nulls_present:
-        # Correlated assembly: one seed observation per vector, shared across
-        # features; each feature interpolates toward its own 1-D neighbor.
-        k = min(config.k_neighbors, n_obs - 1)
-        if config.k_neighbors > k:
-            logger.warning("k reduced to %d for a %d-observation slice%s", k, n_obs, f" {label}" if label else "")
-        seeds = j % n_obs
-        ranks = (j // n_obs) % k
-        for f in range(n_feat):
-            nn = _neighbor_table(obs[:, f], k)
-            z = obs[seeds, f]
-            y = obs[nn[seeds, ranks], f]
-            lam = config.lambda_dist.sample(rng, count)
-            out[:, f] = z + lam * (y - z)
-        return out
-
-    for f in range(n_feat):
-        idx = col_valid[f]
+    for f, idx in enumerate(col_valid):
         col = obs[idx, f]
-        k = min(config.k_neighbors, col.size - 1)
-        nn = _neighbor_table(col, k)
+        where = f"feature {f} of {label}" if label else f"feature {f}"
+        nn = _neighbor_table(col, config.k_neighbors, where)
         seeds = j % col.size
-        ranks = (j // col.size) % k
+        ranks = (j // col.size) % nn.shape[1]
         z = col[seeds]
         y = col[nn[seeds, ranks]]
         lam = config.lambda_dist.sample(rng, count)
@@ -242,14 +218,6 @@ class SyntheticPool:
 
     def size(self, class_label: Optional[str], slice_index: int) -> int:
         return len(self._vectors.get((class_label, slice_index), ()))
-
-    def remaining(self, class_label: Optional[str], slice_index: int) -> int:
-        key = (class_label, slice_index)
-        if key not in self._vectors:
-            return 0
-        if self.replacement_policy == "with":
-            return len(self._vectors[key])
-        return len(self._vectors[key]) - self._cursor[key]
 
     def vectors(self, class_label: Optional[str], slice_index: int) -> np.ndarray:
         return self._vectors[(class_label, slice_index)]
@@ -294,43 +262,25 @@ def generate_pool(
     """
     labels = dataset.class_labels() or [None]
     label_pos = {lab: i for i, lab in enumerate(labels)}
-
-    members: dict[tuple[Optional[str], int], list[np.ndarray]] = {}
-    missing_count: dict[tuple[Optional[str], int], int] = {}
-    null_draws: dict[tuple[Optional[str], int], int] = {}
-    class_sizes: dict[Optional[str], int] = {lab: 0 for lab in labels}
-
-    for pos, sample in enumerate(dataset.samples):
-        lab = sample.class_label
-        class_sizes[lab] += 1
-        mat = sample.value_matrix()
-        for row, slice_idx in zip(mat, assignment.indices[pos]):
-            members.setdefault((lab, slice_idx), []).append(row)
-            if np.isnan(row).any():
-                key = (lab, slice_idx)
-                null_draws[key] = null_draws.get(key, 0) + 1
-
-    for lab in labels:
-        present: dict[int, int] = {}
-        for pos, sample in enumerate(dataset.samples):
-            if sample.class_label != lab:
-                continue
-            for si in assignment.member_slices(pos):
-                present[si] = present.get(si, 0) + 1
-        for si in range(grid.n_slices):
-            missing_count[(lab, si)] = class_sizes[lab] - present.get(si, 0)
+    cells = group_cells(dataset, assignment)
+    class_sizes = Counter(s.class_label for s in dataset.samples)
+    present = Counter(
+        (s.class_label, si)
+        for s, idx in zip(dataset.samples, assignment.indices)
+        for si in set(idx)
+    )
 
     def build_cell(key: tuple[Optional[str], int]) -> np.ndarray:
         lab, si = key
-        cell_rows = members.get(key)
-        if not cell_rows:
+        cell = cells.get(key)
+        if cell is None:
             raise SynthesisError(
                 f"class={lab!r} has no observations in slice {si}; "
                 "reduce n_slices or provide more data"
             )
-        required = missing_count[key] + null_draws.get(key, 0)
+        null_rows = int(np.isnan(cell).any(axis=1).sum())
+        required = class_sizes[lab] - present[key] + null_rows
         pool_size = math.ceil(config.surplus_factor * required)
-        cell = np.vstack(cell_rows)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(label_pos[lab], si))
         )

@@ -110,7 +110,7 @@ def test_criterion_2_completeness(demo):
     no_nulls = not np.isnan(tensor.data).any()
     overwritten = 0
     for pos, sample in enumerate(train.samples):
-        expected = reshape_to_grid(sample, assignment.indices[pos], grid.n_slices)
+        expected = reshape_to_grid(sample.value_matrix(), assignment.indices[pos], grid.n_slices)
         mask = ~np.isnan(expected)
         overwritten += int(np.sum(tensor.data[pos][mask] != expected[mask]))
     elapsed = timings["run1"] + (time.perf_counter() - t0)
@@ -238,7 +238,7 @@ def test_criterion_10_determinism(demo):
     off_mask_diffs = 0
     any_diff = bool((t_a.data != t_b.data).any())
     for pos, sample in enumerate(train.samples):
-        expected = reshape_to_grid(sample, assignment.indices[pos], grid.n_slices)
+        expected = reshape_to_grid(sample.value_matrix(), assignment.indices[pos], grid.n_slices)
         observed_mask = ~np.isnan(expected)
         off_mask_diffs += int(np.sum((t_a.data[pos] != t_b.data[pos]) & observed_mask))
     elapsed = timings["run2"] + timings["run3"] + (time.perf_counter() - t0)

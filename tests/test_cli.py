@@ -10,6 +10,25 @@ import tsmote
 TOY_CSV = "sample_id,time,x\na,0,0.0\na,1,0.1\na,2,0.2\nb,3,0.3\nb,4,0.4\nb,5,0.5\n"
 
 
+# one nan cell (line 5) and one inf cell (line 7); sample a has no non-finite
+# input, but its null y sits in the slice of b's inf
+NONFINITE_CSV = (
+    "sample_id,time,class,x,y\n"
+    "a,0,c,0.0,1.0\na,1,c,0.1,1.1\na,2,c,0.2,\n"
+    "b,0.5,c,nan,2.0\nb,1.5,c,1.0,2.1\nb,2.5,c,2.0,inf\n"
+    "d,0.2,c,0.4,3.0\nd,1.2,c,0.5,3.1\nd,2.2,c,0.6,3.2\n"
+)
+# leading `age` column, never recorded for sample g; the slices hold
+# different mixes of the other samples' ages
+AGE_CSV = (
+    "sample_id,time,age,x\n"
+    "a,0,40,0.1\na,1,40,0.2\na,2,40,0.3\n"
+    "b,0.1,50,1.1\nb,0.15,50,1.2\nb,2.1,50,1.3\n"
+    "c,1.1,70,2.1\nc,2.15,70,2.2\nc,2.2,70,2.3\n"
+    "g,0.3,,3.1\ng,1.3,,3.2\ng,2.3,,3.3\n"
+)
+
+
 @pytest.fixture
 def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
@@ -151,3 +170,44 @@ class TestVerifyAndCompare:
         rows = (out / "comparison.csv").read_text().splitlines()
         assert rows[0].startswith("method,")
         assert len(rows) == 4  # header + three imputers
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("method", ["tsmote", "slice_mean"])
+    def test_nonfinite_cell_exits_2(self, tmp_path, run_cli, method):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(NONFINITE_CSV)
+        out = tmp_path / "out"
+        res = run_cli(
+            ["impute", str(path), "--slices", "3", "--method", method,
+             "--allow-null-imputation", "-o", str(out)],
+            tmp_path,
+        )
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"].endswith("nonfinite.csv:5: non-finite value 'nan'")
+        assert not (out / "imputed.csv").exists()
+
+    @pytest.mark.parametrize("command", ["slice", "impute"])
+    def test_fixed_feature_checked_before_use(self, tmp_path, run_cli, command):
+        path = tmp_path / "age.csv"
+        path.write_text(AGE_CSV.replace("a,1,40,", "a,1,41,").replace("a,2,40,", "a,2,42,"))
+        res = run_cli([command, str(path), "--slices", "3", "--fixed", "1"], tmp_path)
+        assert res.returncode == 2
+        kinds = [v["kind"] for v in json.loads(res.stderr)["report"]["violations"]]
+        assert set(kinds) == {"inconsistent-fixed-feature"}
+
+
+def test_unrecorded_fixed_feature_constant_under_baseline(tmp_path, run_cli):
+    path = tmp_path / "age.csv"
+    path.write_text(AGE_CSV)
+    out = tmp_path / "out"
+    res = run_cli(
+        ["impute", str(path), "--slices", "3", "--fixed", "1", "--method", "slice_mean",
+         "-o", str(out)],
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in (out / "imputed.csv").read_text().splitlines()[1:]]
+    ages = {sid: {r[4] for r in rows if r[0] == sid} for sid in ("a", "b", "c", "g")}
+    assert ages["a"] == {"40.0"} and ages["b"] == {"50.0"} and ages["c"] == {"70.0"}
+    assert len(ages["g"]) == 1, ages["g"]

@@ -129,6 +129,13 @@ class TestValidation:
         )
         assert any(v.kind == "nonfinite-time" for v in validate_dataset(ds).violations)
 
+    def test_nonfinite_value_flagged(self):
+        ds = TimeSeriesDataset(
+            (make_sample("inf", [0.0, 1.0], [(1.0, math.inf), (math.nan, 2.0)]),), n_features=2
+        )
+        kinds = [v.kind for v in validate_dataset(ds).violations]
+        assert kinds == ["nonfinite-value", "nonfinite-value"]
+
     def test_report_json(self):
         ds = TimeSeriesDataset((make_sample("a", [0.0], [(1.0,)]),), n_features=1)
         d = validate_dataset(ds).to_dict()
@@ -194,6 +201,13 @@ class TestLongCsv:
         ds = read_long_csv(path)
         assert [o.time for o in ds.samples[0].observations] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_cell_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"sample_id,time,x\na,1.0,4.0\na,2.0,{cell}\n")
+        with pytest.raises(ValueError, match=f"ds.csv:3: non-finite value '{cell}'"):
+            read_long_csv(path)
+
     def test_conflicting_labels_rejected(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("sample_id,time,class,x\na,1.0,u,1.0\na,2.0,v,2.0\n")
@@ -228,6 +242,8 @@ class TestImputedTensor:
             ImputedTensor(("a",), np.array([1.0, 1.0]), np.zeros((1, 2, 1)))
         with pytest.raises(ValueError, match="must not contain nulls"):
             ImputedTensor(("a",), np.array([0.0, 1.0]), np.full((1, 2, 1), np.nan))
+        with pytest.raises(ValueError, match="must not contain nulls or infinite values"):
+            ImputedTensor(("a",), np.array([0.0, 1.0]), np.full((1, 2, 1), np.inf))
 
     def test_json_round_trip(self):
         t = ImputedTensor(

@@ -31,55 +31,62 @@ def sample_of(sid, recs, label=None, nfix=0):
     return Sample(id=sid, observations=obs, class_label=label, fixed_prefix_len=nfix)
 
 
+def draw_from(pool, label, log=None):
+    """``draw(slice_index)`` over one class of ``pool``; appends each slice drawn to ``log``."""
+    rng = np.random.default_rng(0)
+
+    def draw(si):
+        if log is not None:
+            log.append(si)
+        return pool.draw(label, si, rng)
+
+    return draw
+
+
 class TestReplaceNulls:
     def test_identity_without_nulls(self):
-        s = sample_of("a", [(0.0, (1.0, 2.0))])
-        pool = FixedPool({})
-        rng = np.random.default_rng(0)
-        assert replace_nulls(s, (0,), pool, rng) is s
+        mat = np.array([[1.0, 2.0]])
+        drawn = []
+        out = replace_nulls(mat, (0,), draw_from(FixedPool({}), "c", drawn))
+        np.testing.assert_array_equal(out, mat)
+        assert drawn == []
 
     def test_componentwise_substitution(self):
-        s = sample_of("a", [(0.0, (None, 4.0))], label="c")
         pool = FixedPool({("c", 2): [[7.5, 9.9]]})
-        out = replace_nulls(s, (2,), pool, np.random.default_rng(0))
-        assert out.observations[0].values == (7.5, 4.0)
+        out = replace_nulls(np.array([[np.nan, 4.0]]), (2,), draw_from(pool, "c"))
+        np.testing.assert_array_equal(out, [[7.5, 4.0]])
 
     def test_underflow_when_pool_exhausted(self):
-        s = sample_of("a", [(0.0, (None, 4.0)), (1.0, (None, 5.0))], label="c")
         pool = FixedPool({("c", 0): [[7.5, 9.9]]})
         with pytest.raises(PoolUnderflowError, match="slice=0"):
-            replace_nulls(s, (0, 0), pool, np.random.default_rng(0))
+            replace_nulls(np.array([[np.nan, 4.0], [np.nan, 5.0]]), (0, 0), draw_from(pool, "c"))
 
 
 class TestReshape:
     def test_slots_follow_assignment(self):
-        s = sample_of("a", [(0.0, (1.0, 2.0)), (3.0, (3.0, 4.0))])
-        row = reshape_to_grid(s, (0, 3), 5)
+        row = reshape_to_grid(np.array([[1.0, 2.0], [3.0, 4.0]]), (0, 3), 5)
         np.testing.assert_array_equal(row[0], [1.0, 2.0])
         np.testing.assert_array_equal(row[3], [3.0, 4.0])
         assert np.isnan(row[[1, 2, 4]]).all()
 
     def test_degenerate_slots_averaged(self):
-        s = sample_of("a", [(0.0, (1.0, 1.0)), (0.1, (3.0, 5.0))])
-        row = reshape_to_grid(s, (2, 2), 4)
+        row = reshape_to_grid(np.array([[1.0, 1.0], [3.0, 5.0]]), (2, 2), 4)
         np.testing.assert_array_equal(row[2], [2.0, 3.0])
 
     def test_complete_sample_fully_populated(self):
-        s = sample_of("a", [(float(i), (float(i),)) for i in range(4)])
-        row = reshape_to_grid(s, (0, 1, 2, 3), 4)
+        row = reshape_to_grid(np.arange(4.0).reshape(4, 1), (0, 1, 2, 3), 4)
         assert not np.isnan(row).any()
 
     def test_rejects_lingering_nulls(self):
-        s = sample_of("a", [(0.0, (None,))])
         with pytest.raises(ValueError, match="still contains nulls"):
-            reshape_to_grid(s, (0,), 2)
+            reshape_to_grid(np.array([[np.nan]]), (0,), 2)
 
 
 class TestFillMissing:
     def test_draws_fill_missing_slots(self):
         row = np.array([[1.0, 2.0], [np.nan, np.nan], [np.nan, np.nan], [5.0, 6.0]])
         pool = FixedPool({("c", 1): [[10.0, 11.0]], ("c", 2): [[20.0, 21.0]]})
-        out = fill_missing_slices(row, "c", pool, np.array([]), np.random.default_rng(0))
+        out = fill_missing_slices(row, draw_from(pool, "c"), np.array([]))
         np.testing.assert_array_equal(out[1], [10.0, 11.0])
         np.testing.assert_array_equal(out[2], [20.0, 21.0])
         np.testing.assert_array_equal(out[0], [1.0, 2.0])  # real data untouched
@@ -87,15 +94,16 @@ class TestFillMissing:
     def test_fixed_prefix_overwrites_drawn_vector(self):
         row = np.array([[67.0, 1.0], [np.nan, np.nan]])
         pool = FixedPool({("c", 1): [[52.0, 9.0]]})
-        out = fill_missing_slices(row, "c", pool, np.array([67.0]), np.random.default_rng(0))
+        out = fill_missing_slices(row, draw_from(pool, "c"), np.array([67.0]))
         np.testing.assert_array_equal(out[1], [67.0, 9.0])
 
     def test_no_missing_consumes_nothing(self):
         row = np.array([[1.0], [2.0]])
         pool = FixedPool({("c", 0): [[9.0]], ("c", 1): [[9.0]]})
-        out = fill_missing_slices(row, "c", pool, np.array([]), np.random.default_rng(0))
+        drawn = []
+        out = fill_missing_slices(row, draw_from(pool, "c", drawn), np.array([]))
         np.testing.assert_array_equal(out, row)
-        assert pool.remaining("c", 0) == 1 and pool.remaining("c", 1) == 1
+        assert drawn == []
 
 
 def grid_world(seed=0, n_samples=30, n_obs=3, n_slices=4, label_all="c"):
@@ -125,7 +133,7 @@ class TestImputeDataset:
         a = assign_slices(ds, grid)
         t = impute_dataset(ds, grid, a, SynthesisConfig(seed=1), ImputationConfig(seed=1))
         for pos, s in enumerate(ds.samples):
-            expected = reshape_to_grid(s, a.indices[pos], grid.n_slices)
+            expected = reshape_to_grid(s.value_matrix(), a.indices[pos], grid.n_slices)
             mask = ~np.isnan(expected)
             np.testing.assert_array_equal(t.data[pos][mask], expected[mask])
 
@@ -276,7 +284,9 @@ class TestImputeDataset:
         changed = t1.data != t3.data
         # differences are confined to slots with no original observation
         for pos in range(exp.train.n_samples):
-            expected = reshape_to_grid(exp.train.samples[pos], a.indices[pos], exp.grid.n_slices)
+            expected = reshape_to_grid(
+                exp.train.samples[pos].value_matrix(), a.indices[pos], exp.grid.n_slices
+            )
             observed_mask = ~np.isnan(expected)
             assert not changed[pos][observed_mask].any()
         assert changed.any()

@@ -45,6 +45,15 @@ class TestKnn1d:
         assert len(idx) == 2
         assert any("reducing" in r.message for r in caplog.records)
 
+        # the pool's slice synthesis reduces k the same way and names the cell
+        caplog.clear()
+        cfg = SynthesisConfig(k_neighbors=10, lambda_dist=LambdaSpec.point_mass(1.0))
+        with caplog.at_level("WARNING"):
+            out = synthesize_slice(np.array([[1.0], [2.0], [3.0]]), cfg, 6,
+                                   np.random.default_rng(0), label="class='c' slice=4")
+        assert out[:, 0].tolist() == [2.0, 1.0, 2.0, 3.0, 3.0, 1.0]  # ranks 0 then 1
+        assert any("reducing to 2" in r.message and "slice=4" in r.message for r in caplog.records)
+
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(
