@@ -57,7 +57,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON file with default option values")
     p.add_argument("--output-dir", "-o", type=Path, default=Path("."), help="directory for all outputs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="worker cap (results are identical at any value)")
 
 
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
@@ -165,9 +164,7 @@ def cmd_impute(args) -> int:
         else:
             grid = build_slice_grid(dataset, args.slices, _grid_policy(args.grid_time),
                                     (args.t_min, args.t_max))
-        tensor = impute_dataset(
-            dataset, grid, synthesis_config=syn, imputation_config=imp, threads=args.threads
-        )
+        tensor = impute_dataset(dataset, grid, synthesis_config=syn, imputation_config=imp)
         if smo.enabled:
             tensor = smooth_tensor(tensor, smo, fixed_prefix_len=args.fixed)
     except (ValueError, RuntimeError, OSError) as e:

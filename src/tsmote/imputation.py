@@ -141,7 +141,6 @@ def impute_dataset(
     assignment: Optional[SliceAssignment] = None,
     synthesis_config: Optional[SynthesisConfig] = None,
     imputation_config: Optional[ImputationConfig] = None,
-    threads: int = 1,
 ) -> ImputedTensor:
     """Produce one complete trajectory per sample on the slice grid.
 
@@ -168,7 +167,7 @@ def impute_dataset(
 
     # the method decides only where a slice's vector comes from
     if imp.method == TSMOTE:
-        pool = generate_pool(dataset, grid, assignment, syn, threads=threads)
+        pool = generate_pool(dataset, grid, assignment, syn)
         source = partial(pool.draw, rng=rng)
     else:
         stats = _slice_statistics(dataset, n_t, assignment, imp.method)

@@ -142,15 +142,51 @@ def _neighbor_table(values: np.ndarray, k: int, label: str = "") -> np.ndarray:
 
     Distance is ``|values[i] - values[j]|``; ties break toward the smaller
     index. A ``k`` of ``n`` or more is reduced to ``n - 1`` with a warning.
+
+    Sorted-window search in O(n log n) time and O(n k) memory: in stable
+    sorted order a row's k nearest lie among the k positions on each side.
+    Equal values sit in index order, so the right side already lists ties
+    smallest index first, and the left side walks each equal-value group from
+    its start. The 2k candidates are sorted by (distance, index). Where
+    rounding gives the window's farthest value group the same distance as an
+    adjacent distinct value on that side, the window can miss a smaller
+    index; those rows are recomputed from their exact distance row.
     """
     n = values.size
     if k >= n:
         where = f" in {label}" if label else ""
         logger.warning("k=%d >= %d values%s; reducing to %d", k, n, where, n - 1)
         k = n - 1
-    d = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(d, np.inf)
-    return np.argsort(d, kind="stable", axis=1)[:, :k]
+    order = np.argsort(values, kind="stable")
+    # sorted values padded with a NaN at each end: a window reaching past
+    # either end lands on NaN, whose distance sorts last and equals nothing
+    vp = np.concatenate(([np.nan], values[order], [np.nan]))
+    op = np.concatenate(([n], order, [n]))
+    v = vp[1:-1, None]
+    differs = vp[1:] != vp[:-1]
+    new = np.flatnonzero(differs) + 1  # first position of each equal-value group
+    group = np.concatenate(([0], np.cumsum(differs)))
+    start = np.concatenate(([0], new))[group]
+    end = np.concatenate((new - 1, [n + 1]))[group]
+
+    pos = np.arange(1, n + 1)[:, None]
+    step = np.arange(1, k + 1)
+    right = np.minimum(pos + step, n + 1)
+    q = np.maximum(pos - step, 0)
+    left = start[q] + np.minimum(end[q], pos - 1) - q  # mirrored within its group
+    cand = np.concatenate((left, right), axis=1)
+    dist = np.abs(vp[cand] - v)
+    idx = op[cand]
+    nearest = np.lexsort((idx, dist), axis=-1)[:, :k]
+    table = np.empty((n, k), dtype=np.intp)
+    table[order] = idx[np.arange(n)[:, None], nearest]
+
+    edge = cand[:, k - 1 :: k]  # farthest window position on each side
+    around = vp.take(np.stack((start[edge] - 1, end[edge] + 1)), mode="clip")
+    for i in order[(np.abs(around - v) == dist[:, k - 1 :: k]).any(axis=(0, 2))]:
+        row = np.argsort(np.abs(values - values[i]), kind="stable")
+        table[i] = row[row != i][:k]
+    return table
 
 
 def synthesize_slice(
@@ -249,16 +285,17 @@ def generate_pool(
     grid: SliceGrid,
     assignment: SliceAssignment,
     config: SynthesisConfig,
-    threads: int = 1,
 ) -> SyntheticPool:
     """Build the per-class, per-slice synthetic pool.
 
     Pool size per cell is ``ceil(surplus_factor * required)`` where
     ``required`` counts the class samples missing the slice plus the cell's
     null-bearing observations (each needs one replacement draw). Cells with
-    zero requirement stay empty. Each cell generates from an independent RNG
-    stream keyed by (seed, class, slice), so parallel and serial generation
-    produce identical pools; ``threads`` caps the worker count.
+    zero requirement stay empty. Each cell generates from its own RNG stream
+    keyed by (seed, class, slice), so a cell's vectors do not depend on the
+    other cells. Without replacement the cell is then put in a random order
+    drawn from the same stream. Neighbor search costs O(n log n) per column
+    of an n-row cell (see ``_neighbor_table``).
     """
     labels = dataset.class_labels() or [None]
     label_pos = {lab: i for i, lab in enumerate(labels)}
@@ -285,20 +322,14 @@ def generate_pool(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(label_pos[lab], si))
         )
         pool = synthesize_slice(cell, config, pool_size, rng, label=f"class={lab!r} slice={si}")
-        if config.replacement_policy == "without" and pool_size > 0:
-            rng.shuffle(pool, axis=0)
+        if config.replacement_policy == "without":
+            # the same order and RNG state as rng.shuffle(pool, axis=0), far
+            # faster; writing back keeps no freed copy behind as a heap hole
+            pool[:] = pool[rng.permutation(pool_size)]
         return pool
 
     keys = [(lab, si) for lab in labels for si in range(grid.n_slices)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            built = list(pool_exec.map(build_cell, keys))
-        vectors = dict(zip(keys, built))
-    else:
-        vectors = {key: build_cell(key) for key in keys}
-
+    vectors = {key: build_cell(key) for key in keys}
     return SyntheticPool(vectors, config.replacement_policy)
 
 

@@ -1,8 +1,10 @@
 """Tests for nearest-neighbor search, slice synthesis, and pool generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsmote.data import Observation, Sample, TimeSeriesDataset
@@ -12,10 +14,14 @@ from tsmote.synthesis import (
     PoolUnderflowError,
     SynthesisConfig,
     SynthesisError,
+    _neighbor_table,
     generate_pool,
     knn_1d,
     synthesize_slice,
 )
+
+
+ROUNDING_VALUES = [1.0, 0.0, -1e-17, -2e-17, 2.0, 2.0 + 2**-51, 1.0 + 2**-52, 3.0]
 
 
 def brute_force_knn(values, query, k):
@@ -56,17 +62,39 @@ class TestKnn1d:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        values=st.lists(
-            st.integers(min_value=-20, max_value=20).map(float), min_size=2, max_size=40
+        values=st.one_of(
+            st.lists(st.integers(min_value=-20, max_value=20).map(float), min_size=2, max_size=40),
+            # 2-dp-rounded values: tie groups longer than the window, inexact distances
+            st.lists(st.floats(min_value=-0.5, max_value=0.5).map(lambda x: round(x, 2)),
+                     min_size=2, max_size=40),
+            # distinct values at the same float distance from 1.0 or 2.0
+            st.lists(st.sampled_from(ROUNDING_VALUES), min_size=2, max_size=40),
         ),
         q=st.integers(min_value=0, max_value=39),
         k=st.integers(min_value=1, max_value=10),
     )
+    # 0.0 sits inside the window and -2e-17 just past it, at the same distance
+    @example(values=[1.0 + 2**-52, -2e-17, 0.0], q=0, k=1)
+    # the distance 1e308 - -1e308 overflows to inf; the row is still not its own neighbor
+    @example(values=[-1e308, 1e308, 0.0], q=0, k=2)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_matches_oracle(self, values, q, k):
         q = q % len(values)
         k = min(k, len(values) - 1)
         got = knn_1d(np.array(values), q, k).tolist()
         assert got == brute_force_knn(values, q, k)
+        table = _neighbor_table(np.array(values), k)
+        assert table.tolist() == [brute_force_knn(values, i, k) for i in range(len(values))]
+
+    def test_table_memory_is_linear(self):
+        values = np.round(np.random.default_rng(0).normal(size=4000), 2)
+        tracemalloc.start()
+        try:
+            _neighbor_table(values, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # a dense 4000 x 4000 distance table alone is 128 MB
 
 
 class TestSynthesizeSlice:
@@ -233,16 +261,6 @@ class TestGeneratePool:
         p2 = generate_pool(ds, grid, a, SynthesisConfig(seed=9))
         for key in p1.keys():
             np.testing.assert_array_equal(p1.vectors(*key), p2.vectors(*key))
-
-    def test_parallel_generation_equals_serial(self):
-        ds = two_class_dataset(seed=2)
-        grid = build_slice_grid(ds, 5)
-        a = assign_slices(ds, grid)
-        serial = generate_pool(ds, grid, a, SynthesisConfig(seed=9), threads=1)
-        parallel = generate_pool(ds, grid, a, SynthesisConfig(seed=9), threads=4)
-        assert set(serial.keys()) == set(parallel.keys())
-        for key in serial.keys():
-            np.testing.assert_array_equal(serial.vectors(*key), parallel.vectors(*key))
 
     def test_without_replacement_consumes_and_underflows(self):
         ds = two_class_dataset()
