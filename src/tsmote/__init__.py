@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .data import (
     DatasetStats,
     ImputedTensor,
-    Observation,
-    Sample,
     TimeSeriesDataset,
     ValidationReport,
     dataset_stats,
@@ -42,10 +40,7 @@ from .synthesis import (
 )
 from .imputation import (
     ImputationConfig,
-    fill_missing_slices,
     impute_dataset,
-    replace_nulls,
-    reshape_to_grid,
 )
 from .smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor
 from .moments import (
@@ -76,7 +71,7 @@ from .classify import (
 __all__ = [
     "__version__",
     # data
-    "Observation", "Sample", "TimeSeriesDataset", "ImputedTensor",
+    "TimeSeriesDataset", "ImputedTensor",
     "ValidationReport", "DatasetStats", "validate_dataset", "dataset_stats",
     "read_long_csv", "write_long_csv", "write_tensor_csv",
     # slicing
@@ -87,8 +82,7 @@ __all__ = [
     "SynthesisError", "PoolUnderflowError",
     "knn_1d", "synthesize_slice", "generate_pool",
     # imputation
-    "ImputationConfig", "replace_nulls", "reshape_to_grid",
-    "fill_missing_slices", "impute_dataset",
+    "ImputationConfig", "impute_dataset",
     # smoothing
     "SmoothingConfig", "savgol_nonuniform", "smooth_tensor",
     # moments

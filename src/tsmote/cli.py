@@ -109,12 +109,7 @@ def _load_dataset(args):
     except (OSError, ValueError) as e:
         _fail(str(e))
     if args.fixed:
-        dataset = dataclasses.replace(
-            dataset,
-            samples=tuple(
-                dataclasses.replace(s, fixed_prefix_len=args.fixed) for s in dataset.samples
-            ),
-        )
+        dataset = dataclasses.replace(dataset, fixed_prefix_len=args.fixed)
     report = validate_dataset(dataset, n_slices=args.slices)
     if not report.ok:
         _fail("dataset failed validation", report=report.to_dict())
@@ -140,9 +135,9 @@ def cmd_slice(args) -> int:
     with open(_out(args, "assignment.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "time", "slice_index"])
-        for pos, sample in enumerate(dataset.samples):
-            for o, si in zip(sample.observations, assignment.indices[pos]):
-                writer.writerow([sample.id, repr(float(o.time)), str(si)])
+        for i, t, si in zip(dataset.row_sample.tolist(), dataset.times.tolist(),
+                            assignment.indices.tolist()):
+            writer.writerow([dataset.ids[i], repr(t), str(si)])
     _out(args, "validation.json").write_text(report.to_json())
     print(f"grid: {args.slices} slices over [{grid.t_min:g}, {grid.t_max:g}], "
           f"occupancy spread {grid.occupancy_spread}")
@@ -189,13 +184,11 @@ def cmd_demo_oscillator(args) -> int:
     with open(_out(args, "slices.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "class", "time", "elapsed", "slice_index", "x", "y"])
-        for pos, sample in enumerate(exp.train.samples):
-            for o, si in zip(sample.observations, assignment.indices[pos]):
-                writer.writerow([
-                    sample.id, sample.class_label, repr(float(o.time)),
-                    repr(float(o.time - exp.grid.t_min)), str(si),
-                    repr(float(o.values[0])), repr(float(o.values[1])),
-                ])
+        train = exp.train
+        for i, t, si, (x, y) in zip(train.row_sample.tolist(), train.times.tolist(),
+                                    assignment.indices.tolist(), train.values.tolist()):
+            writer.writerow([train.ids[i], train.labels[i], repr(t), repr(t - exp.grid.t_min),
+                             str(si), repr(x), repr(y)])
 
     syn = SynthesisConfig(seed=args.seed)
     pool = generate_pool(exp.train, exp.grid, assignment, syn)

@@ -1,14 +1,17 @@
 """Core data model: ragged multivariate time series with optional nulls.
 
-A dataset is a collection of samples; each sample is an ordered list of
-(time, feature-vector) observations. Individual feature entries may be
-null (``None``). Times are abstract reals; unit interpretation is the
+A dataset is a collection of samples; each sample is an ordered run of
+(time, feature-vector) observations. A null feature entry is NaN, the only
+null encoding. Times are abstract reals; unit interpretation is the
 caller's concern.
 
-Containers are immutable after construction and safe to share across
-workers. Long-format CSV is the canonical on-disk representation:
-``sample_id, time[, class], <feature columns...>`` with empty cells for
-nulls.
+Samples are stored column-wise, after the offsets-plus-values buffers of the
+Arrow columnar format: one ``times (N,)`` array and one ``values (N, F)``
+array hold every observation, and ``offsets (n_samples + 1,)`` marks where
+each sample's rows start. Containers are immutable after construction (their
+arrays are read-only). Long-format CSV is the canonical on-disk
+representation: ``sample_id, time[, class], <feature columns...>`` with empty
+cells for nulls.
 """
 
 from __future__ import annotations
@@ -17,103 +20,134 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-Value = Optional[float]
+
+def _frozen(a, dtype) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (time, feature-vector) pair; entries of ``values`` may be None."""
+@dataclass(frozen=True, eq=False)
+class TimeSeriesDataset:
+    """Ragged samples sharing one feature schema, stored as flat arrays.
 
-    time: float
-    values: tuple[Value, ...]
-
-    def has_nulls(self) -> bool:
-        return any(v is None for v in self.values)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One subject's irregular time series.
-
-    Parameters
-    ----------
-    id : str
-        Opaque identifier, unique within a dataset.
-    observations : tuple of Observation
-        Expected sorted ascending by time (violations are reported by
-        :func:`validate_dataset`, not rejected here).
-    class_label : str, optional
-        Categorical label; either all samples of a dataset carry one or none do.
-    fixed_prefix_len : int
-        Number of leading time-independent features (e.g. age). Their values
-        are expected identical across the sample's observations when non-null.
+    Sample ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of ``times (N,)``
+    and ``values (N, n_features)``, and has at least one row; NaN marks a
+    null value. ``ids`` are expected unique and each sample's times
+    ascending (violations are reported by :func:`validate_dataset`, not
+    rejected here). ``labels`` holds one class label per sample (all None
+    when unlabeled). The leading ``fixed_prefix_len`` features are
+    time-independent (e.g. age), expected identical across a sample's
+    non-null observations.
     """
 
-    id: str
-    observations: tuple[Observation, ...]
-    class_label: Optional[str] = None
+    ids: tuple[str, ...]
+    offsets: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    labels: tuple[Optional[str], ...] = ()
+    feature_names: tuple[str, ...] = ()
     fixed_prefix_len: int = 0
 
     def __post_init__(self):
-        if len(self.observations) < 1:
-            raise ValueError(f"sample {self.id!r} has no observations")
-        if self.fixed_prefix_len < 0:
-            raise ValueError("fixed_prefix_len must be nonnegative")
-
-    @property
-    def n_observations(self) -> int:
-        return len(self.observations)
-
-    def times(self) -> np.ndarray:
-        return np.array([o.time for o in self.observations], dtype=float)
-
-    def value_matrix(self) -> np.ndarray:
-        """(m_i, n_F) float array with NaN standing in for null entries."""
-        m = np.array(
-            [[np.nan if v is None else v for v in o.values] for o in self.observations],
-            dtype=float,
-        )
-        return m
-
-
-@dataclass(frozen=True)
-class TimeSeriesDataset:
-    """Immutable collection of samples sharing one feature schema."""
-
-    samples: tuple[Sample, ...]
-    n_features: int
-    feature_names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
+        ids = tuple(self.ids)
+        offsets = _frozen(self.offsets, np.intp)
+        times = _frozen(self.times, float)
+        values = _frozen(self.values, float)
+        if not ids:
             raise ValueError("dataset must contain at least one sample")
-        if self.n_features < 1:
-            raise ValueError("n_features must be positive")
-        if not self.feature_names:
-            object.__setattr__(
-                self, "feature_names", tuple(f"f_{k}" for k in range(self.n_features))
+        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0:
+            raise ValueError("offsets must start at 0 and hold one entry per sample plus one")
+        empty = np.flatnonzero(np.diff(offsets) < 1)
+        if empty.size:
+            raise ValueError(f"sample {ids[empty[0]]!r} has no observations")
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError("values must be an (N, n_features) array with n_features positive")
+        if times.shape != (offsets[-1],) or len(values) != offsets[-1]:
+            raise ValueError(
+                f"times {times.shape} and values {values.shape} must have the "
+                f"{offsets[-1]} rows the offsets cover"
             )
-        if len(self.feature_names) != self.n_features:
+        n_f = values.shape[1]
+        labels = tuple(self.labels) or (None,) * len(ids)
+        if len(labels) != len(ids):
+            raise ValueError("labels must hold one entry per sample")
+        names = tuple(self.feature_names) or tuple(f"f_{k}" for k in range(n_f))
+        if len(names) != n_f:
             raise ValueError("feature_names length must equal n_features")
+        if not 0 <= self.fixed_prefix_len <= n_f:
+            raise ValueError(
+                f"fixed_prefix_len {self.fixed_prefix_len} must lie between 0 and "
+                f"the {n_f} features"
+            )
+        for name, value in (("ids", ids), ("offsets", offsets), ("times", times),
+                            ("values", values), ("labels", labels), ("feature_names", names)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_segments(cls, ids, times, values, **fields) -> "TimeSeriesDataset":
+        """Build from per-sample ``times[i]`` (m_i,) and ``values[i]`` (m_i, F); None is a null."""
+        return cls(
+            ids=tuple(ids),
+            offsets=np.concatenate(([0], np.cumsum([len(t) for t in times], dtype=np.intp))),
+            times=np.concatenate([np.asarray(t, dtype=float) for t in times]),
+            values=np.concatenate([np.array(v, dtype=float) for v in values]),
+            **fields,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TimeSeriesDataset):
+            return NotImplemented
+        return (
+            (self.ids, self.labels, self.feature_names, self.fixed_prefix_len)
+            == (other.ids, other.labels, other.feature_names, other.fixed_prefix_len)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.times, other.times, equal_nan=True)
+            and np.array_equal(self.values, other.values, equal_nan=True)
+        )
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    @property
+    def n_features(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Observations per sample."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def row_sample(self) -> np.ndarray:
+        """(N,) position of the sample that owns each row."""
+        return np.repeat(np.arange(self.n_samples), self.counts)
 
     @property
     def has_labels(self) -> bool:
-        return any(s.class_label is not None for s in self.samples)
+        return any(lab is not None for lab in self.labels)
 
     def class_labels(self) -> list[str]:
         """Distinct labels in sorted order (empty if unlabeled)."""
-        return sorted({s.class_label for s in self.samples if s.class_label is not None})
+        return sorted({lab for lab in self.labels if lab is not None})
+
+    def class_positions(self) -> np.ndarray:
+        """(n_samples,) position of each sample's label in :meth:`class_labels`; all
+        zero when unlabeled. A dataset labeled on only some samples is an error."""
+        pos = {lab: i for i, lab in enumerate(self.class_labels() or [None])}
+        try:
+            return np.array([pos[lab] for lab in self.labels], dtype=np.intp)
+        except KeyError:
+            raise ValueError("class labels must be present on every sample or none") from None
 
     def total_observations(self) -> int:
-        return sum(s.n_observations for s in self.samples)
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -189,68 +223,77 @@ class DatasetStats:
 def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None) -> ValidationReport:
     """Report structural problems without raising.
 
-    Checks per sample: sorted times, finite times, vector widths matching the
-    dataset schema, finite feature values, fully-null observations,
-    fixed-prefix consistency, and duplicate timestamps (warning only,
-    resolved later by degeneracy averaging). Dataset-wide: label-presence consistency, and — when a slice
-    count is given — whether the total observation count can support it
-    (at least two observations per slice per class).
+    Checks per sample: finite and sorted times, finite feature values,
+    fully-null observations, fixed-prefix consistency (one violation per
+    sample and feature), and duplicate timestamps (warning only, resolved
+    later by degeneracy averaging). Dataset-wide: label-presence
+    consistency, feature magnitudes whose sums would overflow, and — when a
+    slice count is given — whether the total observation count can support
+    it (at least two observations per slice per class).
     """
     violations: list[Violation] = []
     warnings: list[str] = []
+    ids, times, values = dataset.ids, dataset.times, dataset.values
+    row_sample = dataset.row_sample
 
-    labeled = [s for s in dataset.samples if s.class_label is not None]
-    if labeled and len(labeled) != dataset.n_samples:
+    def flag(kind: str, samples, message: str) -> None:
+        violations.extend(Violation(kind, ids[i], message) for i in samples)
+
+    if dataset.has_labels and None in dataset.labels:
         violations.append(
             Violation("partial-labels", None, "class labels must be present on every sample or none")
         )
-
     seen_ids: set[str] = set()
-    for s in dataset.samples:
-        if s.id in seen_ids:
-            violations.append(Violation("duplicate-sample-id", s.id, f"sample id {s.id!r} repeats"))
-        seen_ids.add(s.id)
+    for sid in ids:
+        if sid in seen_ids:
+            violations.append(Violation("duplicate-sample-id", sid, f"sample id {sid!r} repeats"))
+        seen_ids.add(sid)
 
-        times = [o.time for o in s.observations]
-        if any(not math.isfinite(t) for t in times):
-            violations.append(Violation("nonfinite-time", s.id, "observation time is not finite"))
-        elif any(b < a for a, b in zip(times, times[1:])):
-            violations.append(Violation("unsorted-times", s.id, "observation times are not ascending"))
-        elif any(b == a for a, b in zip(times, times[1:])):
-            warnings.append(f"sample {s.id!r} has duplicate timestamps (degenerate observations)")
+    # each sample gets the first time problem that applies: non-finite, unsorted, duplicates
+    nonfinite = np.unique(row_sample[~np.isfinite(times)])
+    within = row_sample[1:] == row_sample[:-1]
+    later, step = row_sample[1:][within], np.diff(times)[within]
+    unsorted = np.setdiff1d(later[step < 0], nonfinite)
+    flag("nonfinite-time", nonfinite, "observation time is not finite")
+    flag("unsorted-times", unsorted, "observation times are not ascending")
+    for i in np.setdiff1d(later[step == 0], np.concatenate((nonfinite, unsorted))):
+        warnings.append(f"sample {ids[i]!r} has duplicate timestamps (degenerate observations)")
 
-        prefix_seen: dict[int, float] = {}
-        for o in s.observations:
-            if len(o.values) != dataset.n_features:
-                violations.append(
-                    Violation(
-                        "wrong-width",
-                        s.id,
-                        f"observation at t={o.time} has {len(o.values)} values, expected {dataset.n_features}",
-                    )
-                )
-                continue
-            if any(v is not None and not math.isfinite(v) for v in o.values):
-                violations.append(
-                    Violation("nonfinite-value", s.id, f"observation at t={o.time} has a non-finite value")
-                )
-            if all(v is None for v in o.values):
-                violations.append(
-                    Violation("all-null-observation", s.id, f"observation at t={o.time} is entirely null")
-                )
-            for k in range(min(s.fixed_prefix_len, len(o.values))):
-                v = o.values[k]
-                if v is None:
-                    continue
-                if k in prefix_seen and prefix_seen[k] != v:
-                    violations.append(
-                        Violation(
-                            "inconsistent-fixed-feature",
-                            s.id,
-                            f"fixed feature {k} varies across observations",
-                        )
-                    )
-                prefix_seen.setdefault(k, v)
+    nulls = np.isnan(values)
+    t_list = times.tolist()
+    for kind, rows, what in (
+        ("nonfinite-value", np.isinf(values).any(axis=1), "has a non-finite value"),
+        ("all-null-observation", nulls.all(axis=1), "is entirely null"),
+    ):
+        violations.extend(
+            Violation(kind, ids[row_sample[r]], f"observation at t={t_list[r]} {what}")
+            for r in np.flatnonzero(rows)
+        )
+
+    # each fixed feature's non-null entries must equal the sample's first one
+    for k in range(dataset.fixed_prefix_len):
+        rows = np.flatnonzero(~nulls[:, k])
+        owner = row_sample[rows]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        reference = values[rows[first], k][np.cumsum(first) - 1]
+        flag("inconsistent-fixed-feature", np.unique(owner[values[rows, k] != reference]),
+             f"fixed feature {k} varies across observations")
+
+    # with max|v| * count finite, every sum, mean and difference of the
+    # feature's values downstream stays finite
+    magnitude = np.where(np.isfinite(values), np.abs(values), 0.0)
+    n_finite = np.isfinite(values).sum(axis=0)
+    with np.errstate(over="ignore"):
+        bound = magnitude.max(axis=0) * n_finite
+    for k in np.flatnonzero(~np.isfinite(bound)):
+        r = int(magnitude[:, k].argmax())
+        violations.append(Violation(
+            "value-out-of-range",
+            ids[row_sample[r]],
+            f"feature {dataset.feature_names[k]!r} reaches |value| {float(magnitude[r, k])!r}; "
+            f"{int(n_finite[k])} values that large overflow float64 sums and means",
+        ))
 
     if n_slices is not None and n_slices > 0:
         n_classes = max(1, len(dataset.class_labels()))
@@ -267,24 +310,15 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
 
 def dataset_stats(dataset: TimeSeriesDataset) -> DatasetStats:
     """Exact counts: sizes, per-feature null fraction, overall time range."""
-    counts = tuple(s.n_observations for s in dataset.samples)
-    total = sum(counts)
-    nulls = np.zeros(dataset.n_features, dtype=int)
-    t_lo, t_hi = math.inf, -math.inf
-    for s in dataset.samples:
-        for o in s.observations:
-            t_lo = min(t_lo, o.time)
-            t_hi = max(t_hi, o.time)
-            for k, v in enumerate(o.values[: dataset.n_features]):
-                if v is None:
-                    nulls[k] += 1
+    total = dataset.total_observations()
+    nulls = np.isnan(dataset.values).sum(axis=0)
     return DatasetStats(
         n_samples=dataset.n_samples,
         n_features=dataset.n_features,
-        observation_counts=counts,
+        observation_counts=tuple(dataset.counts.tolist()),
         total_observations=total,
         null_fraction=tuple(float(n) / total for n in nulls),
-        time_range=(t_lo, t_hi),
+        time_range=(float(dataset.times.min()), float(dataset.times.max())),
     )
 
 
@@ -297,25 +331,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_value(cell: str, path, lineno: int) -> Value:
-    if cell == "":
-        return None
-    try:
-        v = float(cell)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: unparseable value {cell!r}") from None
-    if not math.isfinite(v):
-        raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
-    return v
-
-
 def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
     """Parse long-format CSV: ``sample_id, time[, class], features...``.
 
     The header row is required. An empty feature cell is a null; a feature
     cell that is not a finite number (``nan``, ``inf``) is rejected with its
-    line. Observations are grouped by sample id (first-appearance order) and
-    sorted by time within each sample.
+    line. Rows are grouped by sample id (first-appearance order) and
+    stable-sorted by time within each sample.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -331,42 +353,71 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
         feature_names = tuple(header[3:] if has_class else header[2:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns found")
-        n_f = len(feature_names)
+        first = 2 + has_class
+        expected = first + len(feature_names)
 
-        rows: dict[str, list[tuple[float, Optional[str], tuple[Value, ...]]]] = {}
-        order: list[str] = []
+        rows: list[list[str]] = []
+        lines: list[int] = []
+        width_error = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            expected = 2 + has_class + n_f
             if len(row) != expected:
-                raise ValueError(f"{path}:{lineno}: expected {expected} columns, got {len(row)}")
-            sid = row[0]
+                width_error = f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
+                break
+            rows.append(row)
+            lines.append(lineno)
+
+    # parse whole columns; a rejected cell is then found row by row, so the
+    # error names the first bad line as a row-by-row parser would
+    columns = list(zip(*rows)) or [()] * expected
+    try:
+        times = np.fromiter(map(float, columns[1]), float, len(rows))
+        values = np.column_stack([
+            np.fromiter(map(float, [c or "nan" for c in columns[k]]), float, len(rows))
+            for k in range(first, expected)
+        ])
+        clean = all(not rows[r][first + k] for r, k in np.argwhere(~np.isfinite(values)))
+    except ValueError:
+        clean = False
+    if not clean:
+        for row, lineno in zip(rows, lines):
             try:
-                t = float(row[1])
+                float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable time {row[1]!r}") from None
-            label = row[2] if has_class else None
-            if label == "":
-                label = None
-            vals = tuple(_parse_value(cell, path, lineno) for cell in row[2 + has_class:])
-            if sid not in rows:
-                rows[sid] = []
-                order.append(sid)
-            rows[sid].append((t, label, vals))
-
-    if not order:
+            for cell in row[first:]:
+                try:
+                    v = float(cell or 0)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: unparseable value {cell!r}") from None
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+    if width_error:
+        raise ValueError(width_error)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    samples = []
-    for sid in order:
-        recs = sorted(rows[sid], key=lambda r: r[0])
-        labels = {r[1] for r in recs if r[1] is not None}
-        if len(labels) > 1:
-            raise ValueError(f"{path}: sample {sid!r} carries conflicting class labels {sorted(labels)}")
-        obs = tuple(Observation(t, vals) for t, _, vals in recs)
-        samples.append(Sample(id=sid, observations=obs, class_label=(labels.pop() if labels else None)))
-    return TimeSeriesDataset(tuple(samples), n_features=n_f, feature_names=feature_names)
+    codes: dict[str, int] = {}
+    row_code = np.fromiter((codes.setdefault(s, len(codes)) for s in columns[0]), np.intp, len(rows))
+    labels: list[set[str]] = [set() for _ in codes]
+    if has_class:
+        for code, lab in set(zip(row_code.tolist(), columns[2])):
+            if lab:
+                labels[code].add(lab)
+    for sid, found in zip(codes, labels):
+        if len(found) > 1:
+            raise ValueError(f"{path}: sample {sid!r} carries conflicting class labels {sorted(found)}")
+
+    order = np.lexsort((times, row_code))
+    return TimeSeriesDataset(
+        ids=tuple(codes),
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(row_code)))),
+        times=times[order],
+        values=values[order],
+        labels=tuple(found.pop() if found else None for found in labels),
+        feature_names=feature_names,
+    )
 
 
 def write_long_csv(dataset: TimeSeriesDataset, path, class_column: str = "class") -> None:
@@ -376,13 +427,12 @@ def write_long_csv(dataset: TimeSeriesDataset, path, class_column: str = "class"
         writer = csv.writer(fh)
         header = ["sample_id", "time"] + ([class_column] if has_class else []) + list(dataset.feature_names)
         writer.writerow(header)
-        for s in dataset.samples:
-            for o in s.observations:
-                row = [s.id, _fmt(o.time)]
-                if has_class:
-                    row.append(s.class_label if s.class_label is not None else "")
-                row.extend("" if v is None else _fmt(v) for v in o.values)
-                writer.writerow(row)
+        for i, t, vals in zip(dataset.row_sample.tolist(), dataset.times.tolist(), dataset.values.tolist()):
+            row = [dataset.ids[i], _fmt(t)]
+            if has_class:
+                row.append(dataset.labels[i] if dataset.labels[i] is not None else "")
+            row.extend("" if math.isnan(v) else _fmt(v) for v in vals)
+            writer.writerow(row)
 
 
 def write_tensor_csv(tensor: ImputedTensor, path) -> None:

@@ -1,12 +1,13 @@
-"""Imputation: reshape ragged samples onto the slice grid and fill the gaps.
+"""Imputation: put ragged samples onto the slice grid and fill the gaps.
 
-Every method runs the same steps on each sample's ``(m, F)`` value matrix:
-pin the time-independent prefix features, replace null components, reshape
-observations into their slices (averaging degenerate slots componentwise so
-each slot holds one value), then fill empty slots. The method only decides
-where a slice's vector comes from: the tsmote method draws it from the
-per-class synthetic pool; the slice_mean / slice_median baselines take the
-per-class per-slice per-feature statistic of the observed values.
+Every method runs the same steps on the dataset's value array: pin the
+time-independent prefix features, replace null components, average the
+observations that share a slot componentwise, and fill the empty slots. The
+draws form one request table, listed sample by sample (null-bearing rows in
+row order, then empty slots in slice order) and tagged with their (class,
+slice) cell. The method only decides how a cell serves its requests, with one
+gather: tsmote from the per-class synthetic pool, the slice_mean /
+slice_median baselines with the cell's per-feature statistic.
 
 Real observations are never overwritten: a slot that had original data keeps
 it exactly (or its degenerate average). Time-independent prefix features are
@@ -18,21 +19,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .data import ImputedTensor, TimeSeriesDataset
-from .slicing import SliceAssignment, SliceGrid, assign_slices, group_cells
+from .slicing import SliceAssignment, SliceGrid, assign_slices, group_cells, group_ranks
 from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
 SLICE_MEAN = "slice_mean"
 SLICE_MEDIAN = "slice_median"
 METHODS = (TSMOTE, SLICE_MEAN, SLICE_MEDIAN)
-
-Draw = Callable[[int], np.ndarray]  # slice index -> one feature vector for that slice
 
 
 @dataclass(frozen=True)
@@ -49,89 +47,25 @@ class ImputationConfig:
             raise ValueError("replacement_policy must be 'with', 'without' or None")
 
 
-def replace_nulls(mat: np.ndarray, slice_indices, draw: Draw) -> np.ndarray:
-    """Replace each null component from one vector drawn for its row's slice.
-
-    One vector is drawn per null-bearing row, in row order; non-null
-    components are untouched. Returns a copy. The caller is responsible for
-    asserting feature independence (see
-    ``ImputationConfig.allow_null_feature_imputation``).
-    """
-    out = mat.copy()
-    nulls = np.isnan(mat)
-    for r in np.flatnonzero(nulls.any(axis=1)):
-        out[r, nulls[r]] = draw(slice_indices[r])[nulls[r]]
-    return out
-
-
-def reshape_to_grid(mat: np.ndarray, slice_indices, n_slices: int) -> np.ndarray:
-    """(n_slices, n_features) row; empty slots are NaN, degenerate slots averaged.
-
-    Expects nulls to have been replaced already (or absent).
-    """
-    if np.isnan(mat).any():
-        raise ValueError("value matrix still contains nulls; replace them before reshaping")
-    row = np.full((n_slices, mat.shape[1]), np.nan)
-    counts = np.zeros(n_slices, dtype=int)
-    for obs_vals, si in zip(mat, slice_indices):
-        if counts[si] == 0:
-            row[si] = obs_vals
-        else:
-            row[si] = (row[si] * counts[si] + obs_vals) / (counts[si] + 1)
-        counts[si] += 1
-    return row
-
-
-def fill_missing_slices(row: np.ndarray, draw: Draw, fixed_values: np.ndarray) -> np.ndarray:
-    """Fill NaN slots of a reshaped row with draws, in slice order; returns a copy.
-
-    The leading ``len(fixed_values)`` entries of every filled slot are
-    overwritten with the sample's own fixed values. Without-replacement pool
-    draws permanently consume pool vectors.
-    """
-    out = row.copy()
-    empty = np.flatnonzero(np.isnan(row).any(axis=1))
-    for si in empty:
-        out[si] = draw(si)
-    out[np.ix_(empty, np.arange(len(fixed_values)))] = fixed_values
-    return out
-
-
-def _pin_fixed_prefix(mat: np.ndarray, n_fix: int) -> np.ndarray:
-    """Write each fixed-prefix column's first non-null value into all its rows.
-
-    Works in place and returns the pinned values; a column that is null in
-    every row stays null and its value is NaN.
-    """
-    head = mat[:, :n_fix]
-    fixed = head[np.isnan(head).argmin(axis=0), np.arange(n_fix)]
-    known = ~np.isnan(fixed)
-    head[:, known] = fixed[known]
-    return fixed
-
-
 def _slice_statistics(
     dataset: TimeSeriesDataset,
     n_slices: int,
-    assignment: SliceAssignment,
+    cells: np.ndarray,
     method: str,
-) -> dict[tuple[Optional[str], int], np.ndarray]:
-    """Per-(class, slice) featurewise mean or median of observed values."""
+) -> np.ndarray:
+    """(n_cells, F) featurewise mean or median of each (class, slice) cell's observed values."""
     reduce = np.nanmean if method == SLICE_MEAN else np.nanmedian
-    cells = group_cells(dataset, assignment)
-    stats: dict[tuple[Optional[str], int], np.ndarray] = {}
-    for lab in dataset.class_labels() or [None]:
-        for si in range(n_slices):
-            cell = cells.get((lab, si))
-            if cell is None:
-                raise ValueError(
-                    f"class={lab!r} has no observations in slice {si}; cannot compute baseline statistic"
-                )
-            if np.isnan(cell).all(axis=0).any():
-                raise ValueError(
-                    f"class={lab!r} slice={si} has a feature with no observed values"
-                )
-            stats[(lab, si)] = reduce(cell, axis=0)
+    labels = dataset.class_labels() or [None]
+    stats = np.empty((len(labels) * n_slices, dataset.n_features))
+    for c, block in enumerate(group_cells(dataset.values, cells, len(stats))):
+        lab, si = labels[c // n_slices], c % n_slices
+        if len(block) == 0:
+            raise ValueError(
+                f"class={lab!r} has no observations in slice {si}; cannot compute baseline statistic"
+            )
+        if np.isnan(block).all(axis=0).any():
+            raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
+        stats[c] = reduce(block, axis=0)
     return stats
 
 
@@ -154,42 +88,71 @@ def impute_dataset(
     if assignment is None:
         assignment = assign_slices(dataset, grid)
 
-    rng = np.random.default_rng(imp.seed)
-    n_t, n_f = grid.n_slices, dataset.n_features
+    n_d, n_t, n_f = dataset.n_samples, grid.n_slices, dataset.n_features
+    n_fix = dataset.fixed_prefix_len
+    owner = dataset.row_sample
+    first_rows = dataset.offsets[:-1]
+    sample_cell = dataset.class_positions() * n_t  # (class, slice) cell of each sample's slice 0
+    cells = sample_cell[owner] + assignment.indices
 
-    has_nulls = any(o.has_nulls() for s in dataset.samples for o in s.observations)
-    if imp.method == TSMOTE and has_nulls and not imp.allow_null_feature_imputation:
-        raise ValueError(
-            "dataset contains null feature entries; imputing them samples each feature "
-            "from its marginal distribution, which destroys cross-feature correlations. "
-            "Set allow_null_feature_imputation=True only if the features are independent."
-        )
-
-    # the method decides only where a slice's vector comes from
     if imp.method == TSMOTE:
+        if np.isnan(dataset.values).any() and not imp.allow_null_feature_imputation:
+            raise ValueError(
+                "dataset contains null feature entries; imputing them samples each feature "
+                "from its marginal distribution, which destroys cross-feature correlations. "
+                "Set allow_null_feature_imputation=True only if the features are independent."
+            )
         pool = generate_pool(dataset, grid, assignment, syn)
-        source = partial(pool.draw, rng=rng)
     else:
-        stats = _slice_statistics(dataset, n_t, assignment, imp.method)
+        stats = _slice_statistics(dataset, n_t, cells, imp.method)
 
-        def source(lab, si):
-            return stats[(lab, si)]
+    values = dataset.values.copy()
+    _pin_fixed_prefix(values, dataset)
+    null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
+    slots = owner * n_t + assignment.indices  # flat (sample, slice) slot of each row
+    empty = np.flatnonzero(np.bincount(slots, minlength=n_d * n_t) == 0)
 
-    rows = np.empty((dataset.n_samples, n_t, n_f), dtype=float)
-    for pos, (sample, idx) in enumerate(zip(dataset.samples, assignment.indices)):
-        draw = partial(source, sample.class_label)
-        n_fix = min(sample.fixed_prefix_len, n_f)
-        mat = sample.value_matrix()
-        _pin_fixed_prefix(mat, n_fix)
-        mat = replace_nulls(mat, idx, draw)
-        fixed = _pin_fixed_prefix(mat, n_fix)
-        rows[pos] = fill_missing_slices(reshape_to_grid(mat, idx, n_t), draw, fixed)
+    # the request table: null-bearing rows, then empty slots, stably sorted by sample
+    order = np.argsort(np.concatenate((owner[null_rows], empty // n_t)), kind="stable")
+    request_cells = np.concatenate((cells[null_rows], sample_cell[empty // n_t] + empty % n_t))
+    drawn = np.empty((len(order), n_f))
+    if imp.method == TSMOTE:
+        drawn[order] = pool.serve(request_cells[order], np.random.default_rng(imp.seed))
+    else:
+        drawn[order] = stats[request_cells[order]]
 
-    labels = tuple(s.class_label for s in dataset.samples) if dataset.has_labels else None
+    nulls = np.isnan(values[null_rows])
+    values[null_rows] = np.where(nulls, drawn[: len(null_rows)], values[null_rows])
+    values[:, :n_fix] = values[first_rows, :n_fix][owner]  # a null prefix took its first draw
+
+    # a slot holds the running mean (row * c + x) / (c + 1) of its rows in row order;
+    # it is not a sum / count, which can differ in the last bit
+    data = np.full((n_d * n_t, n_f), np.nan)
+    rank = group_ranks(slots)
+    for r in range(int(rank.max()) + 1):
+        at = rank == r
+        s = slots[at]
+        data[s] = values[at] if r == 0 else (data[s] * r + values[at]) / (r + 1)
+    data[empty] = drawn[len(null_rows) :]
+    data[empty, :n_fix] = values[first_rows, :n_fix][empty // n_t]
+
     return ImputedTensor(
-        sample_ids=tuple(s.id for s in dataset.samples),
+        sample_ids=dataset.ids,
         grid_times=grid.t_min + np.asarray(grid.grid_times, dtype=float),
-        data=rows,
-        class_labels=labels,
+        data=data.reshape(n_d, n_t, n_f),
+        class_labels=dataset.labels if dataset.has_labels else None,
         feature_names=dataset.feature_names,
     )
+
+
+def _pin_fixed_prefix(values: np.ndarray, dataset: TimeSeriesDataset) -> None:
+    """Write each sample's first non-null value of each fixed-prefix column into all its rows.
+
+    Works in place; a column that is null in every row of a sample stays null.
+    """
+    n, n_fix = len(values), dataset.fixed_prefix_len
+    head = values[:, :n_fix]
+    # row n of the padded head is all NaN: the "first non-null row" of an all-null column
+    padded = np.vstack((head, np.full((1, n_fix), np.nan)))
+    first = np.minimum.reduceat(np.where(np.isnan(head), n, np.arange(n)[:, None]), dataset.offsets[:-1])
+    head[:] = padded[first, np.arange(n_fix)][dataset.row_sample]

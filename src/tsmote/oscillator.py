@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Observation, Sample, TimeSeriesDataset
+from .data import TimeSeriesDataset
 from .slicing import MEDIAN_OF_OBSERVATIONS, SliceGrid, build_slice_grid
 
 UNIFORM = "uniform"
@@ -82,19 +82,19 @@ def generate_oscillator_dataset(
     Per-sample RNG streams are derived from (seed, sample index), so the
     output is independent of generation order.
     """
-    samples = []
+    times, values = [], []
     for i in range(config.n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
         m = int(rng.integers(config.obs_count_min, config.obs_count_max + 1))
-        times = _draw_times(config, m, rng)
-        vals = curve_values(config, times)
+        times.append(_draw_times(config, m, rng))
+        vals = curve_values(config, times[-1])
         if config.noise_sigma > 0:
             vals = vals + rng.normal(0.0, config.noise_sigma, vals.shape)
-        obs = tuple(
-            Observation(float(t), (float(v[0]), float(v[1]))) for t, v in zip(times, vals)
-        )
-        samples.append(Sample(id=f"{id_prefix}{i:04d}", observations=obs, class_label=class_label))
-    return TimeSeriesDataset(tuple(samples), n_features=2, feature_names=("x", "y"))
+        values.append(vals)
+    return TimeSeriesDataset.from_segments(
+        [f"{id_prefix}{i:04d}" for i in range(config.n_samples)], times, values,
+        labels=(class_label,) * config.n_samples, feature_names=("x", "y"),
+    )
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,21 @@ def generate_two_class_experiment(
     )
     cfg_a = base
     cfg_b = replace(base, omega_y=config.omega_y_b, n_samples=config.n_train_b, seed=seed + 1)
-    train_a = generate_oscillator_dataset(cfg_a, class_label=config.label_a, id_prefix="a")
-    train_b = generate_oscillator_dataset(cfg_b, class_label=config.label_b, id_prefix="b")
+    a = generate_oscillator_dataset(cfg_a, class_label=config.label_a, id_prefix="a")
+    b = generate_oscillator_dataset(cfg_b, class_label=config.label_b, id_prefix="b")
     train = TimeSeriesDataset(
-        train_a.samples + train_b.samples, n_features=2, feature_names=("x", "y")
+        ids=a.ids + b.ids,
+        offsets=np.concatenate((a.offsets, a.offsets[-1] + b.offsets[1:])),
+        times=np.concatenate((a.times, b.times)),
+        values=np.concatenate((a.values, b.values)),
+        labels=a.labels + b.labels,
+        feature_names=("x", "y"),
     )
 
     grid = build_slice_grid(train, config.n_slices, config.grid_time_policy)
     grid_times = grid.t_min + np.asarray(grid.grid_times)
 
-    test_samples = []
+    ids, labels, values = [], [], []
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10_000,)))
     for label, n_test, cfg in (
         (config.label_a, config.n_test_a, cfg_a),
@@ -167,12 +172,10 @@ def generate_two_class_experiment(
             vals = curve_values(cfg, grid_times)
             if config.noise_sigma > 0:
                 vals = vals + rng.normal(0.0, config.noise_sigma, vals.shape)
-            obs = tuple(
-                Observation(float(t), (float(v[0]), float(v[1])))
-                for t, v in zip(grid_times, vals)
-            )
-            test_samples.append(
-                Sample(id=f"t{label}{i:03d}", observations=obs, class_label=label)
-            )
-    test = TimeSeriesDataset(tuple(test_samples), n_features=2, feature_names=("x", "y"))
+            ids.append(f"t{label}{i:03d}")
+            labels.append(label)
+            values.append(vals)
+    test = TimeSeriesDataset.from_segments(
+        ids, [grid_times] * len(ids), values, labels=labels, feature_names=("x", "y")
+    )
     return TwoClassExperiment(train=train, test=test, grid=grid)

@@ -107,26 +107,30 @@ class SliceGrid:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceAssignment:
-    """Per-observation slice indices, parallel to ``dataset.samples``."""
+    """(N,) slice index of every observation, aligned with the dataset's rows."""
 
-    sample_ids: tuple[str, ...]
-    indices: tuple[tuple[int, ...], ...]
+    indices: np.ndarray
 
 
-def group_cells(
-    dataset: TimeSeriesDataset, assignment: SliceAssignment
-) -> dict[tuple[Optional[str], int], np.ndarray]:
-    """Value rows of every non-empty (class, slice) cell, NaN marking nulls.
+def group_cells(values: np.ndarray, cells: np.ndarray, n_cells: int) -> list[np.ndarray]:
+    """Rows of ``values`` in every cell ``0 .. n_cells - 1``, NaN marking nulls.
 
-    Each cell stacks its rows in sample order, then observation order.
+    One stable sort by cell, so each cell keeps its rows in dataset order
+    (sample order, then observation order).
     """
-    cells: dict[tuple[Optional[str], int], list[np.ndarray]] = {}
-    for sample, idx in zip(dataset.samples, assignment.indices):
-        for row, si in zip(sample.value_matrix(), idx):
-            cells.setdefault((sample.class_label, si), []).append(row)
-    return {key: np.vstack(rows) for key, rows in cells.items()}
+    order = np.argsort(cells, kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(cells, minlength=n_cells))[:-1])
+
+
+def group_ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of every entry among the entries with the same non-negative integer key."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    ranks = np.empty(keys.size, dtype=np.intp)
+    ranks[order] = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys[order]]
+    return ranks
 
 
 def compute_time_bounds(
@@ -140,7 +144,7 @@ def compute_time_bounds(
     final slice downstream. Picking a *larger* ``t_max`` than observed leaves
     empty slices beyond the data and is allowed but rarely useful.
     """
-    times = np.concatenate([s.times() for s in dataset.samples])
+    times = dataset.times
     lo = float(times.min()) if t_min is None else float(t_min)
     hi = float(times.max()) if t_max is None else float(t_max)
     if hi <= lo:
@@ -170,7 +174,7 @@ def build_slice_grid(
     t_lo, t_hi = compute_time_bounds(dataset, *(bounds or (None, None)))
     span = t_hi - t_lo
 
-    elapsed = np.concatenate([s.times() for s in dataset.samples]) - t_lo
+    elapsed = dataset.times - t_lo
     if np.any(elapsed < 0):
         raise SliceGridError("observation time earlier than t_min")
     n_clamped = int(np.sum(elapsed > span))
@@ -246,16 +250,10 @@ def assign_slices(dataset: TimeSeriesDataset, grid: SliceGrid) -> SliceAssignmen
     ``t_max`` override) are clamped into the last slice; negative elapsed
     times are an error.
     """
-    bounds = np.asarray(grid.boundaries)
-    all_indices: list[tuple[int, ...]] = []
-    for s in dataset.samples:
-        tau = s.times() - grid.t_min
-        if np.any(tau < 0):
-            raise SliceGridError(f"sample {s.id!r} has an observation earlier than t_min")
-        idx = np.searchsorted(bounds, tau, side="right") - 1
-        idx = np.clip(idx, 0, grid.n_slices - 1)
-        all_indices.append(tuple(int(i) for i in idx))
-    return SliceAssignment(
-        sample_ids=tuple(s.id for s in dataset.samples),
-        indices=tuple(all_indices),
-    )
+    tau = dataset.times - grid.t_min
+    early = np.flatnonzero(tau < 0)
+    if early.size:
+        sid = dataset.ids[dataset.row_sample[early[0]]]
+        raise SliceGridError(f"sample {sid!r} has an observation earlier than t_min")
+    idx = np.searchsorted(np.asarray(grid.boundaries), tau, side="right") - 1
+    return SliceAssignment(np.clip(idx, 0, grid.n_slices - 1))

@@ -20,16 +20,16 @@ independent features.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .slicing import SliceAssignment, SliceGrid, group_cells
+from .slicing import SliceAssignment, SliceGrid, group_cells, group_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -232,52 +232,55 @@ def synthesize_slice(
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class SyntheticPool:
-    """Per-(class, slice) stock of synthetic vectors with draw bookkeeping.
+    """Synthetic vectors of every (class, slice) cell in one flat array.
 
-    Without replacement, vectors are consumed in a pre-shuffled deterministic
-    order via a cursor, so the pool assignment depends only on the draw
-    sequence, not on shared RNG state.
+    Cell ``c = class position * n_slices + slice`` owns rows
+    ``starts[c] : starts[c] + sizes[c]`` of ``vectors``; class positions
+    follow ``labels``. Without replacement each cell's rows are stored in a
+    pre-shuffled deterministic order and requests consume them in that
+    order, so the assignment depends only on the request sequence, not on
+    shared RNG state.
     """
 
-    def __init__(
-        self,
-        vectors: dict[tuple[Optional[str], int], np.ndarray],
-        replacement_policy: str,
-    ):
-        self._vectors = vectors
-        self._cursor = {key: 0 for key in vectors}
-        self.replacement_policy = replacement_policy
+    labels: tuple[Optional[str], ...]
+    n_slices: int
+    vectors: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    replacement_policy: str
 
-    def keys(self):
-        return self._vectors.keys()
+    def cell(self, class_label: Optional[str], slice_index: int) -> np.ndarray:
+        c = self.labels.index(class_label) * self.n_slices + slice_index
+        return self.vectors[self.starts[c] : self.starts[c] + self.sizes[c]]
 
-    def size(self, class_label: Optional[str], slice_index: int) -> int:
-        return len(self._vectors.get((class_label, slice_index), ()))
+    def serve(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One vector for each request, given the requests' cells in request order.
 
-    def vectors(self, class_label: Optional[str], slice_index: int) -> np.ndarray:
-        return self._vectors[(class_label, slice_index)]
-
-    def draw(
-        self, class_label: Optional[str], slice_index: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        key = (class_label, slice_index)
-        pool = self._vectors.get(key)
-        if pool is None or len(pool) == 0:
+        With replacement a request takes a uniformly drawn row of its cell,
+        all from one ``rng.integers`` call (the same values as one call per
+        request). Without, a cell's n-th request takes its n-th row; the first
+        request beyond a cell's size raises :class:`PoolUnderflowError`.
+        """
+        sizes = self.sizes[cells]
+        pick = group_ranks(cells) if self.replacement_policy == "without" else np.zeros_like(cells)
+        short = np.flatnonzero(pick >= sizes)
+        if short.size:
+            c = int(cells[short[0]])
+            lab, si = self.labels[c // self.n_slices], c % self.n_slices
+            if self.sizes[c] == 0:
+                raise PoolUnderflowError(
+                    f"pool underflow: no synthetic vectors for class={lab!r} slice={si}"
+                    " (increase surplus_factor or use replacement_policy='with')"
+                )
             raise PoolUnderflowError(
-                f"pool underflow: no synthetic vectors for class={class_label!r} slice={slice_index}"
-                " (increase surplus_factor or use replacement_policy='with')"
+                f"pool underflow: class={lab!r} slice={si} exhausted after "
+                f"{self.sizes[c]} draws (increase surplus_factor)"
             )
         if self.replacement_policy == "with":
-            return pool[int(rng.integers(len(pool)))]
-        cur = self._cursor[key]
-        if cur >= len(pool):
-            raise PoolUnderflowError(
-                f"pool underflow: class={class_label!r} slice={slice_index} exhausted after "
-                f"{len(pool)} draws (increase surplus_factor)"
-            )
-        self._cursor[key] = cur + 1
-        return pool[cur]
+            pick = rng.integers(0, sizes)
+        return self.vectors[self.starts[cells] + pick]
 
 
 def generate_pool(
@@ -298,50 +301,45 @@ def generate_pool(
     of an n-row cell (see ``_neighbor_table``).
     """
     labels = dataset.class_labels() or [None]
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    cells = group_cells(dataset, assignment)
-    class_sizes = Counter(s.class_label for s in dataset.samples)
-    present = Counter(
-        (s.class_label, si)
-        for s, idx in zip(dataset.samples, assignment.indices)
-        for si in set(idx)
-    )
+    n_t = grid.n_slices
+    n_cells = len(labels) * n_t
+    class_pos = dataset.class_positions()
+    cells = class_pos[dataset.row_sample] * n_t + assignment.indices
+    # samples observed in each cell: distinct (cell, sample) pairs
+    present = np.bincount(np.unique(cells * dataset.n_samples + dataset.row_sample) // dataset.n_samples,
+                          minlength=n_cells)
+    null_rows = np.bincount(cells[np.isnan(dataset.values).any(axis=1)], minlength=n_cells)
+    required = np.repeat(np.bincount(class_pos), n_t) - present + null_rows
+    sizes = np.array([math.ceil(config.surplus_factor * int(r)) for r in required], dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    vectors = np.empty((int(sizes.sum()), dataset.n_features))
 
-    def build_cell(key: tuple[Optional[str], int]) -> np.ndarray:
-        lab, si = key
-        cell = cells.get(key)
-        if cell is None:
+    for c, block in enumerate(group_cells(dataset.values, cells, n_cells)):
+        lab, si = labels[c // n_t], c % n_t
+        if len(block) == 0:
             raise SynthesisError(
                 f"class={lab!r} has no observations in slice {si}; "
                 "reduce n_slices or provide more data"
             )
-        null_rows = int(np.isnan(cell).any(axis=1).sum())
-        required = class_sizes[lab] - present[key] + null_rows
-        pool_size = math.ceil(config.surplus_factor * required)
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(label_pos[lab], si))
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(c // n_t, si))
         )
-        pool = synthesize_slice(cell, config, pool_size, rng, label=f"class={lab!r} slice={si}")
+        pool = synthesize_slice(block, config, sizes[c], rng, label=f"class={lab!r} slice={si}")
         if config.replacement_policy == "without":
-            # the same order and RNG state as rng.shuffle(pool, axis=0), far
-            # faster; writing back keeps no freed copy behind as a heap hole
-            pool[:] = pool[rng.permutation(pool_size)]
-        return pool
-
-    keys = [(lab, si) for lab in labels for si in range(grid.n_slices)]
-    vectors = {key: build_cell(key) for key in keys}
-    return SyntheticPool(vectors, config.replacement_policy)
+            # the same order and RNG state as rng.shuffle(pool, axis=0), far faster
+            pool = pool[rng.permutation(sizes[c])]
+        vectors[starts[c] : starts[c] + sizes[c]] = pool
+    return SyntheticPool(tuple(labels), n_t, vectors, starts, sizes, config.replacement_policy)
 
 
 def write_pool_csv(pool: SyntheticPool, grid: SliceGrid, feature_names, path) -> None:
     """Flat CSV of all pooled vectors: class, slice_index, grid_time, features."""
-    import csv
-
+    n_cells = len(pool.sizes)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "slice_index", "grid_time"] + list(feature_names))
-        for (lab, si) in sorted(pool.keys(), key=lambda k: (str(k[0]), k[1])):
-            for vec in pool.vectors(lab, si):
-                row = [lab if lab is not None else "", str(si), repr(float(grid.grid_times[si]))]
-                row.extend(repr(float(v)) for v in vec)
-                writer.writerow(row)
+        for c, vec in zip(np.repeat(np.arange(n_cells), pool.sizes).tolist(), pool.vectors.tolist()):
+            lab, si = pool.labels[c // pool.n_slices], c % pool.n_slices
+            row = [lab if lab is not None else "", str(si), repr(float(grid.grid_times[si]))]
+            row.extend(repr(v) for v in vec)
+            writer.writerow(row)

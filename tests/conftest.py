@@ -1,4 +1,4 @@
-"""Shared subprocess runner for the tests that start the ``tsmote`` CLI.
+"""Shared fixtures: the subprocess runner for the CLI tests and the reference reshape.
 
 The child runs with ``cwd`` set to a temporary directory, so a relative
 ``PYTHONPATH`` (``PYTHONPATH=src``) would not resolve there. The runner
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -42,3 +43,44 @@ def run_cli(run_python):
         return run_python(["-m", "tsmote.cli", *args], cwd)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def reshape_reference():
+    """``reshape_reference(mat, slice_indices, n_slices)``: one sample's slot grid.
+
+    The per-sample reshape that the dataset-level fill replaced, kept as a
+    reference: ``mat`` is the sample's ``(m, F)`` rows, each slot holds the
+    running mean of the rows assigned to it, and empty slots are NaN.
+    """
+
+    def reshape(mat, slice_indices, n_slices):
+        row = np.full((n_slices, mat.shape[1]), np.nan)
+        counts = np.zeros(n_slices, dtype=int)
+        for obs_vals, si in zip(mat, slice_indices):
+            if counts[si] == 0:
+                row[si] = obs_vals
+            else:
+                row[si] = (row[si] * counts[si] + obs_vals) / (counts[si] + 1)
+            counts[si] += 1
+        return row
+
+    return reshape
+
+
+@pytest.fixture(scope="session")
+def observed_grid(reshape_reference):
+    """``observed_grid(dataset, assignment, n_slices)``: every sample's reference slot grid.
+
+    An ``(n_samples, n_slices, F)`` array of averaged observations, NaN
+    where a slot has none.
+    """
+
+    def grid(dataset, assignment, n_slices):
+        bounds = dataset.offsets
+        return np.stack([
+            reshape_reference(dataset.values[a:b], assignment.indices[a:b], n_slices)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ])
+
+    return grid

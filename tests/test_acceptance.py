@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tsmote.data import read_long_csv, tensor_from_json
-from tsmote.imputation import reshape_to_grid
 from tsmote.moments import (
     _check_covariance_factor,
     _check_edge_counts,
@@ -19,7 +18,7 @@ from tsmote.moments import (
     _check_variance_laws,
 )
 from tsmote.classify import ComparisonConfig, run_imputer_comparison
-from tsmote.data import Observation, Sample, TimeSeriesDataset
+from tsmote.data import TimeSeriesDataset
 from tsmote.oscillator import ExperimentConfig, generate_two_class_experiment
 from tsmote.slicing import SliceGrid, assign_slices, build_slice_grid
 from tsmote.smoothing import SmoothingConfig, savgol_nonuniform
@@ -37,19 +36,18 @@ def verdict(number: int, name: str, passed: bool, detail: str, elapsed: float, b
 def random_dataset(rng):
     n_d = int(rng.integers(2, 25))
     dist = rng.choice(["uniform", "exponential", "lognormal"])
-    samples = []
+    times, values = [], []
     for i in range(n_d):
         m = int(rng.integers(2, 15))
         if dist == "uniform":
-            times = rng.uniform(0, 100, m)
+            t = rng.uniform(0, 100, m)
         elif dist == "exponential":
-            times = rng.exponential(10.0, m)
+            t = rng.exponential(10.0, m)
         else:
-            times = rng.lognormal(1.0, 1.0, m)
-        times = np.sort(times)
-        obs = tuple(Observation(float(t), (float(rng.normal()),)) for t in times)
-        samples.append(Sample(id=f"s{i}", observations=obs))
-    return TimeSeriesDataset(tuple(samples), n_features=1)
+            t = rng.lognormal(1.0, 1.0, m)
+        times.append(np.sort(t))
+        values.append([[rng.normal()] for _ in range(m)])
+    return TimeSeriesDataset.from_segments([f"s{i}" for i in range(n_d)], times, values)
 
 
 def test_criterion_1_slice_balance():
@@ -65,10 +63,7 @@ def test_criterion_1_slice_balance():
             n_t = max(1, total // 2)
         grid = build_slice_grid(ds, n_t)
         a = assign_slices(ds, grid)
-        counts = np.zeros(n_t, dtype=int)
-        for idx in a.indices:
-            for i in idx:
-                counts[i] += 1
+        counts = np.bincount(a.indices, minlength=n_t)
         spread = int(counts.max() - counts.min())
         worst = max(worst, spread)
         checked += 1
@@ -98,7 +93,7 @@ def demo(tmp_path_factory, run_cli):
     return root, timings
 
 
-def test_criterion_2_completeness(demo):
+def test_criterion_2_completeness(demo, observed_grid):
     root, timings = demo
     t0 = time.perf_counter()
     tensor = tensor_from_json((root / "run1" / "imputed.json").read_text())
@@ -108,11 +103,9 @@ def test_criterion_2_completeness(demo):
 
     shape_ok = tensor.shape == (450, 50, 2)
     no_nulls = not np.isnan(tensor.data).any()
-    overwritten = 0
-    for pos, sample in enumerate(train.samples):
-        expected = reshape_to_grid(sample.value_matrix(), assignment.indices[pos], grid.n_slices)
-        mask = ~np.isnan(expected)
-        overwritten += int(np.sum(tensor.data[pos][mask] != expected[mask]))
+    expected = observed_grid(train, assignment, grid.n_slices)
+    mask = ~np.isnan(expected)
+    overwritten = int(np.sum(tensor.data[mask] != expected[mask]))
     elapsed = timings["run1"] + (time.perf_counter() - t0)
     verdict(2, "completeness", shape_ok and no_nulls and overwritten == 0,
             f"shape {tensor.shape}, nulls {np.isnan(tensor.data).sum()}, "
@@ -223,7 +216,7 @@ def test_criterion_9_imputer_comparison():
     )
 
 
-def test_criterion_10_determinism(demo):
+def test_criterion_10_determinism(demo, observed_grid):
     root, timings = demo
     t0 = time.perf_counter()
     run1 = (root / "run1" / "imputed.csv").read_bytes()
@@ -235,12 +228,9 @@ def test_criterion_10_determinism(demo):
     train = read_long_csv(root / "demo" / "train.csv")
     grid = SliceGrid.from_json((root / "run1" / "grid.json").read_text())
     assignment = assign_slices(train, grid)
-    off_mask_diffs = 0
     any_diff = bool((t_a.data != t_b.data).any())
-    for pos, sample in enumerate(train.samples):
-        expected = reshape_to_grid(sample.value_matrix(), assignment.indices[pos], grid.n_slices)
-        observed_mask = ~np.isnan(expected)
-        off_mask_diffs += int(np.sum((t_a.data[pos] != t_b.data[pos]) & observed_mask))
+    observed_mask = ~np.isnan(observed_grid(train, assignment, grid.n_slices))
+    off_mask_diffs = int(np.sum((t_a.data != t_b.data) & observed_mask))
     elapsed = timings["run2"] + timings["run3"] + (time.perf_counter() - t0)
     verdict(10, "determinism", identical and any_diff and off_mask_diffs == 0,
             f"same-seed byte-identical: {identical}; cross-seed diffs outside "

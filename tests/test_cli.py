@@ -28,6 +28,14 @@ AGE_CSV = (
     "g,0.3,,3.1\ng,1.3,,3.2\ng,2.3,,3.3\n"
 )
 
+# 8 samples x 6 rows of x, y in {+1e308, -1e308, 0.5}: every value is finite,
+# but the two rows that share a slot sum past the float64 range
+HUGE_CSV = "sample_id,time,x,y\n" + "".join(
+    f"s{i},{j},{(0.5, (-1e308, 1e308)[i % 2])[j < 4]!r},{(0.5, (1e308, -1e308)[i % 2])[j >= 4]!r}\n"
+    for i in range(8)
+    for j in range(6)
+)
+
 
 @pytest.fixture
 def toy_csv(tmp_path):
@@ -193,8 +201,30 @@ class TestRejectedInput:
         path.write_text(AGE_CSV.replace("a,1,40,", "a,1,41,").replace("a,2,40,", "a,2,42,"))
         res = run_cli([command, str(path), "--slices", "3", "--fixed", "1"], tmp_path)
         assert res.returncode == 2
-        kinds = [v["kind"] for v in json.loads(res.stderr)["report"]["violations"]]
-        assert set(kinds) == {"inconsistent-fixed-feature"}
+        violations = json.loads(res.stderr)["report"]["violations"]
+        # one entry for sample a's age, not one per differing row
+        assert [(v["kind"], v["sample_id"]) for v in violations] == [("inconsistent-fixed-feature", "a")]
+
+    @pytest.mark.parametrize("command", ["slice", "impute"])
+    def test_fixed_beyond_feature_count_exits_2(self, tmp_path, run_cli, command):
+        path = tmp_path / "age.csv"
+        path.write_text(AGE_CSV)
+        out = tmp_path / "out"
+        res = run_cli([command, str(path), "--slices", "3", "--fixed", "5", "-o", str(out)], tmp_path)
+        assert res.returncode == 2
+        assert "fixed_prefix_len 5 must lie between 0 and the 2 features" in json.loads(res.stderr)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["tsmote", "slice_mean", "slice_median"])
+    def test_values_that_overflow_exit_2(self, tmp_path, run_cli, method):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_CSV)
+        out = tmp_path / "out"
+        res = run_cli(["impute", str(path), "--slices", "3", "--method", method, "-o", str(out)], tmp_path)
+        assert res.returncode == 2
+        violations = json.loads(res.stderr)["report"]["violations"]
+        assert {v["kind"] for v in violations} == {"value-out-of-range"}
+        assert not (out / "imputed.csv").exists()
 
 
 def test_unrecorded_fixed_feature_constant_under_baseline(tmp_path, run_cli):

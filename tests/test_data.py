@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsmote.data import (
-    Observation,
-    Sample,
     TimeSeriesDataset,
     dataset_stats,
     read_long_csv,
@@ -21,54 +19,59 @@ from tsmote.data import (
 from tsmote.data import ImputedTensor
 
 
-def make_sample(sid, times, values, label=None, nfix=0):
-    obs = tuple(Observation(t, tuple(v)) for t, v in zip(times, values))
-    return Sample(id=sid, observations=obs, class_label=label, fixed_prefix_len=nfix)
+def make_sample(sid, times, values, label=None):
+    return sid, times, values, label
+
+
+def dataset_of(*samples, feature_names=(), fixed=0):
+    """Dataset of ``make_sample`` tuples: (id, times, per-row values, label)."""
+    ids, times, values, labels = zip(*samples)
+    return TimeSeriesDataset.from_segments(
+        ids, times, values, labels=labels, feature_names=feature_names, fixed_prefix_len=fixed
+    )
 
 
 class TestContainers:
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError, match="no observations"):
-            Sample(id="s", observations=())
+        with pytest.raises(ValueError, match="'s' has no observations"):
+            TimeSeriesDataset(("a", "s"), [0, 1, 1], [0.0], [[1.0]])
 
     def test_dataset_default_feature_names(self):
-        ds = TimeSeriesDataset((make_sample("a", [0.0], [(1.0, 2.0)]),), n_features=2)
+        ds = dataset_of(make_sample("a", [0.0], [(1.0, 2.0)]))
         assert ds.feature_names == ("f_0", "f_1")
 
     def test_feature_name_mismatch(self):
         with pytest.raises(ValueError, match="feature_names"):
-            TimeSeriesDataset(
-                (make_sample("a", [0.0], [(1.0,)]),), n_features=1, feature_names=("x", "y")
-            )
+            dataset_of(make_sample("a", [0.0], [(1.0,)]), feature_names=("x", "y"))
 
     def test_value_matrix_nan_for_nulls(self):
-        s = make_sample("a", [0.0, 1.0], [(1.0, None), (None, 2.0)])
-        m = s.value_matrix()
+        ds = dataset_of(make_sample("a", [0.0, 1.0], [(1.0, None), (None, 2.0)]))
+        m = ds.values
         assert np.isnan(m[0, 1]) and np.isnan(m[1, 0])
         assert m[0, 0] == 1.0 and m[1, 1] == 2.0
+        assert not m.flags.writeable
 
     def test_class_labels_sorted(self):
-        ds = TimeSeriesDataset(
-            (
-                make_sample("a", [0.0], [(1.0,)], label="z"),
-                make_sample("b", [0.0], [(1.0,)], label="a"),
-            ),
-            n_features=1,
+        ds = dataset_of(
+            make_sample("a", [0.0], [(1.0,)], label="z"),
+            make_sample("b", [0.0], [(1.0,)], label="a"),
         )
         assert ds.class_labels() == ["a", "z"]
+
+    def test_fixed_prefix_beyond_features_rejected(self):
+        with pytest.raises(ValueError, match="fixed_prefix_len 3 must lie between 0 and the 2 features"):
+            dataset_of(make_sample("a", [0.0], [(1.0, 2.0)]), fixed=3)
 
 
 class TestValidation:
     def test_minimal_valid_dataset(self):
-        ds = TimeSeriesDataset((make_sample("a", [0.0], [(1.0,)]),), n_features=1)
+        ds = dataset_of(make_sample("a", [0.0], [(1.0,)]))
         report = validate_dataset(ds)
         assert report.ok
         assert report.violations == ()
 
     def test_unsorted_times_flagged(self):
-        ds = TimeSeriesDataset(
-            (make_sample("bad", [3.0, 1.0], [(1.0,), (2.0,)]),), n_features=1
-        )
+        ds = dataset_of(make_sample("bad", [3.0, 1.0], [(1.0,), (2.0,)]))
         report = validate_dataset(ds)
         kinds = [v.kind for v in report.violations]
         assert "unsorted-times" in kinds
@@ -76,113 +79,113 @@ class TestValidation:
 
     def test_insufficient_observations_warning(self):
         # 10 samples x 2 obs = 20 < 2 * 50 slices
-        samples = tuple(
-            make_sample(f"s{i}", [0.0, 1.0], [(1.0,), (2.0,)]) for i in range(10)
-        )
-        ds = TimeSeriesDataset(samples, n_features=1)
+        ds = dataset_of(*(make_sample(f"s{i}", [0.0, 1.0], [(1.0,), (2.0,)]) for i in range(10)))
         report = validate_dataset(ds, n_slices=50)
         assert report.ok  # warning, not violation
         assert any("insufficient observations for 50 slices" in w for w in report.warnings)
 
     def test_wrong_width_flagged(self):
-        ds = TimeSeriesDataset(
-            (make_sample("w", [0.0], [(1.0, 2.0)]),), n_features=1
-        )
-        assert any(v.kind == "wrong-width" for v in validate_dataset(ds).violations)
+        # a row of the wrong width cannot enter the (N, n_features) value array
+        with pytest.raises(ValueError, match=r"values must be an \(N, n_features\) array"):
+            TimeSeriesDataset(("w",), [0, 2], [0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="must have the 2 rows the offsets cover"):
+            TimeSeriesDataset(("w",), [0, 2], [0.0, 1.0], [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            dataset_of(make_sample("a", [0.0], [(1.0, 2.0)]), make_sample("w", [0.0], [(1.0,)]))
 
     def test_all_null_observation_flagged(self):
-        ds = TimeSeriesDataset(
-            (make_sample("n", [0.0], [(None, None)]),), n_features=2
-        )
+        ds = dataset_of(make_sample("n", [0.0], [(None, None)]))
         assert any(v.kind == "all-null-observation" for v in validate_dataset(ds).violations)
 
     def test_duplicate_timestamp_warned_not_violated(self):
-        ds = TimeSeriesDataset(
-            (make_sample("d", [1.0, 1.0], [(0.0,), (1.0,)]),), n_features=1
-        )
+        ds = dataset_of(make_sample("d", [1.0, 1.0], [(0.0,), (1.0,)]))
         report = validate_dataset(ds)
         assert report.ok
         assert any("duplicate timestamps" in w for w in report.warnings)
 
     def test_partial_labels_flagged(self):
-        ds = TimeSeriesDataset(
-            (
-                make_sample("a", [0.0], [(1.0,)], label="x"),
-                make_sample("b", [0.0], [(1.0,)]),
-            ),
-            n_features=1,
+        ds = dataset_of(
+            make_sample("a", [0.0], [(1.0,)], label="x"),
+            make_sample("b", [0.0], [(1.0,)]),
         )
         assert any(v.kind == "partial-labels" for v in validate_dataset(ds).violations)
 
     def test_inconsistent_fixed_feature(self):
-        ds = TimeSeriesDataset(
-            (make_sample("f", [0.0, 1.0], [(5.0, 1.0), (6.0, 2.0)], nfix=1),),
-            n_features=2,
+        ds = dataset_of(
+            make_sample("f", [0.0, 1.0, 2.0], [(5.0, 1.0), (6.0, 2.0), (7.0, 3.0)]),
+            make_sample("g", [0.0, 1.0], [(None, 1.0), (4.0, 2.0)]),
+            fixed=1,
         )
-        assert any(
-            v.kind == "inconsistent-fixed-feature" for v in validate_dataset(ds).violations
-        )
+        violations = validate_dataset(ds).violations
+        # one entry per (sample, feature), however many rows differ
+        assert [(v.kind, v.sample_id) for v in violations] == [("inconsistent-fixed-feature", "f")]
+        # a fixed feature recorded nowhere is consistent
+        never = dataset_of(make_sample("n", [0.0, 1.0], [(None, 1.0), (None, 2.0)]), fixed=1)
+        assert validate_dataset(never).ok
 
     def test_nonfinite_time_flagged(self):
-        ds = TimeSeriesDataset(
-            (make_sample("inf", [math.inf], [(1.0,)]),), n_features=1
-        )
+        ds = dataset_of(make_sample("inf", [math.inf], [(1.0,)]))
         assert any(v.kind == "nonfinite-time" for v in validate_dataset(ds).violations)
 
     def test_nonfinite_value_flagged(self):
-        ds = TimeSeriesDataset(
-            (make_sample("inf", [0.0, 1.0], [(1.0, math.inf), (math.nan, 2.0)]),), n_features=2
-        )
+        # NaN is the null encoding, so only infinities are non-finite values
+        ds = dataset_of(make_sample("inf", [0.0, 1.0], [(1.0, math.inf), (math.nan, 2.0)]))
         kinds = [v.kind for v in validate_dataset(ds).violations]
-        assert kinds == ["nonfinite-value", "nonfinite-value"]
+        assert kinds == ["nonfinite-value"]
+
+    def test_value_out_of_range_flagged(self):
+        ds = dataset_of(
+            make_sample("a", [0.0, 1.0], [(1e308, 0.5), (0.5, 1e307)]),
+            make_sample("b", [0.0, 1.0], [(-1.5e308, 0.5), (0.5, 0.5)]),
+            feature_names=("x", "y"),
+        )
+        violations = validate_dataset(ds).violations
+        assert [(v.kind, v.sample_id) for v in violations] == [("value-out-of-range", "b")]
+        assert "feature 'x'" in violations[0].message
+        # 1e307 over 4 values sums to a finite number
+        assert validate_dataset(dataset_of(make_sample("c", [0.0, 1.0], [(1e307,), (-1e307,)]))).ok
 
     def test_report_json(self):
-        ds = TimeSeriesDataset((make_sample("a", [0.0], [(1.0,)]),), n_features=1)
+        ds = dataset_of(make_sample("a", [0.0], [(1.0,)]))
         d = validate_dataset(ds).to_dict()
         assert d["ok"] is True and d["violations"] == []
 
 
 class TestStats:
     def test_no_nulls(self):
-        samples = tuple(
-            make_sample(f"s{i}", [0.0, 1, 2, 3, 4], [(1.0,)] * 5) for i in range(3)
-        )
-        stats = dataset_stats(TimeSeriesDataset(samples, n_features=1))
+        ds = dataset_of(*(make_sample(f"s{i}", [0.0, 1, 2, 3, 4], [(1.0,)] * 5) for i in range(3)))
+        stats = dataset_stats(ds)
         assert stats.n_samples == 3
         assert stats.total_observations == 15
         assert stats.null_fraction == (0.0,)
 
     def test_single_null_fraction(self):
         # 2 samples x 2 obs x 2 features, one null in feature 0
-        samples = (
+        stats = dataset_stats(dataset_of(
             make_sample("a", [0.0, 1.0], [(None, 1.0), (2.0, 3.0)]),
             make_sample("b", [0.0, 1.0], [(4.0, 5.0), (6.0, 7.0)]),
-        )
-        stats = dataset_stats(TimeSeriesDataset(samples, n_features=2))
+        ))
         assert stats.null_fraction == (0.25, 0.0)
 
     def test_single_sample_time_range(self):
-        s = make_sample("a", [2.0, 5.0, 9.0], [(1.0,)] * 3)
-        stats = dataset_stats(TimeSeriesDataset((s,), n_features=1))
+        stats = dataset_stats(dataset_of(make_sample("a", [2.0, 5.0, 9.0], [(1.0,)] * 3)))
         assert stats.time_range == (2.0, 9.0)
 
 
 class TestLongCsv:
     def test_round_trip_identity(self, tmp_path):
-        samples = (
+        ds = dataset_of(
             make_sample("a", [0.0, 1.5], [(1.0, None), (2.5, 3.0)], label="c1"),
             make_sample("b", [0.25], [(None, -4.125)], label="c2"),
+            feature_names=("u", "v"),
         )
-        ds = TimeSeriesDataset(samples, n_features=2, feature_names=("u", "v"))
         path = tmp_path / "ds.csv"
         write_long_csv(ds, path)
         back = read_long_csv(path)
         assert back == ds
 
     def test_unlabeled_round_trip(self, tmp_path):
-        ds = TimeSeriesDataset(
-            (make_sample("a", [0.0], [(1.0,)]),), n_features=1, feature_names=("x",)
-        )
+        ds = dataset_of(make_sample("a", [0.0], [(1.0,)]), feature_names=("x",))
         path = tmp_path / "ds.csv"
         write_long_csv(ds, path)
         back = read_long_csv(path)
@@ -196,16 +199,33 @@ class TestLongCsv:
             read_long_csv(path)
 
     def test_rows_sorted_within_sample(self, tmp_path):
+        # ids keep first-appearance order; equal times keep file order
         path = tmp_path / "ds.csv"
-        path.write_text("sample_id,time,x\na,2.0,5.0\na,1.0,4.0\n")
+        path.write_text("sample_id,time,x\nb,2.0,5.0\na,1.0,4.0\nb,1.0,3.0\na,1.0,2.0\n")
         ds = read_long_csv(path)
-        assert [o.time for o in ds.samples[0].observations] == [1.0, 2.0]
+        assert ds.ids == ("b", "a")
+        assert ds.offsets.tolist() == [0, 2, 4]
+        assert ds.times.tolist() == [1.0, 2.0, 1.0, 1.0]
+        assert ds.values[:, 0].tolist() == [3.0, 5.0, 4.0, 2.0]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_nonfinite_cell_rejected_with_line(self, tmp_path, cell):
         path = tmp_path / "ds.csv"
         path.write_text(f"sample_id,time,x\na,1.0,4.0\na,2.0,{cell}\n")
         with pytest.raises(ValueError, match=f"ds.csv:3: non-finite value '{cell}'"):
+            read_long_csv(path)
+
+    @pytest.mark.parametrize("rows, error", [
+        ("a,1,2,x\na,1,2,3,4\n", "ds.csv:2: unparseable value 'x'"),
+        ("a,1,2,3\na,1,2\na,t,2,3\n", "ds.csv:3: expected 4 columns, got 3"),
+        ("a,t,nan,3\n", "ds.csv:2: unparseable time 't'"),
+        ("a,1,inf,3\na,1,2,y\n", "ds.csv:2: non-finite value 'inf'"),
+        ("a,1,2,3\na,1,2,y\na,t,2,3\n", "ds.csv:3: unparseable value 'y'"),
+    ])
+    def test_first_bad_line_reported(self, tmp_path, rows, error):
+        path = tmp_path / "ds.csv"
+        path.write_text("sample_id,time,x,y\n" + rows)
+        with pytest.raises(ValueError, match=error):
             read_long_csv(path)
 
     def test_conflicting_labels_rejected(self, tmp_path):
@@ -227,9 +247,9 @@ class TestLongCsv:
         )
     )
     def test_round_trip_property(self, tmp_path_factory, data):
-        obs = tuple(Observation(t, (v1, v2)) for t, v1, v2 in sorted(data, key=lambda r: r[0]))
-        ds = TimeSeriesDataset(
-            (Sample(id="s0", observations=obs),), n_features=2, feature_names=("p", "q")
+        rows = sorted(data, key=lambda r: r[0])
+        ds = dataset_of(
+            make_sample("s0", [r[0] for r in rows], [r[1:] for r in rows]), feature_names=("p", "q")
         )
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         write_long_csv(ds, path)

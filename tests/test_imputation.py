@@ -1,122 +1,143 @@
-"""Tests for null replacement, grid reshaping, slot filling, and the pipeline."""
+"""Tests for the dataset-level fill: null replacement, slot averaging, slot filling."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tsmote.data import Observation, Sample, TimeSeriesDataset, write_tensor_csv
-from tsmote.imputation import (
-    ImputationConfig,
-    fill_missing_slices,
-    impute_dataset,
-    replace_nulls,
-    reshape_to_grid,
-)
+import tsmote.imputation
+from tsmote.data import TimeSeriesDataset, write_tensor_csv
+from tsmote.imputation import METHODS, ImputationConfig, impute_dataset
 from tsmote.oscillator import generate_two_class_experiment
-from tsmote.slicing import assign_slices, build_slice_grid
-from tsmote.synthesis import PoolUnderflowError, SynthesisConfig, SyntheticPool
+from tsmote.slicing import MIDPOINT, SliceGrid, SliceGridError, assign_slices, build_slice_grid
+from tsmote.synthesis import PoolUnderflowError, SynthesisConfig, SynthesisError, generate_pool
+
+# five unit slices over [0, 5): an observation at time t lands in slice floor(t)
+GRID5 = SliceGrid(5, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (0.5, 1.5, 2.5, 3.5, 4.5), MIDPOINT, 0.0, 5.0)
 
 
-class FixedPool(SyntheticPool):
-    """Pool stub returning queued vectors in order."""
-
-    def __init__(self, queue, policy="without"):
-        vectors = {k: np.asarray(v, dtype=float) for k, v in queue.items()}
-        super().__init__(vectors, policy)
-
-
-def sample_of(sid, recs, label=None, nfix=0):
-    obs = tuple(Observation(t, tuple(v)) for t, v in recs)
-    return Sample(id=sid, observations=obs, class_label=label, fixed_prefix_len=nfix)
+def dataset_of(samples, label="c", fixed=0):
+    """Dataset of (id, [(time, values), ...]) samples, all in one class; None marks a null."""
+    return TimeSeriesDataset.from_segments(
+        [sid for sid, _ in samples],
+        [[t for t, _ in recs] for _, recs in samples],
+        [[v for _, v in recs] for _, recs in samples],
+        labels=[label] * len(samples),
+        fixed_prefix_len=fixed,
+    )
 
 
-def draw_from(pool, label, log=None):
-    """``draw(slice_index)`` over one class of ``pool``; appends each slice drawn to ``log``."""
-    rng = np.random.default_rng(0)
+def with_background(*samples, n_background=3, age=None):
+    """``samples`` plus complete samples holding (10 k, 10 k + 1) in every slice k of GRID5.
 
-    def draw(si):
-        if log is not None:
-            log.append(si)
-        return pool.draw(label, si, rng)
+    With ``age``, every background row starts with that constant prefix value.
+    """
+    background = [
+        (f"b{j}", [(k + 0.5, ((age,) if age is not None else ()) + (10.0 * k, 10.0 * k + 1)) for k in range(5)])
+        for j in range(n_background)
+    ]
+    return dataset_of([*samples, *background], fixed=int(age is not None))
 
-    return draw
+
+def slice_mean(ds, grid=GRID5):
+    return impute_dataset(ds, grid, imputation_config=ImputationConfig(method="slice_mean")).data
 
 
 class TestReplaceNulls:
     def test_identity_without_nulls(self):
-        mat = np.array([[1.0, 2.0]])
-        drawn = []
-        out = replace_nulls(mat, (0,), draw_from(FixedPool({}), "c", drawn))
-        np.testing.assert_array_equal(out, mat)
-        assert drawn == []
+        ds = with_background()
+        for method in METHODS:
+            t = impute_dataset(ds, GRID5, imputation_config=ImputationConfig(method=method))
+            np.testing.assert_array_equal(t.data, ds.values.reshape(3, 5, 2))
 
     def test_componentwise_substitution(self):
-        pool = FixedPool({("c", 2): [[7.5, 9.9]]})
-        out = replace_nulls(np.array([[np.nan, 4.0]]), (2,), draw_from(pool, "c"))
-        np.testing.assert_array_equal(out, [[7.5, 4.0]])
+        ds = with_background(("a", [(2.5, (None, 4.0))]))
+        # slice 2 of feature 0 holds 20.0 in every background row
+        np.testing.assert_array_equal(slice_mean(ds)[0, 2], [20.0, 4.0])
 
-    def test_underflow_when_pool_exhausted(self):
-        pool = FixedPool({("c", 0): [[7.5, 9.9]]})
-        with pytest.raises(PoolUnderflowError, match="slice=0"):
-            replace_nulls(np.array([[np.nan, 4.0], [np.nan, 5.0]]), (0, 0), draw_from(pool, "c"))
+    def test_underflow_when_pool_exhausted(self, monkeypatch):
+        build = tsmote.imputation.generate_pool
+
+        def short_pool(*args):
+            pool = build(*args)
+            return dataclasses.replace(pool, sizes=np.maximum(pool.sizes - 1, 0))
+
+        monkeypatch.setattr(tsmote.imputation, "generate_pool", short_pool)
+        ds = with_background(("a", [(0.5, (1.0, 2.0))]))
+        syn = SynthesisConfig(surplus_factor=1.0)
+        with pytest.raises(PoolUnderflowError, match="no synthetic vectors for class='c' slice=1"):
+            impute_dataset(ds, GRID5, synthesis_config=syn)
 
 
 class TestReshape:
     def test_slots_follow_assignment(self):
-        row = reshape_to_grid(np.array([[1.0, 2.0], [3.0, 4.0]]), (0, 3), 5)
-        np.testing.assert_array_equal(row[0], [1.0, 2.0])
-        np.testing.assert_array_equal(row[3], [3.0, 4.0])
-        assert np.isnan(row[[1, 2, 4]]).all()
+        data = slice_mean(with_background(("x", [(0.5, (1.0, 2.0)), (3.5, (3.0, 4.0))])))
+        np.testing.assert_array_equal(data[0, 0], [1.0, 2.0])
+        np.testing.assert_array_equal(data[0, 3], [3.0, 4.0])
+        np.testing.assert_array_equal(data[0, [1, 2, 4]], [[10.0, 11.0], [20.0, 21.0], [40.0, 41.0]])
 
     def test_degenerate_slots_averaged(self):
-        row = reshape_to_grid(np.array([[1.0, 1.0], [3.0, 5.0]]), (2, 2), 4)
-        np.testing.assert_array_equal(row[2], [2.0, 3.0])
+        x = ("x", [(2.1, (1.0, 1.0)), (2.6, (3.0, 5.0)), (4.2, (1.0, 1.0)), (4.4, (2.0, 2.0)), (4.9, (4.0, 4.0))])
+        data = slice_mean(with_background(x))
+        np.testing.assert_array_equal(data[0, 2], [2.0, 3.0])
+        # the running mean (row * c + x) / (c + 1), in observation order
+        assert data[0, 4, 0] == ((1.0 + 2.0) / 2 * 2 + 4.0) / 3
 
     def test_complete_sample_fully_populated(self):
-        row = reshape_to_grid(np.arange(4.0).reshape(4, 1), (0, 1, 2, 3), 4)
-        assert not np.isnan(row).any()
+        x = ("x", [(k + 0.25, (float(k), -float(k))) for k in range(5)])
+        data = slice_mean(with_background(x))
+        np.testing.assert_array_equal(data[0], [[k, -k] for k in range(5)])
 
     def test_rejects_lingering_nulls(self):
-        with pytest.raises(ValueError, match="still contains nulls"):
-            reshape_to_grid(np.array([[np.nan]]), (0,), 2)
+        # a null component that no source can replace is an error, never a NaN in the tensor
+        ds = dataset_of([
+            ("a", [(0.5, (None, 1.0)), (1.5, (None, 2.0))]),
+            ("b", [(0.6, (None, 3.0)), (1.6, (None, 4.0))]),
+        ])
+        grid = build_slice_grid(ds, 2)
+        with pytest.raises(ValueError, match="slice=0 has a feature with no observed values"):
+            impute_dataset(ds, grid, imputation_config=ImputationConfig(method="slice_mean"))
+        with pytest.raises(SynthesisError, match="feature 0 in class='c' slice=0 has 0 non-null values"):
+            impute_dataset(ds, grid, imputation_config=ImputationConfig(allow_null_feature_imputation=True))
 
 
 class TestFillMissing:
     def test_draws_fill_missing_slots(self):
-        row = np.array([[1.0, 2.0], [np.nan, np.nan], [np.nan, np.nan], [5.0, 6.0]])
-        pool = FixedPool({("c", 1): [[10.0, 11.0]], ("c", 2): [[20.0, 21.0]]})
-        out = fill_missing_slices(row, draw_from(pool, "c"), np.array([]))
-        np.testing.assert_array_equal(out[1], [10.0, 11.0])
-        np.testing.assert_array_equal(out[2], [20.0, 21.0])
-        np.testing.assert_array_equal(out[0], [1.0, 2.0])  # real data untouched
+        # each background cell is constant, so every synthetic vector equals it
+        x = ("x", [(0.5, (1.0, 2.0)), (3.5, (5.0, 6.0))])
+        t = impute_dataset(with_background(x), GRID5, synthesis_config=SynthesisConfig(k_neighbors=1))
+        np.testing.assert_array_equal(t.data[0, [1, 2, 4]], [[10.0, 11.0], [20.0, 21.0], [40.0, 41.0]])
+        np.testing.assert_array_equal(t.data[0, [0, 3]], [[1.0, 2.0], [5.0, 6.0]])  # real data untouched
 
     def test_fixed_prefix_overwrites_drawn_vector(self):
-        row = np.array([[67.0, 1.0], [np.nan, np.nan]])
-        pool = FixedPool({("c", 1): [[52.0, 9.0]]})
-        out = fill_missing_slices(row, draw_from(pool, "c"), np.array([67.0]))
-        np.testing.assert_array_equal(out[1], [67.0, 9.0])
+        ds = with_background(("x", [(0.5, (67.0, 1.0, 2.0))]), age=52.0)
+        for method in METHODS:
+            data = impute_dataset(ds, GRID5, imputation_config=ImputationConfig(method=method)).data
+            np.testing.assert_array_equal(data[0, 1], [67.0, 10.0, 11.0])
 
     def test_no_missing_consumes_nothing(self):
-        row = np.array([[1.0], [2.0]])
-        pool = FixedPool({("c", 0): [[9.0]], ("c", 1): [[9.0]]})
-        drawn = []
-        out = fill_missing_slices(row, draw_from(pool, "c", drawn), np.array([]))
-        np.testing.assert_array_equal(out, row)
-        assert drawn == []
+        ds = with_background()
+        for policy in ("with", "without"):
+            syn = SynthesisConfig(surplus_factor=1.0, replacement_policy=policy)
+            # an empty pool serves no request without raising PoolUnderflowError
+            assert generate_pool(ds, GRID5, assign_slices(ds, GRID5), syn).sizes.sum() == 0
+            t = impute_dataset(ds, GRID5, synthesis_config=syn)
+            np.testing.assert_array_equal(t.data, ds.values.reshape(3, 5, 2))
 
 
 def grid_world(seed=0, n_samples=30, n_obs=3, n_slices=4, label_all="c"):
     """Small labeled dataset with predictable structure."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n_samples):
-        times = np.sort(rng.uniform(0, 10, n_obs))
-        obs = tuple(
-            Observation(float(t), (float(rng.normal()), float(rng.normal()))) for t in times
-        )
-        samples.append(Sample(id=f"s{i:03d}", observations=obs, class_label=label_all))
-    ds = TimeSeriesDataset(tuple(samples), n_features=2)
+    times, values = [], []
+    for _ in range(n_samples):
+        times.append(np.sort(rng.uniform(0, 10, n_obs)))
+        values.append([(rng.normal(), rng.normal()) for _ in range(n_obs)])
+    ds = TimeSeriesDataset.from_segments(
+        [f"s{i:03d}" for i in range(n_samples)], times, values, labels=[label_all] * n_samples
+    )
     grid = build_slice_grid(ds, n_slices)
     return ds, grid
 
@@ -128,23 +149,21 @@ class TestImputeDataset:
         assert t.shape == (30, 4, 2)
         assert not np.isnan(t.data).any()
 
-    def test_real_observations_preserved(self):
+    def test_real_observations_preserved(self, observed_grid):
         ds, grid = grid_world(seed=3)
         a = assign_slices(ds, grid)
         t = impute_dataset(ds, grid, a, SynthesisConfig(seed=1), ImputationConfig(seed=1))
-        for pos, s in enumerate(ds.samples):
-            expected = reshape_to_grid(s.value_matrix(), a.indices[pos], grid.n_slices)
-            mask = ~np.isnan(expected)
-            np.testing.assert_array_equal(t.data[pos][mask], expected[mask])
+        expected = observed_grid(ds, a, grid.n_slices)
+        mask = ~np.isnan(expected)
+        np.testing.assert_array_equal(t.data[mask], expected[mask])
 
     def test_slice_mean_fill_value(self):
         # slice 0 holds observed values {2, 4, 6} -> missing slots get 4.0
-        samples = (
-            sample_of("a", [(0.0, (2.0,)), (2.0, (6.0,)), (9.0, (1.0,))], label="c"),
-            sample_of("b", [(1.0, (4.0,)), (10.0, (1.5,))], label="c"),
-            sample_of("miss", [(9.5, (1.2,))], label="c"),
-        )
-        ds = TimeSeriesDataset(samples, n_features=1)
+        ds = dataset_of([
+            ("a", [(0.0, (2.0,)), (2.0, (6.0,)), (9.0, (1.0,))]),
+            ("b", [(1.0, (4.0,)), (10.0, (1.5,))]),
+            ("miss", [(9.5, (1.2,))]),
+        ])
         grid = build_slice_grid(ds, 2)
         assert grid.occupancy == (3, 3)
         t = impute_dataset(ds, grid, imputation_config=ImputationConfig(method="slice_mean"))
@@ -152,29 +171,22 @@ class TestImputeDataset:
         assert t.data[pos, 0, 0] == 4.0
 
     def test_complete_dataset_identical_across_methods(self):
-        samples = tuple(
-            sample_of(
-                f"s{i}",
-                [(float(j), (float(i + j), float(i - j))) for j in range(6)],
-                label="c",
-            )
-            for i in range(4)
-        )
-        ds = TimeSeriesDataset(samples, n_features=2)
+        ds = dataset_of([
+            (f"s{i}", [(float(j), (float(i + j), float(i - j))) for j in range(6)]) for i in range(4)
+        ])
         grid = build_slice_grid(ds, 3)
         tensors = [
             impute_dataset(ds, grid, imputation_config=ImputationConfig(method=m)).data
-            for m in ("tsmote", "slice_mean", "slice_median")
+            for m in METHODS
         ]
         np.testing.assert_array_equal(tensors[0], tensors[1])
         np.testing.assert_array_equal(tensors[0], tensors[2])
 
     def test_nulls_require_explicit_permission(self):
-        samples = (
-            sample_of("a", [(0.0, (None, 1.0)), (1.0, (2.0, 3.0))], label="c"),
-            sample_of("b", [(0.5, (4.0, 5.0)), (1.5, (6.0, 7.0))], label="c"),
-        )
-        ds = TimeSeriesDataset(samples, n_features=2)
+        ds = dataset_of([
+            ("a", [(0.0, (None, 1.0)), (1.0, (2.0, 3.0))]),
+            ("b", [(0.5, (4.0, 5.0)), (1.5, (6.0, 7.0))]),
+        ])
         grid = build_slice_grid(ds, 1)
         with pytest.raises(ValueError, match="destroys cross-feature correlations"):
             impute_dataset(ds, grid, imputation_config=ImputationConfig())
@@ -190,13 +202,9 @@ class TestImputeDataset:
         rng = np.random.default_rng(9)
         samples = []
         for i in range(20):
-            age = float(40 + i)
             times = np.sort(rng.uniform(0, 10, 3))
-            obs = tuple(Observation(float(t), (age, float(rng.normal()))) for t in times)
-            samples.append(
-                Sample(id=f"p{i}", observations=obs, class_label="c", fixed_prefix_len=1)
-            )
-        ds = TimeSeriesDataset(tuple(samples), n_features=2)
+            samples.append((f"p{i}", [(t, (40.0 + i, rng.normal())) for t in times]))
+        ds = dataset_of(samples, fixed=1)
         grid = build_slice_grid(ds, 4)
         for method in ("tsmote", "slice_mean"):
             t = impute_dataset(
@@ -216,24 +224,17 @@ class TestImputeDataset:
         for i in range(n_slices * per_slice):
             slot = i % n_slices
             t = slot + 0.1 + 0.8 * rng.random()
-            samples.append(
-                sample_of(f"s{i:02d}", [(float(t), (float(rng.normal()),))], label="c")
-            )
-        ds = TimeSeriesDataset(tuple(samples), n_features=1)
+            samples.append((f"s{i:02d}", [(t, (rng.normal(),))]))
+        ds = dataset_of(samples)
         grid = build_slice_grid(ds, n_slices, bounds=(0.0, float(n_slices)))
         a = assign_slices(ds, grid)
-        occupancy = np.zeros(n_slices, int)
-        originals = {i: [] for i in range(n_slices)}
-        for pos, idx in enumerate(a.indices):
-            occupancy[idx[0]] += 1
-            originals[idx[0]].append(ds.samples[pos].observations[0].values[0])
-        assert np.all(occupancy == per_slice)
+        assert np.all(np.bincount(a.indices, minlength=n_slices) == per_slice)
 
         t = impute_dataset(ds, grid, imputation_config=ImputationConfig(method="slice_mean"))
         for si in range(n_slices):
-            sigma2 = np.var(originals[si])
-            observed = np.var(t.data[:, si, 0])
-            assert observed == pytest.approx(sigma2 / n_slices, abs=1e-12)
+            sigma2 = np.var(ds.values[a.indices == si, 0])
+            observed_var = np.var(t.data[:, si, 0])
+            assert observed_var == pytest.approx(sigma2 / n_slices, abs=1e-12)
 
     def test_rows_distinct_under_continuous_noise(self):
         exp = generate_two_class_experiment(2)
@@ -245,19 +246,11 @@ class TestImputeDataset:
     def test_null_fixed_feature_resolved_consistently(self):
         # the fixed value is missing in the first observation but known later
         rng = np.random.default_rng(12)
-        samples = [
-            sample_of(
-                "gap",
-                [(0.5, (None, 1.0)), (3.0, (55.0, 2.0)), (8.0, (55.0, 3.0))],
-                label="c",
-                nfix=1,
-            )
-        ]
+        samples = [("gap", [(0.5, (None, 1.0)), (3.0, (55.0, 2.0)), (8.0, (55.0, 3.0))])]
         for i in range(15):
             times = np.sort(rng.uniform(0, 10, 3))
-            obs = tuple(Observation(float(t), (50.0 + i, float(rng.normal()))) for t in times)
-            samples.append(Sample(id=f"p{i}", observations=obs, class_label="c", fixed_prefix_len=1))
-        ds = TimeSeriesDataset(tuple(samples), n_features=2)
+            samples.append((f"p{i}", [(t, (50.0 + i, rng.normal())) for t in times]))
+        ds = dataset_of(samples, fixed=1)
         grid = build_slice_grid(ds, 3)
         t = impute_dataset(
             ds, grid,
@@ -273,7 +266,7 @@ class TestImputeDataset:
         t = impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp)
         assert not np.isnan(t.data).any()
 
-    def test_determinism_and_seed_isolation(self):
+    def test_determinism_and_seed_isolation(self, observed_grid):
         exp = generate_two_class_experiment(5)
         a = assign_slices(exp.train, exp.grid)
         t1 = impute_dataset(exp.train, exp.grid, a, SynthesisConfig(seed=7), ImputationConfig(seed=7))
@@ -283,13 +276,137 @@ class TestImputeDataset:
         t3 = impute_dataset(exp.train, exp.grid, a, SynthesisConfig(seed=8), ImputationConfig(seed=8))
         changed = t1.data != t3.data
         # differences are confined to slots with no original observation
-        for pos in range(exp.train.n_samples):
-            expected = reshape_to_grid(
-                exp.train.samples[pos].value_matrix(), a.indices[pos], exp.grid.n_slices
-            )
-            observed_mask = ~np.isnan(expected)
-            assert not changed[pos][observed_mask].any()
+        observed_mask = ~np.isnan(observed_grid(exp.train, a, exp.grid.n_slices))
+        assert not changed[observed_mask].any()
         assert changed.any()
+
+
+def reference_impute(dataset, grid, syn, imp, reshape):
+    """The per-sample fill loop that the request table replaced, kept as its oracle.
+
+    Draws one vector at a time: for each sample, its null-bearing rows in row
+    order, then its empty slots in slice order.
+    """
+    if imp.replacement_policy is not None:
+        syn = dataclasses.replace(syn, replacement_policy=imp.replacement_policy)
+    a = assign_slices(dataset, grid)
+    n_t, n_fix = grid.n_slices, dataset.fixed_prefix_len
+    labels = dataset.class_labels() or [None]
+    rng = np.random.default_rng(imp.seed)
+    if imp.method == "tsmote":
+        pool = generate_pool(dataset, grid, a, syn)
+        cursor = np.zeros_like(pool.sizes)
+    else:
+        reduce = np.nanmean if imp.method == "slice_mean" else np.nanmedian
+        stats = {}
+        for lab in labels:
+            for si in range(n_t):
+                cell = dataset.values[(np.array(dataset.labels) == lab)[dataset.row_sample] & (a.indices == si)]
+                if len(cell) == 0:
+                    raise ValueError(
+                        f"class={lab!r} has no observations in slice {si}; cannot compute baseline statistic"
+                    )
+                if np.isnan(cell).all(axis=0).any():
+                    raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
+                stats[lab, si] = reduce(cell, axis=0)
+
+    def draw(lab, si):
+        if imp.method != "tsmote":
+            return stats[lab, si]
+        c = labels.index(lab) * n_t + si
+        size = int(pool.sizes[c])
+        if size == 0:
+            raise PoolUnderflowError(
+                f"pool underflow: no synthetic vectors for class={lab!r} slice={si}"
+                " (increase surplus_factor or use replacement_policy='with')"
+            )
+        if syn.replacement_policy == "with":
+            return pool.vectors[pool.starts[c] + int(rng.integers(size))]
+        if cursor[c] >= size:
+            raise PoolUnderflowError(
+                f"pool underflow: class={lab!r} slice={si} exhausted after "
+                f"{size} draws (increase surplus_factor)"
+            )
+        cursor[c] += 1
+        return pool.vectors[pool.starts[c] + cursor[c] - 1]
+
+    def pin(mat):
+        head = mat[:, :n_fix]
+        fixed = head[np.isnan(head).argmin(axis=0), np.arange(n_fix)]
+        known = ~np.isnan(fixed)
+        head[:, known] = fixed[known]
+        return fixed
+
+    rows = np.empty((dataset.n_samples, n_t, dataset.n_features))
+    for i, lab in enumerate(dataset.labels):
+        lo, hi = dataset.offsets[i], dataset.offsets[i + 1]
+        idx = a.indices[lo:hi]
+        mat = dataset.values[lo:hi].copy()
+        pin(mat)
+        nulls = np.isnan(mat)
+        for r in np.flatnonzero(nulls.any(axis=1)):
+            mat[r, nulls[r]] = draw(lab, int(idx[r]))[nulls[r]]
+        fixed = pin(mat)
+        row = reshape(mat, idx, n_t)
+        empty = np.flatnonzero(np.isnan(row).any(axis=1))
+        for si in empty:
+            row[si] = draw(lab, int(si))
+        row[np.ix_(empty, np.arange(n_fix))] = fixed
+        rows[i] = row
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(2, 9),
+    n_features=st.integers(1, 3),
+    fixed=st.booleans(),
+    labeled=st.booleans(),
+    null_rate=st.sampled_from([0.0, 0.15, 0.4]),
+    n_slices=st.integers(1, 3),
+    method=st.sampled_from(METHODS),
+    policy=st.sampled_from(["with", "without"]),
+    surplus=st.sampled_from([1.0, 1.01, 1.5]),
+    k=st.integers(1, 3),
+)
+def test_fill_matches_per_sample_reference(
+    reshape_reference, seed, n_samples, n_features, fixed, labeled, null_rate, n_slices, method,
+    policy, surplus, k,
+):
+    """Same tensor bytes as the per-sample loop, or the same error."""
+    rng = np.random.default_rng(seed)
+    n_fix = int(fixed)
+    times, values = [], []
+    for i in range(n_samples):
+        m = int(rng.integers(1, 6))
+        times.append(np.sort(rng.integers(0, 8, m)).astype(float))  # duplicate times
+        vals = rng.choice([-1.0, 0.0, 0.5, 2.0, 3.25], size=(m, n_features)) + rng.normal(0, 0.1, (m, n_features)).round(1)
+        vals[:, :n_fix] = 40.0 + i
+        vals[rng.random((m, n_features)) < null_rate] = np.nan
+        if n_fix and i == 0:
+            vals[:, 0] = np.nan  # a fixed feature never recorded
+        values.append(vals)
+    labels = [("a", "b")[i % 2] if labeled else None for i in range(n_samples)]
+    ds = TimeSeriesDataset.from_segments(
+        [f"s{i}" for i in range(n_samples)], times, values, labels=labels, fixed_prefix_len=n_fix
+    )
+    try:
+        grid = build_slice_grid(ds, n_slices)
+    except SliceGridError:
+        assume(False)
+    syn = SynthesisConfig(k_neighbors=k, surplus_factor=surplus, seed=seed % 97, replacement_policy=policy)
+    imp = ImputationConfig(method=method, seed=seed % 89, allow_null_feature_imputation=True)
+
+    def run(fill):
+        try:
+            return fill()
+        except (ValueError, RuntimeError) as e:
+            return type(e), str(e)
+
+    got = run(lambda: impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp).data.tobytes())
+    want = run(lambda: reference_impute(ds, grid, syn, imp, reshape_reference).tobytes())
+    assert got == want
 
 
 # sha256 of write_tensor_csv(impute_dataset(...)) on the demo training set,

@@ -40,17 +40,14 @@ class TestGenerate:
         ds = generate_oscillator_dataset(cfg)
         assert ds.n_samples == 40
         assert validate_dataset(ds).ok
-        for s in ds.samples:
-            assert 5 <= s.n_observations <= 20
-            times = s.times()
+        assert np.all((5 <= ds.counts) & (ds.counts <= 20))
+        for times in np.split(ds.times, ds.offsets[1:-1]):
             assert times.min() >= 0 and times.max() <= cfg.t_max
             assert np.all(np.diff(times) >= 0)
 
     def test_noise_free_values_on_unit_square(self):
         ds = generate_oscillator_dataset(OscillatorConfig(noise_sigma=0.0, n_samples=30, seed=1))
-        for s in ds.samples:
-            m = s.value_matrix()
-            assert np.all(m**2 <= 1.0 + 1e-12)
+        assert np.all(ds.values**2 <= 1.0 + 1e-12)
 
     def test_deterministic_per_seed(self):
         a = generate_oscillator_dataset(OscillatorConfig(seed=5))
@@ -62,7 +59,7 @@ class TestGenerate:
     def test_exponential_sampling_piles_up_early(self):
         cfg = OscillatorConfig(n_samples=200, time_dist=EXPONENTIAL, seed=7)
         ds = generate_oscillator_dataset(cfg)
-        times = np.concatenate([s.times() for s in ds.samples])
+        times = ds.times
         assert np.median(times) < cfg.t_max / 2
         assert times.max() <= cfg.t_max
 
@@ -70,29 +67,28 @@ class TestGenerate:
 class TestTwoClassExperiment:
     def test_default_counts(self):
         exp = generate_two_class_experiment(0)
-        labels_train = [s.class_label for s in exp.train.samples]
+        labels_train = list(exp.train.labels)
         assert labels_train.count("w2") == 270
         assert labels_train.count("w4") == 180
-        labels_test = [s.class_label for s in exp.test.samples]
+        labels_test = list(exp.test.labels)
         assert labels_test.count("w2") == 30
         assert labels_test.count("w4") == 20
 
     def test_test_samples_cover_grid(self):
         exp = generate_two_class_experiment(1)
-        for s in exp.test.samples:
-            assert s.n_observations == exp.grid.n_slices
+        assert np.all(exp.test.counts == exp.grid.n_slices)
         expected_times = exp.grid.t_min + np.asarray(exp.grid.grid_times)
-        np.testing.assert_allclose(exp.test.samples[0].times(), expected_times)
+        np.testing.assert_allclose(exp.test.times[: exp.grid.n_slices], expected_times)
 
     def test_noise_free_test_on_curves(self):
         cfg = ExperimentConfig(noise_sigma=0.0, n_train_a=30, n_train_b=30, n_test_a=3,
                                n_test_b=2, n_slices=10)
         exp = generate_two_class_experiment(2, cfg)
         times = exp.grid.t_min + np.asarray(exp.grid.grid_times)
-        for s in exp.test.samples:
-            omega_y = 2.0 if s.class_label == "w2" else 4.0
+        for label, values in zip(exp.test.labels, np.split(exp.test.values, exp.test.offsets[1:-1])):
+            omega_y = 2.0 if label == "w2" else 4.0
             np.testing.assert_allclose(
-                s.value_matrix(),
+                values,
                 np.column_stack([np.sin(times), np.sin(omega_y * times)]),
                 atol=1e-12,
             )

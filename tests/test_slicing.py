@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsmote.data import Observation, Sample, TimeSeriesDataset
+from tsmote.data import TimeSeriesDataset
 from tsmote.slicing import (
     MEDIAN_OF_OBSERVATIONS,
     MIDPOINT,
@@ -17,15 +17,13 @@ from tsmote.slicing import (
 )
 
 
-def dataset_from_times(times_per_sample):
-    samples = tuple(
-        Sample(
-            id=f"s{i}",
-            observations=tuple(Observation(float(t), (float(t),)) for t in ts),
-        )
-        for i, ts in enumerate(times_per_sample)
+def dataset_from_times(times_per_sample, labels=()):
+    return TimeSeriesDataset.from_segments(
+        [f"s{i}" for i in range(len(times_per_sample))],
+        times_per_sample,
+        [np.reshape(ts, (-1, 1)) for ts in times_per_sample],
+        labels=labels,
     )
-    return TimeSeriesDataset(samples, n_features=1)
 
 
 class TestTimeBounds:
@@ -119,25 +117,25 @@ class TestAssign:
         grid = build_slice_grid(ds, 3, MIDPOINT)
         probe = dataset_from_times([[1.5]])
         a = assign_slices(probe, grid)
-        assert a.indices[0] == (1,)  # lower bound closed, upper open
+        assert a.indices.tolist() == [1]  # lower bound closed, upper open
 
     def test_max_time_in_last_slice(self):
         ds = dataset_from_times([[0, 1, 2], [3, 4, 5]])
         grid = build_slice_grid(ds, 3, MIDPOINT)
         a = assign_slices(dataset_from_times([[5.0]]), grid)
-        assert a.indices[0] == (2,)
+        assert a.indices.tolist() == [2]
 
     def test_degenerate_observations_same_slice(self):
         ds = dataset_from_times([[0, 1, 2], [3, 4, 5]])
         grid = build_slice_grid(ds, 3, MIDPOINT)
         a = assign_slices(dataset_from_times([[2.0, 2.2]]), grid)
-        assert a.indices[0] == (1, 1)
+        assert a.indices.tolist() == [1, 1]
 
     def test_clamped_beyond_override(self):
         ds = dataset_from_times([[0, 5], [2, 9]])
         grid = build_slice_grid(ds, 2, bounds=(None, 7.0))
         a = assign_slices(dataset_from_times([[9.0]]), grid)
-        assert a.indices[0] == (1,)
+        assert a.indices.tolist() == [1]
 
     def test_earlier_than_t_min_rejected(self):
         ds = dataset_from_times([[1, 2, 3, 4]])
@@ -150,24 +148,20 @@ class TestAssign:
         ds = dataset_from_times([sorted(rng.uniform(0, 1, 10)) for _ in range(10)])
         grid = build_slice_grid(ds, 5)
         a = assign_slices(ds, grid)
-        for idx in a.indices:
+        for idx in np.split(a.indices, ds.offsets[1:-1]):
             assert list(idx) == sorted(idx)
 
     def test_class_blind(self):
         rng = np.random.default_rng(2)
         times = [sorted(rng.uniform(0, 1, 6)) for _ in range(10)]
         plain = dataset_from_times(times)
-        labeled = TimeSeriesDataset(
-            tuple(
-                Sample(id=s.id, observations=s.observations, class_label="ab"[i % 2])
-                for i, s in enumerate(plain.samples)
-            ),
-            n_features=1,
-        )
+        labeled = dataset_from_times(times, labels=["ab"[i % 2] for i in range(len(times))])
         grid_plain = build_slice_grid(plain, 4)
         grid_lab = build_slice_grid(labeled, 4)
         assert grid_plain == grid_lab
-        assert assign_slices(plain, grid_plain).indices == assign_slices(labeled, grid_lab).indices
+        np.testing.assert_array_equal(
+            assign_slices(plain, grid_plain).indices, assign_slices(labeled, grid_lab).indices
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,10 +184,7 @@ def test_equal_count_and_coverage_property(times_lists, n_slices):
     except SliceGridError:
         return  # duplicate pile-ups can make n_slices unattainable
     a = assign_slices(ds, grid)
-    counts = np.zeros(n_slices, dtype=int)
-    for idx in a.indices:
-        for i in idx:
-            counts[i] += 1
+    counts = np.bincount(a.indices, minlength=n_slices)
     # every observation lands in exactly one slice
     assert counts.sum() == len(flat)
     np.testing.assert_array_equal(counts, np.asarray(grid.occupancy))

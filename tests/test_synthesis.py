@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsmote.data import Observation, Sample, TimeSeriesDataset
+from tsmote.data import TimeSeriesDataset
 from tsmote.slicing import assign_slices, build_slice_grid
 from tsmote.synthesis import (
     LambdaSpec,
     PoolUnderflowError,
     SynthesisConfig,
     SynthesisError,
+    SyntheticPool,
     _neighbor_table,
     generate_pool,
     knn_1d,
@@ -202,56 +203,83 @@ class TestLambdaSpec:
 
 def two_class_dataset(n_per_class=50, n_obs=4, seed=0, with_null=False):
     rng = np.random.default_rng(seed)
-    samples = []
+    ids, times, values, labels = [], [], [], []
     for label in ("u", "v"):
         for i in range(n_per_class):
-            times = np.sort(rng.uniform(0, 10, n_obs))
-            obs = []
-            for j, t in enumerate(times):
-                vals = [float(rng.normal()), float(rng.normal())]
-                if with_null and i == 0 and j == 0:
-                    vals[0] = None
-                obs.append(Observation(float(t), tuple(vals)))
-            samples.append(Sample(id=f"{label}{i}", observations=tuple(obs), class_label=label))
-    return TimeSeriesDataset(tuple(samples), n_features=2)
+            times.append(np.sort(rng.uniform(0, 10, n_obs)))
+            vals = rng.normal(size=(n_obs, 2))
+            if with_null and i == 0:
+                vals[0, 0] = np.nan
+            values.append(vals)
+            ids.append(f"{label}{i}")
+            labels.append(label)
+    return TimeSeriesDataset.from_segments(ids, times, values, labels=labels)
+
+
+def sequential_serve(pool, cells, rng):
+    """Oracle: one request at a time, as the pool served draws one by one."""
+    cursor = np.zeros_like(pool.sizes)
+    out = []
+    for c in cells:
+        c = int(c)
+        lab, si = pool.labels[c // pool.n_slices], c % pool.n_slices
+        size = int(pool.sizes[c])
+        if size == 0:
+            raise PoolUnderflowError(
+                f"pool underflow: no synthetic vectors for class={lab!r} slice={si}"
+                " (increase surplus_factor or use replacement_policy='with')"
+            )
+        if pool.replacement_policy == "with":
+            pick = int(rng.integers(size))
+        else:
+            if cursor[c] >= size:
+                raise PoolUnderflowError(
+                    f"pool underflow: class={lab!r} slice={si} exhausted after "
+                    f"{size} draws (increase surplus_factor)"
+                )
+            pick = cursor[c]
+            cursor[c] += 1
+        out.append(pool.vectors[pool.starts[c] + pick])
+    return np.array(out).reshape(len(cells), pool.vectors.shape[1])
+
+
+def outcome(fn, *args):
+    """``fn(*args)``'s result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
 
 
 class TestGeneratePool:
     def test_pool_size_matches_missing_count(self):
         # 100 samples, one observation each; a slice covers 40 of them
         rng = np.random.default_rng(5)
-        samples = []
-        for i in range(100):
-            t = rng.uniform(0, 1) if i < 40 else rng.uniform(1, 2)
-            samples.append(
-                Sample(id=f"s{i}", observations=(Observation(float(t), (float(rng.normal()),)),))
-            )
-        ds = TimeSeriesDataset(tuple(samples), n_features=1)
+        times = [[rng.uniform(0, 1) if i < 40 else rng.uniform(1, 2)] for i in range(100)]
+        values = [[[rng.normal()]] for _ in range(100)]
+        ds = TimeSeriesDataset.from_segments([f"s{i}" for i in range(100)], times, values)
         grid = build_slice_grid(ds, 2, bounds=(0.0, 2.0))
         # grid split is count-based; rebuild membership from the assignment
         a = assign_slices(ds, grid)
-        in_slice0 = sum(1 for idx in a.indices if 0 in idx)
+        in_slice0 = int(np.sum(a.indices == 0))
         cfg = SynthesisConfig(surplus_factor=1.0, seed=1)
         pool = generate_pool(ds, grid, a, cfg)
-        assert pool.size(None, 0) >= 100 - in_slice0
+        assert len(pool.cell(None, 0)) >= 100 - in_slice0
         cfg2 = SynthesisConfig(surplus_factor=2.0, seed=1)
         pool2 = generate_pool(ds, grid, a, cfg2)
-        assert pool2.size(None, 0) == 2 * (100 - in_slice0)
+        assert len(pool2.cell(None, 0)) == 2 * (100 - in_slice0)
 
     def test_no_missing_means_empty_pool(self):
         # every sample observes every slice: nothing to draw
-        samples = tuple(
-            Sample(
-                id=f"s{i}",
-                observations=tuple(Observation(float(t), (float(i + t),)) for t in (0.0, 1.0, 2.0, 3.0)),
-            )
-            for i in range(6)
+        ds = TimeSeriesDataset.from_segments(
+            [f"s{i}" for i in range(6)],
+            [[0.0, 1.0, 2.0, 3.0]] * 6,
+            [[[i + t] for t in (0.0, 1.0, 2.0, 3.0)] for i in range(6)],
         )
-        ds = TimeSeriesDataset(samples, n_features=1)
         grid = build_slice_grid(ds, 2)
         a = assign_slices(ds, grid)
         pool = generate_pool(ds, grid, a, SynthesisConfig(surplus_factor=1.0))
-        assert pool.size(None, 0) == 0 and pool.size(None, 1) == 0
+        assert len(pool.cell(None, 0)) == 0 and len(pool.cell(None, 1)) == 0
 
     def test_pool_deterministic_from_seed(self):
         ds = two_class_dataset()
@@ -259,8 +287,8 @@ class TestGeneratePool:
         a = assign_slices(ds, grid)
         p1 = generate_pool(ds, grid, a, SynthesisConfig(seed=9))
         p2 = generate_pool(ds, grid, a, SynthesisConfig(seed=9))
-        for key in p1.keys():
-            np.testing.assert_array_equal(p1.vectors(*key), p2.vectors(*key))
+        np.testing.assert_array_equal(p1.vectors, p2.vectors)
+        np.testing.assert_array_equal(p1.sizes, p2.sizes)
 
     def test_without_replacement_consumes_and_underflows(self):
         ds = two_class_dataset()
@@ -268,13 +296,12 @@ class TestGeneratePool:
         a = assign_slices(ds, grid)
         pool = generate_pool(ds, grid, a, SynthesisConfig(seed=3, surplus_factor=1.0))
         rng = np.random.default_rng(0)
-        key = ("u", 0)
-        n = pool.size(*key)
+        n = len(pool.cell("u", 0))
         assert n > 0
-        for _ in range(n):
-            pool.draw(*key, rng)
-        with pytest.raises(PoolUnderflowError, match="slice=0"):
-            pool.draw(*key, rng)
+        cells = np.zeros(n, dtype=np.intp)  # cell 0 is ("u", slice 0)
+        np.testing.assert_array_equal(pool.serve(cells, rng), pool.cell("u", 0))
+        with pytest.raises(PoolUnderflowError, match="slice=0 exhausted after"):
+            pool.serve(np.zeros(n + 1, dtype=np.intp), rng)
 
     def test_with_replacement_never_underflows(self):
         ds = two_class_dataset()
@@ -283,10 +310,10 @@ class TestGeneratePool:
         pool = generate_pool(
             ds, grid, a, SynthesisConfig(seed=3, surplus_factor=1.0, replacement_policy="with")
         )
-        rng = np.random.default_rng(0)
-        n = pool.size("u", 0)
-        for _ in range(3 * n):
-            pool.draw("u", 0, rng)
+        n = len(pool.cell("u", 0))
+        drawn = pool.serve(np.zeros(3 * n, dtype=np.intp), np.random.default_rng(0))
+        assert len(drawn) == 3 * n
+        assert {tuple(v) for v in drawn} <= {tuple(v) for v in pool.cell("u", 0)}
 
     def test_null_bearing_observations_reserve_draws(self):
         ds = two_class_dataset(with_null=True)
@@ -295,7 +322,30 @@ class TestGeneratePool:
         base = generate_pool(two_class_dataset(), grid, assign_slices(two_class_dataset(), grid),
                              SynthesisConfig(surplus_factor=1.0))
         with_null = generate_pool(ds, grid, a, SynthesisConfig(surplus_factor=1.0))
-        total_base = sum(base.size(*k) for k in base.keys())
-        total_null = sum(with_null.size(*k) for k in with_null.keys())
         # one null-bearing observation per class reserves one extra draw each
-        assert total_null == total_base + 2
+        assert with_null.sizes.sum() == base.sizes.sum() + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    requests=st.lists(st.integers(0, 5), max_size=30),
+    policy=st.sampled_from(["with", "without"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_serve_matches_one_request_at_a_time(sizes, requests, policy, seed):
+    """Batched serving gives the vectors, the underflow and the RNG state of one-by-one draws."""
+    sizes = np.array(sizes, dtype=np.intp)
+    pool = SyntheticPool(
+        labels=("a", "b"), n_slices=len(sizes), vectors=np.arange(2 * sizes.sum(), dtype=float)[:, None],
+        starts=np.concatenate(([0], np.cumsum(np.tile(sizes, 2))[:-1])), sizes=np.tile(sizes, 2),
+        replacement_policy=policy,
+    )
+    cells = np.array([r % (2 * len(sizes)) for r in requests], dtype=np.intp)
+    rng_batch, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = outcome(pool.serve, cells, rng_batch), outcome(sequential_serve, pool, cells, rng_one)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+        assert rng_batch.bit_generator.state == rng_one.bit_generator.state
