@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -130,6 +131,45 @@ class TestDemoAndImpute:
         grid_in = json.loads((demo_dir / "grid.json").read_text())
         grid_out = json.loads((out / "grid.json").read_text())
         assert grid_in == grid_out
+
+
+# sha256 of the CSV files each command writes, keyed by (run, file); recorded
+# with numpy 2.4.6. The imputed CSV is pinned in test_imputation.py.
+GOLDEN_OUTPUT_SHA256 = {
+    ("demo-0", "train.csv"): "9d1f8f1280f8d453317e6ffc247a8ca06ac33e6511246a4ceab3b4f953ca94d9",
+    ("demo-0", "test.csv"): "409fa59d7ef035b7804ee80859a23dcbf3ec1ec089b9973887aa1b7f4645b293",
+    ("demo-0", "slices.csv"): "8f5909ee9cba5e52fd6ef03bd6c8c1d24b4a8ee7743cece5c79f0a6224458bed",
+    ("demo-0", "pool.csv"): "1171f4224d04aca9feb54717816b004c3699f3706d2c1a68c16b78c4b03f36d3",
+    ("demo-1", "train.csv"): "8cf38395aefbd3d4d001310f43659bddc93fa72fe6dacb7a74d44d4cac27166b",
+    ("demo-1", "test.csv"): "37f57fcb39e97e8021b05548c76dafc9078704d2a7dfc2c4afce4e1c571c1dd3",
+    ("demo-1", "slices.csv"): "32ebfcdd1f2fc78efbac66db8ff6af2325a2e2012da144fe48db55313be09290",
+    ("demo-1", "pool.csv"): "b266323a0ea719e5fec826ec56a0983c8223d40f08b6b6b621f3464ca557b417",
+    ("slice", "assignment.csv"): "8a5270f9e374555ff1f706d3e68514e11a0a686f7e99f240addbbfa26c0b2bbc",
+    ("compare", "comparison.csv"): "8d675527cfe267e2506d6995613f05cdb2398f5657632aa7407c681265c354c5",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory, run_cli):
+    """Directory holding one output directory per pinned run."""
+    root = tmp_path_factory.mktemp("golden")
+    commands = {
+        "demo-0": ["demo-oscillator", "--seed", "0"],
+        "demo-1": ["demo-oscillator", "--seed", "1"],
+        "slice": ["slice", str(root / "demo-0" / "train.csv")],
+        "compare": ["compare-imputers", "--seed", "0", "--reps", "1"],
+    }
+    for name, args in commands.items():
+        res = run_cli([*args, "-o", str(root / name)], root)
+        assert res.returncode == 0, res.stderr
+    return root
+
+
+@pytest.mark.parametrize("run, name", sorted(GOLDEN_OUTPUT_SHA256))
+def test_output_bytes_pinned(golden_runs, run, name):
+    """The CSV bytes of demo-oscillator, slice and compare-imputers stay what they were."""
+    digest = hashlib.sha256((golden_runs / run / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_OUTPUT_SHA256[(run, name)]
 
 
 class TestConfigFile:
