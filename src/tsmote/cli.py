@@ -17,12 +17,13 @@ written inside ``--output-dir``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import NoReturn
+
+import numpy as np
 
 from . import __version__
 from .classify import ComparisonConfig, run_imputer_comparison
@@ -30,6 +31,7 @@ from .data import (
     read_long_csv,
     tensor_to_json,
     validate_dataset,
+    write_csv,
     write_long_csv,
     write_tensor_csv,
 )
@@ -87,15 +89,14 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         file_values = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
         _fail(f"cannot read config file: {e}")
-    defaults = {a.dest: a.default for a in parser._actions}
+    # only the subcommand's own options: not --help, nor what set_defaults adds
+    options = {a.dest: a for a in parser._actions if a.dest != "help"}
     for key, value in file_values.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        option = options.get(key.replace("-", "_"))
+        if option is None:
             _fail(f"unknown config key {key!r}")
-        if getattr(args, dest) == defaults.get(dest):
-            if dest in ("output_dir", "grid", "input", "config") and value is not None:
-                value = Path(value)
-            setattr(args, dest, value)
+        if getattr(args, option.dest) == option.default:
+            setattr(args, option.dest, Path(value) if option.type is Path and value is not None else value)
 
 
 def _grid_policy(name: str) -> str:
@@ -132,12 +133,9 @@ def cmd_slice(args) -> int:
     assignment = assign_slices(dataset, grid)
 
     _out(args, "grid.json").write_text(grid.to_json())
-    with open(_out(args, "assignment.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "time", "slice_index"])
-        for i, t, si in zip(dataset.row_sample.tolist(), dataset.times.tolist(),
-                            assignment.indices.tolist()):
-            writer.writerow([dataset.ids[i], repr(t), str(si)])
+    write_csv(_out(args, "assignment.csv"), ["sample_id", "time", "slice_index"],
+              [np.array(dataset.ids, dtype=object)[dataset.row_sample], dataset.times,
+               assignment.indices])
     _out(args, "validation.json").write_text(report.to_json())
     print(f"grid: {args.slices} slices over [{grid.t_min:g}, {grid.t_max:g}], "
           f"occupancy spread {grid.occupancy_spread}")
@@ -181,14 +179,11 @@ def cmd_demo_oscillator(args) -> int:
     _out(args, "grid.json").write_text(exp.grid.to_json())
 
     assignment = assign_slices(exp.train, exp.grid)
-    with open(_out(args, "slices.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "class", "time", "elapsed", "slice_index", "x", "y"])
-        train = exp.train
-        for i, t, si, (x, y) in zip(train.row_sample.tolist(), train.times.tolist(),
-                                    assignment.indices.tolist(), train.values.tolist()):
-            writer.writerow([train.ids[i], train.labels[i], repr(t), repr(t - exp.grid.t_min),
-                             str(si), repr(x), repr(y)])
+    train, owner = exp.train, exp.train.row_sample
+    write_csv(_out(args, "slices.csv"),
+              ["sample_id", "class", "time", "elapsed", "slice_index", "x", "y"],
+              [np.array(train.ids, dtype=object)[owner], np.array(train.labels, dtype=object)[owner],
+               train.times, train.times - exp.grid.t_min, assignment.indices, *train.values.T])
 
     syn = SynthesisConfig(seed=args.seed)
     pool = generate_pool(exp.train, exp.grid, assignment, syn)
@@ -221,12 +216,9 @@ def cmd_compare_imputers(args) -> int:
     results = run_imputer_comparison(args.seed, config)
     rows = [r.to_dict() for r in results]
     _out(args, "comparison.json").write_text(json.dumps(rows, indent=2))
-    with open(_out(args, "comparison.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "accuracy_mean", "accuracy_std", "auc_mean", "auc_std"])
-        for r in rows:
-            writer.writerow([r["method"], f"{r['accuracy_mean']:.5f}", f"{r['accuracy_std']:.5f}",
-                             f"{r['auc_mean']:.5f}", f"{r['auc_std']:.5f}"])
+    header = ["method", "accuracy_mean", "accuracy_std", "auc_mean", "auc_std"]
+    write_csv(_out(args, "comparison.csv"), header,
+              [[r["method"] for r in rows], *([f"{r[k]:.5f}" for r in rows] for k in header[1:])])
     print(f"{'method':<14}{'accuracy':>10}{'auc':>10}")
     for r in rows:
         print(f"{r['method']:<14}{r['accuracy_mean']:>10.5f}{r['auc_mean']:>10.5f}")

@@ -10,8 +10,10 @@ Arrow columnar format: one ``times (N,)`` array and one ``values (N, F)``
 array hold every observation, and ``offsets (n_samples + 1,)`` marks where
 each sample's rows start. Containers are immutable after construction (their
 arrays are read-only). Long-format CSV is the canonical on-disk
-representation: ``sample_id, time[, class], <feature columns...>`` with empty
-cells for nulls.
+representation: ``sample_id, time[, class], <feature columns...>``. Every CSV
+file the package writes goes through :func:`write_csv`: floats as their
+shortest round-trip ``repr``, nulls as empty cells, text quoted as the csv
+module quotes it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -323,12 +326,36 @@ def dataset_stats(dataset: TimeSeriesDataset) -> DatasetStats:
 
 
 # ---------------------------------------------------------------------------
-# Long-format CSV
+# CSV files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest exact round-trip form
-    return repr(float(x))
+_QUOTED = re.compile('[,"\r\n]')
+_CHUNK_ROWS = 8192  # rows formatted at a time: bounds the strings held in memory
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """One column's cells. A float is its ``repr`` (the shortest string that reads back
+    to it), NaN an empty cell. Anything else is text as the csv module writes it (excel
+    dialect, minimal quoting): None is empty; a comma, quote, CR or LF quotes the cell."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return [repr(v) if v == v else "" for v in values]  # NaN alone is unequal to itself
+    text = {}
+    for v in set(values):  # repeated ids and labels are formatted once
+        s = "" if v is None else str(v)
+        text[v] = '"%s"' % s.replace('"', '""') if _QUOTED.search(s) else s
+    return list(map(text.__getitem__, values))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a ``header`` row, then one row per entry of the equal-length 1-D ``columns``,
+    each cell formatted by :func:`_cells`; lines end in CRLF."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_cells(np.array(header, dtype=object))) + "\r\n")
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            cells = [_cells(c[lo : lo + _CHUNK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
@@ -422,30 +449,21 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
 
 def write_long_csv(dataset: TimeSeriesDataset, path, class_column: str = "class") -> None:
     """Write the dataset in the long format accepted by :func:`read_long_csv`."""
-    has_class = dataset.has_labels
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["sample_id", "time"] + ([class_column] if has_class else []) + list(dataset.feature_names)
-        writer.writerow(header)
-        for i, t, vals in zip(dataset.row_sample.tolist(), dataset.times.tolist(), dataset.values.tolist()):
-            row = [dataset.ids[i], _fmt(t)]
-            if has_class:
-                row.append(dataset.labels[i] if dataset.labels[i] is not None else "")
-            row.extend("" if math.isnan(v) else _fmt(v) for v in vals)
-            writer.writerow(row)
+    owner = dataset.row_sample
+    labels = [np.array(dataset.labels, dtype=object)[owner]] if dataset.has_labels else []
+    header = ["sample_id", "time"] + [class_column] * len(labels) + list(dataset.feature_names)
+    write_csv(path, header, [np.array(dataset.ids, dtype=object)[owner], dataset.times, *labels,
+                             *dataset.values.T])
 
 
 def write_tensor_csv(tensor: ImputedTensor, path) -> None:
     """Wide per-slice CSV: ``sample_id, class, slice_index, grid_time, features...``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "class", "slice_index", "grid_time"] + list(tensor.feature_names))
-        labels = tensor.class_labels or (None,) * len(tensor.sample_ids)
-        for i, sid in enumerate(tensor.sample_ids):
-            for j, gt in enumerate(tensor.grid_times):
-                row = [sid, labels[i] if labels[i] is not None else "", str(j), _fmt(gt)]
-                row.extend(_fmt(v) for v in tensor.data[i, j])
-                writer.writerow(row)
+    n_d, n_t, n_f = tensor.shape
+    per_slot = [np.repeat(np.array(t, dtype=object), n_t)
+                for t in (tensor.sample_ids, tensor.class_labels or (None,) * n_d)]
+    write_csv(path, ["sample_id", "class", "slice_index", "grid_time", *tensor.feature_names],
+              [*per_slot, np.tile(np.arange(n_t), n_d), np.tile(np.asarray(tensor.grid_times, float), n_d),
+               *np.asarray(tensor.data, float).reshape(-1, n_f).T])
 
 
 def tensor_to_json(tensor: ImputedTensor, grid_meta: Optional[dict] = None) -> str:

@@ -17,7 +17,6 @@ is null in every observation takes its value from the first replacement.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,15 +35,12 @@ METHODS = (TSMOTE, SLICE_MEAN, SLICE_MEDIAN)
 @dataclass(frozen=True)
 class ImputationConfig:
     method: str = TSMOTE
-    replacement_policy: Optional[str] = None  # None -> follow the synthesis config
     allow_null_feature_imputation: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.replacement_policy not in (None, "with", "without"):
-            raise ValueError("replacement_policy must be 'with', 'without' or None")
 
 
 def _slice_statistics(
@@ -83,8 +79,6 @@ def impute_dataset(
     """
     imp = imputation_config or ImputationConfig()
     syn = synthesis_config or SynthesisConfig()
-    if imp.replacement_policy is not None and imp.replacement_policy != syn.replacement_policy:
-        syn = dataclasses.replace(syn, replacement_policy=imp.replacement_policy)
     if assignment is None:
         assignment = assign_slices(dataset, grid)
 

@@ -20,7 +20,6 @@ independent features.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import TimeSeriesDataset
+from .data import TimeSeriesDataset, write_csv
 from .slicing import SliceAssignment, SliceGrid, group_cells, group_ranks
 
 logger = logging.getLogger(__name__)
@@ -334,12 +333,8 @@ def generate_pool(
 
 def write_pool_csv(pool: SyntheticPool, grid: SliceGrid, feature_names, path) -> None:
     """Flat CSV of all pooled vectors: class, slice_index, grid_time, features."""
-    n_cells = len(pool.sizes)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "slice_index", "grid_time"] + list(feature_names))
-        for c, vec in zip(np.repeat(np.arange(n_cells), pool.sizes).tolist(), pool.vectors.tolist()):
-            lab, si = pool.labels[c // pool.n_slices], c % pool.n_slices
-            row = [lab if lab is not None else "", str(si), repr(float(grid.grid_times[si]))]
-            row.extend(repr(v) for v in vec)
-            writer.writerow(row)
+    cell = np.repeat(np.arange(len(pool.sizes)), pool.sizes)
+    si = cell % pool.n_slices
+    write_csv(path, ["class", "slice_index", "grid_time", *feature_names],
+              [np.array(pool.labels, dtype=object)[cell // pool.n_slices], si,
+               np.asarray(grid.grid_times, dtype=float)[si], *pool.vectors.T])

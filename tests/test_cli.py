@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -172,6 +174,22 @@ def test_output_bytes_pinned(golden_runs, run, name):
     assert digest == GOLDEN_OUTPUT_SHA256[(run, name)]
 
 
+def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
+    ids = ['a,"b', "plain", 'x"y,\nz']
+    rows = [[sid, t, label, repr(float(t + i))]
+            for i, sid in enumerate(ids) for label in [f"class,{i % 2}"] for t in range(4)]
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["sample_id", "time", "class", "x"], *rows])
+    (tmp_path / "in.csv").write_text(buf.getvalue(), newline="")
+    res = run_cli(["impute", "in.csv", "--slices", "2", "--method", "slice_mean", "-o", "out"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "out" / "imputed.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0][:3] == ["sample_id", "class", "slice_index"]
+    assert [r[:3] for r in table[1:]] == [[sid, f"class,{i % 2}", str(j)]
+                                          for i, sid in enumerate(ids) for j in range(2)]
+
+
 class TestConfigFile:
     def test_file_fills_defaults_but_flags_win(self, toy_csv, tmp_path, run_cli):
         cfg = tmp_path / "cfg.json"
@@ -196,6 +214,15 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"slise": 3}))
         res = run_cli(["slice", str(toy_csv), "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("key", ["func", "parser", "command", "help"])
+    def test_key_naming_no_option_exits_2(self, toy_csv, tmp_path, run_cli, key):
+        # attributes argparse sets that are not options of the subcommand
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        res = run_cli(["slice", str(toy_csv), "--slices", "2", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == f"unknown config key {key!r}"
 
 
 class TestVerifyAndCompare:

@@ -1,6 +1,9 @@
 """Tests for the core data model, validation, stats, and CSV round-trips."""
 
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from tsmote.data import (
     tensor_from_json,
     tensor_to_json,
     validate_dataset,
+    write_csv,
     write_long_csv,
 )
+import tsmote.data
 from tsmote.data import ImputedTensor
 
 
@@ -184,6 +189,17 @@ class TestLongCsv:
         back = read_long_csv(path)
         assert back == ds
 
+    def test_round_trip_quoted_text(self, tmp_path):
+        # ids, labels and feature names that need the csv module's quoting
+        ds = dataset_of(
+            make_sample('a,"b', [0.0, 1.0], [(1.0, None), (2.0, 3.0)], label="c,1"),
+            make_sample("line\r\nbreak", [0.5], [(None, 4.0)], label=' "c2"'),
+            feature_names=('u,"v"', "w\n"),
+        )
+        path = tmp_path / "ds.csv"
+        write_long_csv(ds, path)
+        assert read_long_csv(path) == ds
+
     def test_unlabeled_round_trip(self, tmp_path):
         ds = dataset_of(make_sample("a", [0.0], [(1.0,)]), feature_names=("x",))
         path = tmp_path / "ds.csv"
@@ -254,6 +270,46 @@ class TestLongCsv:
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         write_long_csv(ds, path)
         assert read_long_csv(path) == ds
+
+
+# text cells lean on the characters that decide quoting; floats include NaN,
+# -0.0, subnormals and values near the float64 limit
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "7", ".", "é", "日"]), max_size=6)
+FLOAT = st.floats() | st.sampled_from([math.nan, -0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308])
+COLUMN_KINDS = {
+    "float": (FLOAT, float),
+    "text": (st.none() | TEXT, object),
+    "int": (st.integers(-(2**40), 2**40), np.intp),
+}
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, rows) with 2 to 5 columns of one kind each and 0 to 12 rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=2, max_size=5))
+    n_rows = draw(st.integers(0, 12))
+    lists = [draw(st.lists(COLUMN_KINDS[k][0], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    columns = [np.array(values, dtype=COLUMN_KINDS[k][1]) for values, k in zip(lists, kinds)]
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return header, columns, list(zip(*lists))
+
+
+class TestWriteCsv:
+    # every file has at least two columns: the csv module writes a row made of
+    # one empty field as '""' so that it is not read back as a blank line
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables())
+    def test_bytes_match_csv_module(self, tmp_path_factory, table):
+        header, columns, rows = table
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(["" if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 5):  # rows cross chunk boundaries
+            write_csv(path, header, columns)
+        with open(path, newline="") as fh:
+            assert fh.read() == expected.getvalue()
 
 
 class TestImputedTensor:

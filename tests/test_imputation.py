@@ -259,13 +259,6 @@ class TestImputeDataset:
         )
         assert np.all(t.data[0, :, 0] == 55.0)
 
-    def test_replacement_policy_override(self):
-        ds, grid = grid_world(seed=8, n_samples=12)
-        syn = SynthesisConfig(seed=4, surplus_factor=1.0, replacement_policy="without")
-        imp = ImputationConfig(seed=4, replacement_policy="with")
-        t = impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp)
-        assert not np.isnan(t.data).any()
-
     def test_determinism_and_seed_isolation(self, observed_grid):
         exp = generate_two_class_experiment(5)
         a = assign_slices(exp.train, exp.grid)
@@ -287,8 +280,6 @@ def reference_impute(dataset, grid, syn, imp, reshape):
     Draws one vector at a time: for each sample, its null-bearing rows in row
     order, then its empty slots in slice order.
     """
-    if imp.replacement_policy is not None:
-        syn = dataclasses.replace(syn, replacement_policy=imp.replacement_policy)
     a = assign_slices(dataset, grid)
     n_t, n_fix = grid.n_slices, dataset.fixed_prefix_len
     labels = dataset.class_labels() or [None]
