@@ -176,8 +176,8 @@ def test_output_bytes_pinned(golden_runs, run, name):
 
 def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
     ids = ['a,"b', "plain", 'x"y,\nz']
-    rows = [[sid, t, label, repr(float(t + i))]
-            for i, sid in enumerate(ids) for label in [f"class,{i % 2}"] for t in range(4)]
+    labels = ["class,0", "class,1", "class,0"]
+    rows = [[sid, t, label, t + i] for i, (sid, label) in enumerate(zip(ids, labels)) for t in range(4)]
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows([["sample_id", "time", "class", "x"], *rows])
     (tmp_path / "in.csv").write_text(buf.getvalue(), newline="")
@@ -186,8 +186,7 @@ def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
     with open(tmp_path / "out" / "imputed.csv", newline="") as fh:
         table = list(csv.reader(fh))
     assert table[0][:3] == ["sample_id", "class", "slice_index"]
-    assert [r[:3] for r in table[1:]] == [[sid, f"class,{i % 2}", str(j)]
-                                          for i, sid in enumerate(ids) for j in range(2)]
+    assert [r[:3] for r in table[1:]] == [[sid, label, str(j)] for sid, label in zip(ids, labels) for j in range(2)]
 
 
 class TestConfigFile:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsmote.data
 from tsmote.data import (
     TimeSeriesDataset,
     dataset_stats,
@@ -20,7 +21,6 @@ from tsmote.data import (
     write_csv,
     write_long_csv,
 )
-import tsmote.data
 from tsmote.data import ImputedTensor
 
 
