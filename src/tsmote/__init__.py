@@ -21,7 +21,6 @@ from .data import (
     write_tensor_csv,
 )
 from .slicing import (
-    SliceAssignment,
     SliceGrid,
     SliceGridError,
     assign_slices,
@@ -75,7 +74,7 @@ __all__ = [
     "ValidationReport", "DatasetStats", "validate_dataset", "dataset_stats",
     "read_long_csv", "write_long_csv", "write_tensor_csv",
     # slicing
-    "SliceGrid", "SliceAssignment", "SliceGridError",
+    "SliceGrid", "SliceGridError",
     "compute_time_bounds", "build_slice_grid", "assign_slices",
     # synthesis
     "LambdaSpec", "SynthesisConfig", "SyntheticPool",

@@ -8,8 +8,8 @@ with midranks for ties. Everything is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class Normalizer:
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    learning_rate: float
-    n_iterations: int
-    l2: float
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -79,7 +76,7 @@ def fit_logistic(
         grad_b = float(np.sum(p - y) / n)
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
-    return LogisticModel(weights=w, bias=b, learning_rate=learning_rate, n_iterations=n_iterations, l2=l2)
+    return LogisticModel(weights=w, bias=b)
 
 
 def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
@@ -127,8 +124,7 @@ ENDPOINT = "endpoint"
 @dataclass(frozen=True)
 class ComparisonConfig:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
+    smoothing: Optional[SmoothingConfig] = field(default_factory=SmoothingConfig)  # None: no smoothing
     n_repetitions: int = 10
     feature_mode: str = FLATTENED  # or ENDPOINT: classify on the last slot only
     smooth_test: bool = True  # apply the identical filter to the test tensor
@@ -184,8 +180,8 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
     """Train-on-imputed / test-on-grid comparison of the three imputers.
 
     For each repetition a fresh two-class oscillator experiment is generated;
-    each imputer completes the training trajectories, which are smoothed,
-    z-normalized with training statistics, and classified with logistic
+    each imputer completes the training trajectories, which are smoothed
+    (unless ``config.smoothing`` is None), z-normalized with training statistics, and classified with logistic
     regression. The grid-generated test set is already complete, so imputers
     differ only through the training data they produce.
     """
@@ -197,16 +193,16 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
         test_tensor = impute_dataset(
             exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean")
         )
-        if config.smooth_test:
+        if config.smoothing is not None and config.smooth_test:
             test_tensor = smooth_tensor(test_tensor, config.smoothing)
         X_test_raw = _features(test_tensor, config.feature_mode)
         y_test = _binary_labels(test_tensor)
 
         for method in METHODS:
-            syn = dataclasses.replace(config.synthesis, seed=rep_seed)
-            imp = ImputationConfig(method=method, seed=rep_seed)
-            train_tensor = impute_dataset(exp.train, exp.grid, assignment, syn, imp)
-            train_tensor = smooth_tensor(train_tensor, config.smoothing)
+            imp = ImputationConfig(method=method)
+            train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed), imp)
+            if config.smoothing is not None:
+                train_tensor = smooth_tensor(train_tensor, config.smoothing)
             X_train = _features(train_tensor, config.feature_mode)
             y_train = _binary_labels(train_tensor)
 

@@ -81,22 +81,18 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=5)
 
 
-def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """File values fill in only options the user left at their defaults."""
-    if not getattr(args, "config", None):
-        return
+def _apply_config_file(args: argparse.Namespace) -> None:
+    """Make the file's values the subcommand's defaults, so a flag given in argv wins."""
     try:
         file_values = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
         _fail(f"cannot read config file: {e}")
     # only the subcommand's own options: not --help, nor what set_defaults adds
-    options = {a.dest: a for a in parser._actions if a.dest != "help"}
-    for key, value in file_values.items():
-        option = options.get(key.replace("-", "_"))
-        if option is None:
+    options = {a.dest for a in args.parser._actions if a.dest != "help"}
+    for key in file_values:
+        if key.replace("-", "_") not in options:
             _fail(f"unknown config key {key!r}")
-        if getattr(args, option.dest) == option.default:
-            setattr(args, option.dest, Path(value) if option.type is Path and value is not None else value)
+    args.parser.set_defaults(**{key.replace("-", "_"): value for key, value in file_values.items()})
 
 
 def _grid_policy(name: str) -> str:
@@ -134,8 +130,7 @@ def cmd_slice(args) -> int:
 
     _out(args, "grid.json").write_text(grid.to_json())
     write_csv(_out(args, "assignment.csv"), ["sample_id", "time", "slice_index"],
-              [np.array(dataset.ids, dtype=object)[dataset.row_sample], dataset.times,
-               assignment.indices])
+              [np.array(dataset.ids, dtype=object)[dataset.row_sample], dataset.times, assignment])
     _out(args, "validation.json").write_text(report.to_json())
     print(f"grid: {args.slices} slices over [{grid.t_min:g}, {grid.t_max:g}], "
           f"occupancy spread {grid.occupancy_spread}")
@@ -148,9 +143,8 @@ def cmd_impute(args) -> int:
         lam = LambdaSpec.parse(args.lambda_dist)
         syn = SynthesisConfig(k_neighbors=args.k, lambda_dist=lam, surplus_factor=args.surplus,
                               seed=args.seed, replacement_policy=args.replacement)
-        imp = ImputationConfig(method=args.method, seed=args.seed,
-                               allow_null_feature_imputation=args.allow_null_imputation)
-        smo = SmoothingConfig(window=args.window, poly_order=args.order, enabled=args.smooth)
+        imp = ImputationConfig(method=args.method, allow_null_feature_imputation=args.allow_null_imputation)
+        smo = SmoothingConfig(window=args.window, poly_order=args.order)
 
         if args.grid:
             grid = SliceGrid.from_json(Path(args.grid).read_text())
@@ -158,7 +152,7 @@ def cmd_impute(args) -> int:
             grid = build_slice_grid(dataset, args.slices, _grid_policy(args.grid_time),
                                     (args.t_min, args.t_max))
         tensor = impute_dataset(dataset, grid, synthesis_config=syn, imputation_config=imp)
-        if smo.enabled:
+        if args.smooth:
             tensor = smooth_tensor(tensor, smo, fixed_prefix_len=args.fixed)
     except (ValueError, RuntimeError, OSError) as e:
         _fail(str(e))
@@ -183,7 +177,7 @@ def cmd_demo_oscillator(args) -> int:
     write_csv(_out(args, "slices.csv"),
               ["sample_id", "class", "time", "elapsed", "slice_index", "x", "y"],
               [np.array(train.ids, dtype=object)[owner], np.array(train.labels, dtype=object)[owner],
-               train.times, train.times - exp.grid.t_min, assignment.indices, *train.values.T])
+               train.times, train.times - exp.grid.t_min, assignment, *train.values.T])
 
     syn = SynthesisConfig(seed=args.seed)
     pool = generate_pool(exp.train, exp.grid, assignment, syn)
@@ -207,9 +201,10 @@ def cmd_verify_moments(args) -> int:
 
 
 def cmd_compare_imputers(args) -> int:
+    smoothing = SmoothingConfig(window=args.window, poly_order=args.order)  # checked even when unused
     config = ComparisonConfig(
         experiment=ExperimentConfig(n_slices=args.slices, time_dist=args.time_dist),
-        smoothing=SmoothingConfig(window=args.window, poly_order=args.order, enabled=not args.no_smoothing),
+        smoothing=None if args.no_smoothing else smoothing,
         n_repetitions=args.reps,
         feature_mode=args.features,
     )
@@ -269,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _merge_config_file(args, args.parser)
+    if args.config:
+        _apply_config_file(args)
+        args = parser.parse_args(argv)  # string defaults go through the option's type, as flags do
     try:
         return args.func(args)
     except SystemExit:

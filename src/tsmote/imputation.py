@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ImputedTensor, TimeSeriesDataset
-from .slicing import SliceAssignment, SliceGrid, assign_slices, group_cells, group_ranks
+from .slicing import SliceGrid, assign_slices, group_cells, group_ranks
 from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
@@ -36,7 +36,6 @@ METHODS = (TSMOTE, SLICE_MEAN, SLICE_MEDIAN)
 class ImputationConfig:
     method: str = TSMOTE
     allow_null_feature_imputation: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -68,12 +67,15 @@ def _slice_statistics(
 def impute_dataset(
     dataset: TimeSeriesDataset,
     grid: SliceGrid,
-    assignment: Optional[SliceAssignment] = None,
+    assignment: Optional[np.ndarray] = None,
     synthesis_config: Optional[SynthesisConfig] = None,
     imputation_config: Optional[ImputationConfig] = None,
 ) -> ImputedTensor:
     """Produce one complete trajectory per sample on the slice grid.
 
+    ``assignment`` is the (N,) slice index of every row, as ``assign_slices``
+    returns it; it is computed when omitted. ``synthesis_config.seed`` seeds
+    both the pool and, under ``replacement_policy="with"``, the draws from it.
     The returned tensor's grid times are in original units
     (``grid.t_min + elapsed grid time``).
     """
@@ -87,7 +89,7 @@ def impute_dataset(
     owner = dataset.row_sample
     first_rows = dataset.offsets[:-1]
     sample_cell = dataset.class_positions() * n_t  # (class, slice) cell of each sample's slice 0
-    cells = sample_cell[owner] + assignment.indices
+    cells = sample_cell[owner] + assignment
 
     if imp.method == TSMOTE:
         if np.isnan(dataset.values).any() and not imp.allow_null_feature_imputation:
@@ -103,7 +105,7 @@ def impute_dataset(
     values = dataset.values.copy()
     _pin_fixed_prefix(values, dataset)
     null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
-    slots = owner * n_t + assignment.indices  # flat (sample, slice) slot of each row
+    slots = owner * n_t + assignment  # flat (sample, slice) slot of each row
     empty = np.flatnonzero(np.bincount(slots, minlength=n_d * n_t) == 0)
 
     # the request table: null-bearing rows, then empty slots, stably sorted by sample
@@ -111,7 +113,7 @@ def impute_dataset(
     request_cells = np.concatenate((cells[null_rows], sample_cell[empty // n_t] + empty % n_t))
     drawn = np.empty((len(order), n_f))
     if imp.method == TSMOTE:
-        drawn[order] = pool.serve(request_cells[order], np.random.default_rng(imp.seed))
+        drawn[order] = pool.serve(request_cells[order], np.random.default_rng(syn.seed))
     else:
         drawn[order] = stats[request_cells[order]]
 

@@ -20,6 +20,7 @@ from .slicing import MEDIAN_OF_OBSERVATIONS, SliceGrid, build_slice_grid
 
 UNIFORM = "uniform"
 EXPONENTIAL = "exponential"
+OBS_MIN, OBS_MAX = 5, 20  # observations per sample, inclusive
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,7 @@ class OscillatorConfig:
     delta: float = 0.0
     noise_sigma: float = 0.05
     n_samples: int = 100
-    obs_count_min: int = 5
-    obs_count_max: int = 20
     time_dist: str = UNIFORM
-    exp_rate: Optional[float] = None  # None -> 3 / t_max (~95% of mass in window)
     seed: int = 0
 
     def __post_init__(self):
@@ -40,8 +38,6 @@ class OscillatorConfig:
             raise ValueError("frequencies must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if not 1 <= self.obs_count_min <= self.obs_count_max:
-            raise ValueError("need 1 <= obs_count_min <= obs_count_max")
         if self.time_dist not in (UNIFORM, EXPONENTIAL):
             raise ValueError(f"time_dist must be '{UNIFORM}' or '{EXPONENTIAL}'")
 
@@ -54,7 +50,7 @@ def _draw_times(config: OscillatorConfig, m: int, rng: np.random.Generator) -> n
     t_max = config.t_max
     if config.time_dist == UNIFORM:
         return np.sort(rng.uniform(0.0, t_max, m))
-    rate = config.exp_rate if config.exp_rate is not None else 3.0 / t_max
+    rate = 3.0 / t_max  # ~95% of the untruncated mass inside the window
     out = np.empty(m)
     filled = 0
     while filled < m:  # rejection keeps draws inside one period
@@ -85,7 +81,7 @@ def generate_oscillator_dataset(
     times, values = [], []
     for i in range(config.n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
-        m = int(rng.integers(config.obs_count_min, config.obs_count_max + 1))
+        m = int(rng.integers(OBS_MIN, OBS_MAX + 1))
         times.append(_draw_times(config, m, rng))
         vals = curve_values(config, times[-1])
         if config.noise_sigma > 0:
@@ -99,24 +95,20 @@ def generate_oscillator_dataset(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Two oscillator classes differing in their y-frequency ratio."""
+    """Size and sampling of the two-class oscillator experiment.
 
-    omega_x: float = 1.0
-    omega_y_a: float = 2.0
-    omega_y_b: float = 4.0
+    The classes are fixed: ``"w2"`` and ``"w4"`` share x-frequency 1 and have
+    y-frequency 2 and 4. The grid's times are the medians of its slices'
+    observations.
+    """
+
     noise_sigma: float = 0.1
     n_train_a: int = 270
     n_train_b: int = 180
     n_test_a: int = 30
     n_test_b: int = 20
-    obs_count_min: int = 5
-    obs_count_max: int = 20
     time_dist: str = UNIFORM
-    exp_rate: Optional[float] = None
     n_slices: int = 50
-    grid_time_policy: str = MEDIAN_OF_OBSERVATIONS
-    label_a: str = "w2"
-    label_b: str = "w4"
 
 
 @dataclass(frozen=True)
@@ -135,21 +127,11 @@ def generate_two_class_experiment(
     test samples are observed exactly at the grid times, so imputation is a
     no-op on them and imputer quality is isolated on the training side.
     """
-    base = OscillatorConfig(
-        omega_x=config.omega_x,
-        omega_y=config.omega_y_a,
-        noise_sigma=config.noise_sigma,
-        n_samples=config.n_train_a,
-        obs_count_min=config.obs_count_min,
-        obs_count_max=config.obs_count_max,
-        time_dist=config.time_dist,
-        exp_rate=config.exp_rate,
-        seed=seed,
-    )
-    cfg_a = base
-    cfg_b = replace(base, omega_y=config.omega_y_b, n_samples=config.n_train_b, seed=seed + 1)
-    a = generate_oscillator_dataset(cfg_a, class_label=config.label_a, id_prefix="a")
-    b = generate_oscillator_dataset(cfg_b, class_label=config.label_b, id_prefix="b")
+    cfg_a = OscillatorConfig(omega_y=2.0, noise_sigma=config.noise_sigma, n_samples=config.n_train_a,
+                             time_dist=config.time_dist, seed=seed)
+    cfg_b = replace(cfg_a, omega_y=4.0, n_samples=config.n_train_b, seed=seed + 1)
+    a = generate_oscillator_dataset(cfg_a, class_label="w2", id_prefix="a")
+    b = generate_oscillator_dataset(cfg_b, class_label="w4", id_prefix="b")
     train = TimeSeriesDataset(
         ids=a.ids + b.ids,
         offsets=np.concatenate((a.offsets, a.offsets[-1] + b.offsets[1:])),
@@ -159,15 +141,12 @@ def generate_two_class_experiment(
         feature_names=("x", "y"),
     )
 
-    grid = build_slice_grid(train, config.n_slices, config.grid_time_policy)
+    grid = build_slice_grid(train, config.n_slices, MEDIAN_OF_OBSERVATIONS)
     grid_times = grid.t_min + np.asarray(grid.grid_times)
 
     ids, labels, values = [], [], []
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10_000,)))
-    for label, n_test, cfg in (
-        (config.label_a, config.n_test_a, cfg_a),
-        (config.label_b, config.n_test_b, cfg_b),
-    ):
+    for label, n_test, cfg in (("w2", config.n_test_a, cfg_a), ("w4", config.n_test_b, cfg_b)):
         for i in range(n_test):
             vals = curve_values(cfg, grid_times)
             if config.noise_sigma > 0:

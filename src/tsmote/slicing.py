@@ -107,13 +107,6 @@ class SliceGrid:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True, eq=False)
-class SliceAssignment:
-    """(N,) slice index of every observation, aligned with the dataset's rows."""
-
-    indices: np.ndarray
-
-
 def group_cells(values: np.ndarray, cells: np.ndarray, n_cells: int) -> list[np.ndarray]:
     """Rows of ``values`` in every cell ``0 .. n_cells - 1``, NaN marking nulls.
 
@@ -242,10 +235,10 @@ def build_slice_grid(
     )
 
 
-def assign_slices(dataset: TimeSeriesDataset, grid: SliceGrid) -> SliceAssignment:
-    """Map every observation to the slice containing its elapsed time.
+def assign_slices(dataset: TimeSeriesDataset, grid: SliceGrid) -> np.ndarray:
+    """The slice of every observation, as an (N,) index array aligned with the dataset's rows.
 
-    Slices are closed below and open above except the last, which is closed
+    An observation goes to the slice containing its elapsed time. Slices are closed below and open above except the last, which is closed
     above. Elapsed times beyond the final boundary (possible only under a
     ``t_max`` override) are clamped into the last slice; negative elapsed
     times are an error.
@@ -256,4 +249,4 @@ def assign_slices(dataset: TimeSeriesDataset, grid: SliceGrid) -> SliceAssignmen
         sid = dataset.ids[dataset.row_sample[early[0]]]
         raise SliceGridError(f"sample {sid!r} has an observation earlier than t_min")
     idx = np.searchsorted(np.asarray(grid.boundaries), tau, side="right") - 1
-    return SliceAssignment(np.clip(idx, 0, grid.n_slices - 1))
+    return np.clip(idx, 0, grid.n_slices - 1)

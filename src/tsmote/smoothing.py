@@ -25,7 +25,6 @@ from .data import ImputedTensor
 class SmoothingConfig:
     window: int = 25
     poly_order: int = 5
-    enabled: bool = True
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
@@ -76,8 +75,6 @@ def smoothing_matrix(times: np.ndarray, window: int, poly_order: int) -> np.ndar
 
 def savgol_nonuniform(times: np.ndarray, values: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     """Smooth one series; see module docstring for boundary handling."""
-    if not config.enabled:
-        return np.asarray(values, dtype=float).copy()
     S = smoothing_matrix(times, config.window, config.poly_order)
     return S @ np.asarray(values, dtype=float)
 
@@ -90,8 +87,6 @@ def smooth_tensor(
     Fixed-prefix features pass through unmodified. Grid times are never
     changed.
     """
-    if not config.enabled:
-        return tensor
     S = smoothing_matrix(tensor.grid_times, config.window, config.poly_order)
     # data is (n_samples, n_slices, n_features); contract S with the slice axis
     smoothed = np.einsum("ts,nsf->ntf", S, tensor.data)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import TimeSeriesDataset, write_csv
-from .slicing import SliceAssignment, SliceGrid, group_cells, group_ranks
+from .slicing import SliceGrid, group_cells, group_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -285,11 +285,12 @@ class SyntheticPool:
 def generate_pool(
     dataset: TimeSeriesDataset,
     grid: SliceGrid,
-    assignment: SliceAssignment,
+    assignment: np.ndarray,
     config: SynthesisConfig,
 ) -> SyntheticPool:
     """Build the per-class, per-slice synthetic pool.
 
+    ``assignment`` is the (N,) slice index of every row, from ``assign_slices``.
     Pool size per cell is ``ceil(surplus_factor * required)`` where
     ``required`` counts the class samples missing the slice plus the cell's
     null-bearing observations (each needs one replacement draw). Cells with
@@ -303,7 +304,7 @@ def generate_pool(
     n_t = grid.n_slices
     n_cells = len(labels) * n_t
     class_pos = dataset.class_positions()
-    cells = class_pos[dataset.row_sample] * n_t + assignment.indices
+    cells = class_pos[dataset.row_sample] * n_t + assignment
     # samples observed in each cell: distinct (cell, sample) pairs
     present = np.bincount(np.unique(cells * dataset.n_samples + dataset.row_sample) // dataset.n_samples,
                           minlength=n_cells)

@@ -79,7 +79,7 @@ def observed_grid(reshape_reference):
     def grid(dataset, assignment, n_slices):
         bounds = dataset.offsets
         return np.stack([
-            reshape_reference(dataset.values[a:b], assignment.indices[a:b], n_slices)
+            reshape_reference(dataset.values[a:b], assignment[a:b], n_slices)
             for a, b in zip(bounds[:-1], bounds[1:])
         ])
 

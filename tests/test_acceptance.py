@@ -63,7 +63,7 @@ def test_criterion_1_slice_balance():
             n_t = max(1, total // 2)
         grid = build_slice_grid(ds, n_t)
         a = assign_slices(ds, grid)
-        counts = np.bincount(a.indices, minlength=n_t)
+        counts = np.bincount(a, minlength=n_t)
         spread = int(counts.max() - counts.min())
         worst = max(worst, spread)
         checked += 1

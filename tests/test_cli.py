@@ -192,13 +192,14 @@ def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
 class TestConfigFile:
     def test_file_fills_defaults_but_flags_win(self, toy_csv, tmp_path, run_cli):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"slices": 3, "seed": 99}))
+        cfg.write_text(json.dumps({"slices": 3, "seed": 99, "grid_time": "midpoint"}))
         out = tmp_path / "o1"
         res = run_cli(
             ["slice", str(toy_csv), "--config", str(cfg), "-o", str(out)], tmp_path
         )
         assert res.returncode == 0, res.stderr
-        assert json.loads((out / "grid.json").read_text())["n_slices"] == 3
+        grid = json.loads((out / "grid.json").read_text())
+        assert (grid["n_slices"], grid["grid_time_policy"]) == (3, "midpoint")
 
         out2 = tmp_path / "o2"
         res = run_cli(
@@ -207,6 +208,15 @@ class TestConfigFile:
         )
         assert res.returncode == 0, res.stderr
         assert json.loads((out2 / "grid.json").read_text())["n_slices"] == 2
+
+        # a flag that repeats its default still wins over the file
+        out3 = tmp_path / "o3"
+        res = run_cli(
+            ["slice", str(toy_csv), "--config", str(cfg), "--grid-time", "median", "-o", str(out3)],
+            tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads((out3 / "grid.json").read_text())["grid_time_policy"] == "median_of_observations"
 
     def test_unknown_config_key_exits_2(self, toy_csv, tmp_path, run_cli):
         cfg = tmp_path / "cfg.json"

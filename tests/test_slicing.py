@@ -117,25 +117,25 @@ class TestAssign:
         grid = build_slice_grid(ds, 3, MIDPOINT)
         probe = dataset_from_times([[1.5]])
         a = assign_slices(probe, grid)
-        assert a.indices.tolist() == [1]  # lower bound closed, upper open
+        assert a.tolist() == [1]  # lower bound closed, upper open
 
     def test_max_time_in_last_slice(self):
         ds = dataset_from_times([[0, 1, 2], [3, 4, 5]])
         grid = build_slice_grid(ds, 3, MIDPOINT)
         a = assign_slices(dataset_from_times([[5.0]]), grid)
-        assert a.indices.tolist() == [2]
+        assert a.tolist() == [2]
 
     def test_degenerate_observations_same_slice(self):
         ds = dataset_from_times([[0, 1, 2], [3, 4, 5]])
         grid = build_slice_grid(ds, 3, MIDPOINT)
         a = assign_slices(dataset_from_times([[2.0, 2.2]]), grid)
-        assert a.indices.tolist() == [1, 1]
+        assert a.tolist() == [1, 1]
 
     def test_clamped_beyond_override(self):
         ds = dataset_from_times([[0, 5], [2, 9]])
         grid = build_slice_grid(ds, 2, bounds=(None, 7.0))
         a = assign_slices(dataset_from_times([[9.0]]), grid)
-        assert a.indices.tolist() == [1]
+        assert a.tolist() == [1]
 
     def test_earlier_than_t_min_rejected(self):
         ds = dataset_from_times([[1, 2, 3, 4]])
@@ -148,7 +148,7 @@ class TestAssign:
         ds = dataset_from_times([sorted(rng.uniform(0, 1, 10)) for _ in range(10)])
         grid = build_slice_grid(ds, 5)
         a = assign_slices(ds, grid)
-        for idx in np.split(a.indices, ds.offsets[1:-1]):
+        for idx in np.split(a, ds.offsets[1:-1]):
             assert list(idx) == sorted(idx)
 
     def test_class_blind(self):
@@ -160,7 +160,7 @@ class TestAssign:
         grid_lab = build_slice_grid(labeled, 4)
         assert grid_plain == grid_lab
         np.testing.assert_array_equal(
-            assign_slices(plain, grid_plain).indices, assign_slices(labeled, grid_lab).indices
+            assign_slices(plain, grid_plain), assign_slices(labeled, grid_lab)
         )
 
 
@@ -184,7 +184,7 @@ def test_equal_count_and_coverage_property(times_lists, n_slices):
     except SliceGridError:
         return  # duplicate pile-ups can make n_slices unattainable
     a = assign_slices(ds, grid)
-    counts = np.bincount(a.indices, minlength=n_slices)
+    counts = np.bincount(a, minlength=n_slices)
     # every observation lands in exactly one slice
     assert counts.sum() == len(flat)
     np.testing.assert_array_equal(counts, np.asarray(grid.occupancy))

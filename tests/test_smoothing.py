@@ -76,12 +76,6 @@ class TestSavgol:
         assert np.mean(reductions) < 1.0
         assert max(reductions) < 1.0
 
-    def test_disabled_is_identity(self):
-        t = np.arange(30.0)
-        y = np.sin(t)
-        out = savgol_nonuniform(t, y, SmoothingConfig(enabled=False))
-        np.testing.assert_array_equal(out, y)
-
     def test_nonmonotone_times_rejected(self):
         t = np.array([0.0, 1.0, 1.0, 2.0] + list(np.arange(3, 30.0)))
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -103,10 +97,6 @@ def poly_tensor(rng, n_samples=4, n_t=50, n_feat=2, degree=5):
 
 
 class TestSmoothTensor:
-    def test_disabled_returns_same_object(self):
-        tensor = poly_tensor(np.random.default_rng(5))
-        assert smooth_tensor(tensor, SmoothingConfig(enabled=False)) is tensor
-
     def test_polynomial_tensor_reproduced(self):
         tensor = poly_tensor(np.random.default_rng(6))
         out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5))

@@ -261,7 +261,7 @@ class TestGeneratePool:
         grid = build_slice_grid(ds, 2, bounds=(0.0, 2.0))
         # grid split is count-based; rebuild membership from the assignment
         a = assign_slices(ds, grid)
-        in_slice0 = int(np.sum(a.indices == 0))
+        in_slice0 = int(np.sum(a == 0))
         cfg = SynthesisConfig(surplus_factor=1.0, seed=1)
         pool = generate_pool(ds, grid, a, cfg)
         assert len(pool.cell(None, 0)) >= 100 - in_slice0
