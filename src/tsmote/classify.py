@@ -181,9 +181,10 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
 
     For each repetition a fresh two-class oscillator experiment is generated;
     each imputer completes the training trajectories, which are smoothed
-    (unless ``config.smoothing`` is None), z-normalized with training statistics, and classified with logistic
-    regression. The grid-generated test set is already complete, so imputers
-    differ only through the training data they produce.
+    (unless ``config.smoothing`` is None), z-normalized with training
+    statistics, and classified with logistic regression. The grid-generated
+    test set is already complete, so imputers differ only through the
+    training data they produce.
     """
     results = {m: ImputerResult(m, [], []) for m in METHODS}
     for rep in range(config.n_repetitions):
@@ -199,8 +200,8 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
         y_test = _binary_labels(test_tensor)
 
         for method in METHODS:
-            imp = ImputationConfig(method=method)
-            train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed), imp)
+            train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
+                                          ImputationConfig(method=method))
             if config.smoothing is not None:
                 train_tensor = smooth_tensor(train_tensor, config.smoothing)
             X_train = _features(train_tensor, config.feature_mode)

@@ -238,10 +238,11 @@ def build_slice_grid(
 def assign_slices(dataset: TimeSeriesDataset, grid: SliceGrid) -> np.ndarray:
     """The slice of every observation, as an (N,) index array aligned with the dataset's rows.
 
-    An observation goes to the slice containing its elapsed time. Slices are closed below and open above except the last, which is closed
-    above. Elapsed times beyond the final boundary (possible only under a
-    ``t_max`` override) are clamped into the last slice; negative elapsed
-    times are an error.
+    An observation goes to the slice containing its elapsed time. Slices
+    are closed below and open above except the last, which is closed above.
+    Elapsed times beyond the final boundary (possible only under a ``t_max``
+    override) are clamped into the last slice; negative elapsed times are an
+    error.
     """
     tau = dataset.times - grid.t_min
     early = np.flatnonzero(tau < 0)
