@@ -135,8 +135,10 @@ class TestDemoAndImpute:
         assert grid_in == grid_out
 
 
-# sha256 of the CSV files each command writes, keyed by (run, file); recorded
-# with numpy 2.4.6. The imputed CSV is pinned in test_imputation.py.
+# sha256 of the files each command writes, keyed by (run, file); recorded
+# with numpy 2.4.6. The imputed CSV of every method is also pinned in
+# test_imputation.py; the impute runs here pin the smoothed output and
+# imputed.json.
 GOLDEN_OUTPUT_SHA256 = {
     ("demo-0", "train.csv"): "9d1f8f1280f8d453317e6ffc247a8ca06ac33e6511246a4ceab3b4f953ca94d9",
     ("demo-0", "test.csv"): "409fa59d7ef035b7804ee80859a23dcbf3ec1ec089b9973887aa1b7f4645b293",
@@ -148,6 +150,10 @@ GOLDEN_OUTPUT_SHA256 = {
     ("demo-1", "pool.csv"): "b266323a0ea719e5fec826ec56a0983c8223d40f08b6b6b621f3464ca557b417",
     ("slice", "assignment.csv"): "8a5270f9e374555ff1f706d3e68514e11a0a686f7e99f240addbbfa26c0b2bbc",
     ("compare", "comparison.csv"): "8d675527cfe267e2506d6995613f05cdb2398f5657632aa7407c681265c354c5",
+    ("impute-smooth", "imputed.csv"): "b2a313285033d19e7a7d81b7192910eb4885dd201565757529fc2d0842719c76",
+    ("impute-smooth", "imputed.json"): "3154467c35565d8e6017085bd51ff3a516c4ceb4fd4c9a0aa444e2193028fa9b",
+    ("impute-mean", "imputed.csv"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
+    ("impute-mean", "imputed.json"): "44588f0a592ac350cd6b0173573ae9a2bd0a8ef0ceb12ff091595a98c1cfa400",
 }
 
 
@@ -160,6 +166,8 @@ def golden_runs(tmp_path_factory, run_cli):
         "demo-1": ["demo-oscillator", "--seed", "1"],
         "slice": ["slice", str(root / "demo-0" / "train.csv")],
         "compare": ["compare-imputers", "--seed", "0", "--reps", "1"],
+        "impute-smooth": ["impute", str(root / "demo-0" / "train.csv"), "--smooth", "--replacement", "with"],
+        "impute-mean": ["impute", str(root / "demo-0" / "train.csv"), "--method", "slice_mean"],
     }
     for name, args in commands.items():
         res = run_cli([*args, "-o", str(root / name)], root)
@@ -169,7 +177,7 @@ def golden_runs(tmp_path_factory, run_cli):
 
 @pytest.mark.parametrize("run, name", sorted(GOLDEN_OUTPUT_SHA256))
 def test_output_bytes_pinned(golden_runs, run, name):
-    """The CSV bytes of demo-oscillator, slice and compare-imputers stay what they were."""
+    """The output bytes of demo-oscillator, slice, compare-imputers and impute stay what they were."""
     digest = hashlib.sha256((golden_runs / run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_OUTPUT_SHA256[(run, name)]
 
