@@ -29,7 +29,6 @@ from . import __version__
 from .classify import ComparisonConfig, run_imputer_comparison
 from .data import (
     read_long_csv,
-    tensor_to_json,
     validate_dataset,
     write_csv,
     write_long_csv,
@@ -81,17 +80,34 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=5)
 
 
+# the JSON values a config file may give an option, by the option's type; a
+# flag (store_true) takes a boolean, and null is allowed where the default is null
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Make the file's values the subcommand's defaults, so a flag given in argv wins."""
     try:
         file_values = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
         _fail(f"cannot read config file: {e}")
+    if not isinstance(file_values, dict):
+        _fail(f"config file must hold a JSON object, not {type(file_values).__name__}")
     # only the subcommand's own options: not --help, nor what set_defaults adds
-    options = {a.dest for a in args.parser._actions if a.dest != "help"}
-    for key in file_values:
-        if key.replace("-", "_") not in options:
+    options = {a.dest: a for a in args.parser._actions if a.dest != "help"}
+    for key, value in file_values.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             _fail(f"unknown config key {key!r}")
+        kind = bool if action.nargs == 0 else action.type if action.type in (int, float) else str
+        types, what = _CONFIG_TYPES[kind]
+        if value is None and action.default is None:
+            continue
+        if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+            _fail(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+        if action.choices is not None and value not in action.choices:
+            _fail(f"config key {key!r} must be one of {list(action.choices)}, not {json.dumps(value)}")
     args.parser.set_defaults(**{key.replace("-", "_"): value for key, value in file_values.items()})
 
 
@@ -157,8 +173,7 @@ def cmd_impute(args) -> int:
     except (ValueError, RuntimeError, OSError) as e:
         _fail(str(e))
 
-    write_tensor_csv(tensor, _out(args, "imputed.csv"))
-    _out(args, "imputed.json").write_text(tensor_to_json(tensor, grid.to_dict()))
+    write_tensor_csv(tensor, _out(args, "imputed.csv"), _out(args, "imputed.json"), grid.to_dict())
     _out(args, "grid.json").write_text(grid.to_json())
     n_d, n_t, n_f = tensor.shape
     print(f"imputed tensor: {n_d} samples x {n_t} slices x {n_f} features")

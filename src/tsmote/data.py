@@ -347,12 +347,16 @@ def _cells(column: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
+def _csv_line(texts) -> str:
+    return ",".join(_cells(np.array(texts, dtype=object))) + "\r\n"
+
+
 def write_csv(path, header, columns) -> None:
     """Write a ``header`` row, then one row per entry of the equal-length 1-D ``columns``,
     each cell formatted by :func:`_cells`; lines end in CRLF."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_cells(np.array(header, dtype=object))) + "\r\n")
+        fh.write(_csv_line(header))
         for lo in range(0, len(columns[0]), _CHUNK_ROWS):
             cells = [_cells(c[lo : lo + _CHUNK_ROWS]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
@@ -456,28 +460,43 @@ def write_long_csv(dataset: TimeSeriesDataset, path, class_column: str = "class"
                              *dataset.values.T])
 
 
-def write_tensor_csv(tensor: ImputedTensor, path) -> None:
-    """Wide per-slice CSV: ``sample_id, class, slice_index, grid_time, features...``."""
+def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict) -> None:
+    """Write the tensor as wide per-slice CSV and as compact JSON, in one pass.
+
+    ``csv_path`` gets ``sample_id, class, slice_index, grid_time, features...``, one
+    row per (sample, slice), as :func:`write_csv` writes it. ``json_path`` gets
+    ``sample_ids``, ``class_labels``, ``feature_names``, ``grid_times``, ``data`` (the
+    nested ``(sample, slice, feature)`` lists) and ``grid_meta`` under ``grid``, as
+    :func:`json.dumps` writes it. The values are formatted once, a chunk of samples at
+    a time, into per-sample ``%`` templates of both files.
+    """
     n_d, n_t, n_f = tensor.shape
-    per_slot = [np.repeat(np.array(t, dtype=object), n_t)
-                for t in (tensor.sample_ids, tensor.class_labels or (None,) * n_d)]
-    write_csv(path, ["sample_id", "class", "slice_index", "grid_time", *tensor.feature_names],
-              [*per_slot, np.tile(np.arange(n_t), n_d), np.tile(np.asarray(tensor.grid_times, float), n_d),
-               *np.asarray(tensor.data, float).reshape(-1, n_f).T])
-
-
-def tensor_to_json(tensor: ImputedTensor, grid_meta: Optional[dict] = None) -> str:
-    """Compact JSON container with the grid metadata embedded."""
-    payload = {
+    data = np.asarray(tensor.data, float)
+    labels = tensor.class_labels or (None,) * n_d
+    # a sample's CSV rows: its quoted id and label cells, then one slot's row per slice
+    prefixes = [f"{sid},{lab},".replace("%", "%%") for sid, lab in zip(
+        _cells(np.array(tensor.sample_ids, dtype=object)), _cells(np.array(labels, dtype=object)))]
+    cells = ",%s" * n_f + "\r\n"
+    slots = [f"{j},{g}{cells}" for j, g in enumerate(_cells(np.asarray(tensor.grid_times, float)))]
+    # one sample's JSON entry: a list per slice of its feature values
+    entry = "[%s]" % ", ".join(["[%s]" % ", ".join(["%s"] * n_f)] * n_t)
+    members = {
         "sample_ids": list(tensor.sample_ids),
         "class_labels": list(tensor.class_labels) if tensor.class_labels else None,
         "feature_names": list(tensor.feature_names),
-        "grid_times": [float(t) for t in tensor.grid_times],
-        "data": tensor.data.tolist(),
+        "grid_times": np.asarray(tensor.grid_times, float).tolist(),
     }
-    if grid_meta is not None:
-        payload["grid"] = grid_meta
-    return json.dumps(payload)
+    head = "".join(f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in members.items())
+    step = max(1, _CHUNK_ROWS // n_t)
+    with open(csv_path, "w", newline="") as csv_fh, open(json_path, "w") as json_fh:
+        csv_fh.write(_csv_line(["sample_id", "class", "slice_index", "grid_time", *tensor.feature_names]))
+        json_fh.write('{%s"data": [' % head)
+        for lo in range(0, n_d, step):
+            chunk = prefixes[lo : lo + step]
+            values = tuple(map(repr, data[lo : lo + step].ravel().tolist()))
+            csv_fh.write("".join(p + p.join(slots) for p in chunk) % values)
+            json_fh.write((", " if lo else "") + ", ".join([entry] * len(chunk)) % values)
+        json_fh.write('], "grid": %s}' % json.dumps(grid_meta))
 
 
 def tensor_from_json(text: str) -> ImputedTensor:

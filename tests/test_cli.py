@@ -241,6 +241,36 @@ class TestConfigFile:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == f"unknown config key {key!r}"
 
+    def test_file_not_an_object_exits_2(self, toy_csv, tmp_path, run_cli):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[3]")
+        res = run_cli(["slice", str(toy_csv), "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == "config file must hold a JSON object, not list"
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("slices", None, "an integer"),
+        ("slices", "3", "an integer"),
+        ("slices", 3.0, "an integer"),
+        ("surplus", True, "a number"),
+        ("smooth", 1, "true or false"),
+        ("class_column", 0, "a string"),
+        ("grid_time", "weekly", "one of ['midpoint', 'median']"),
+    ])
+    def test_value_of_wrong_type_exits_2(self, toy_csv, tmp_path, run_cli, key, value, what):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        res = run_cli(["slice", str(toy_csv), "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == f"config key {key!r} must be {what}, not {json.dumps(value)}"
+
+    def test_null_allowed_where_default_is_null(self, toy_csv, tmp_path, run_cli):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_min": None, "surplus": 2, "slices": 2}))
+        res = run_cli(["slice", str(toy_csv), "--config", str(cfg), "-o", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads((tmp_path / "out" / "grid.json").read_text())["n_slices"] == 2
+
 
 class TestVerifyAndCompare:
     def test_verify_moments_passes(self, tmp_path, run_cli):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 from unittest import mock
 
@@ -16,10 +17,10 @@ from tsmote.data import (
     dataset_stats,
     read_long_csv,
     tensor_from_json,
-    tensor_to_json,
     validate_dataset,
     write_csv,
     write_long_csv,
+    write_tensor_csv,
 )
 from tsmote.data import ImputedTensor
 
@@ -321,7 +322,7 @@ class TestImputedTensor:
         with pytest.raises(ValueError, match="must not contain nulls or infinite values"):
             ImputedTensor(("a",), np.array([0.0, 1.0]), np.full((1, 2, 1), np.inf))
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         t = ImputedTensor(
             sample_ids=("a", "b"),
             grid_times=np.array([0.0, 1.0, 2.5]),
@@ -329,8 +330,66 @@ class TestImputedTensor:
             class_labels=("u", "v"),
             feature_names=("x", "y"),
         )
-        back = tensor_from_json(tensor_to_json(t))
+        write_tensor_csv(t, tmp_path / "t.csv", tmp_path / "t.json", {"n_slices": 3})
+        back = tensor_from_json((tmp_path / "t.json").read_text())
         assert back.sample_ids == t.sample_ids
         assert back.class_labels == t.class_labels
+        assert back.feature_names == t.feature_names
         np.testing.assert_array_equal(back.data, t.data)
         np.testing.assert_array_equal(back.grid_times, t.grid_times)
+
+
+def old_tensor_writers(tensor, csv_path, grid_meta) -> str:
+    """The two writers that write_tensor_csv replaced, as the oracle of its bytes:
+    write_csv on the per-slot columns, and the text of json.dumps on the whole payload."""
+    n_d, n_t, n_f = tensor.shape
+    per_slot = [np.repeat(np.array(t, dtype=object), n_t)
+                for t in (tensor.sample_ids, tensor.class_labels or (None,) * n_d)]
+    write_csv(csv_path, ["sample_id", "class", "slice_index", "grid_time", *tensor.feature_names],
+              [*per_slot, np.tile(np.arange(n_t), n_d), np.tile(np.asarray(tensor.grid_times, float), n_d),
+               *np.asarray(tensor.data, float).reshape(-1, n_f).T])
+    payload = {
+        "sample_ids": list(tensor.sample_ids),
+        "class_labels": list(tensor.class_labels) if tensor.class_labels else None,
+        "feature_names": list(tensor.feature_names),
+        "grid_times": [float(t) for t in tensor.grid_times],
+        "data": tensor.data.tolist(),
+        "grid": grid_meta,
+    }
+    return json.dumps(payload)
+
+
+# user text adds the template and JSON escapes to the CSV quoting characters;
+# one id reads like the member that follows the ids in the JSON document
+USER_TEXT = st.text(st.sampled_from([",", '"', "%", "s", "(", ")", "\\", "\r", "\n", " ", "a", "é", "日"]),
+                    max_size=6) | st.just('"data": null')
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308])
+
+
+@st.composite
+def tensors(draw):
+    """Tensors of 0 to 7 samples, 1 to 4 slices and 1 to 3 features, labeled or not."""
+    n_d, n_t, n_f = draw(st.integers(0, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    grid_times = draw(st.lists(st.floats(-1e6, 1e6), min_size=n_t, max_size=n_t, unique=True))
+    return ImputedTensor(
+        sample_ids=tuple(draw(st.lists(USER_TEXT, min_size=n_d, max_size=n_d))),
+        grid_times=np.array(sorted(grid_times)),
+        data=np.array(draw(st.lists(FINITE, min_size=n_d * n_t * n_f, max_size=n_d * n_t * n_f)),
+                      dtype=float).reshape(n_d, n_t, n_f),
+        class_labels=draw(st.none() | st.lists(st.none() | USER_TEXT, min_size=n_d, max_size=n_d).map(tuple)),
+        feature_names=tuple(draw(st.lists(USER_TEXT, min_size=n_f, max_size=n_f))),
+    )
+
+
+class TestWriteTensor:
+    @settings(max_examples=300, deadline=None)
+    @given(tensor=tensors(), grid_meta=st.dictionaries(USER_TEXT, st.integers() | FINITE | USER_TEXT, max_size=3))
+    def test_bytes_match_old_writers(self, tmp_path_factory, tensor, grid_meta):
+        root = tmp_path_factory.mktemp("tensor")
+        # 5 rows per chunk: 1 to 5 samples each, so samples cross chunk seams
+        with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 5):
+            expected_json = old_tensor_writers(tensor, root / "old.csv", grid_meta)
+            write_tensor_csv(tensor, root / "new.csv", root / "new.json", grid_meta)
+        assert (root / "new.json").read_bytes() == expected_json.encode()
+        assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()

@@ -401,7 +401,7 @@ def test_fill_matches_per_sample_reference(
     assert not (isinstance(got, tuple) and got[0] is PoolUnderflowError), got
 
 
-# sha256 of write_tensor_csv(impute_dataset(...)) on the demo training set,
+# sha256 of the imputed.csv write_tensor_csv writes for impute_dataset(...) on the demo training set,
 # keyed by (seed, replacement policy, method)
 GOLDEN_DEMO_SHA256 = {
     (0, "with", "tsmote"): "74ccc9d81ab6bff4d40fdd7eed0b7bfb4da79620e1932e3b547545b131f641b0",
@@ -439,5 +439,5 @@ def test_demo_output_bytes_pinned(demo_experiments, tmp_path, seed, policy, meth
         imputation_config=ImputationConfig(method=method),
     )
     path = tmp_path / "imputed.csv"
-    write_tensor_csv(tensor, path)
+    write_tensor_csv(tensor, path, tmp_path / "imputed.json", exp.grid.to_dict())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DEMO_SHA256[(seed, policy, method)]
