@@ -11,9 +11,10 @@ array hold every observation, and ``offsets (n_samples + 1,)`` marks where
 each sample's rows start. Containers are immutable after construction (their
 arrays are read-only). Long-format CSV is the canonical on-disk
 representation: ``sample_id, time[, class], <feature columns...>``. Every CSV
-file the package writes goes through :func:`write_csv`: floats as their
+file the package writes has the cells of :func:`write_csv`: floats as their
 shortest round-trip ``repr``, nulls as empty cells, text quoted as the csv
-module quotes it.
+module quotes it. :func:`write_tensor_csv` writes the imputed tensor's CSV and
+JSON files together.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class TimeSeriesDataset:
 
 @dataclass(frozen=True)
 class ImputedTensor:
-    """Dense (n_samples, n_slices, n_features) trajectory tensor, no nulls."""
+    """Dense (n_samples, n_slices, n_features) trajectory tensor, no nulls, at least one slice."""
 
     sample_ids: tuple[str, ...]
     grid_times: np.ndarray
@@ -165,6 +166,8 @@ class ImputedTensor:
 
     def __post_init__(self):
         n_d, n_t, n_f = self.data.shape
+        if n_t < 1:
+            raise ValueError("tensor must have at least one slice")
         if len(self.sample_ids) != n_d:
             raise ValueError("sample_ids must match data rows")
         if len(self.grid_times) != n_t:
@@ -473,18 +476,19 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     n_d, n_t, n_f = tensor.shape
     data = np.asarray(tensor.data, float)
     labels = tensor.class_labels or (None,) * n_d
+    grid_times = np.asarray(tensor.grid_times, float)
     # a sample's CSV rows: its quoted id and label cells, then one slot's row per slice
     prefixes = [f"{sid},{lab},".replace("%", "%%") for sid, lab in zip(
         _cells(np.array(tensor.sample_ids, dtype=object)), _cells(np.array(labels, dtype=object)))]
     cells = ",%s" * n_f + "\r\n"
-    slots = [f"{j},{g}{cells}" for j, g in enumerate(_cells(np.asarray(tensor.grid_times, float)))]
+    slots = [f"{j},{g}{cells}" for j, g in enumerate(_cells(grid_times))]
     # one sample's JSON entry: a list per slice of its feature values
     entry = "[%s]" % ", ".join(["[%s]" % ", ".join(["%s"] * n_f)] * n_t)
     members = {
         "sample_ids": list(tensor.sample_ids),
         "class_labels": list(tensor.class_labels) if tensor.class_labels else None,
         "feature_names": list(tensor.feature_names),
-        "grid_times": np.asarray(tensor.grid_times, float).tolist(),
+        "grid_times": grid_times.tolist(),
     }
     head = "".join(f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in members.items())
     step = max(1, _CHUNK_ROWS // n_t)

@@ -315,6 +315,8 @@ class TestWriteCsv:
 
 class TestImputedTensor:
     def test_invariants(self):
+        with pytest.raises(ValueError, match="at least one slice"):
+            ImputedTensor(("a",), np.array([]), np.zeros((1, 0, 1)))
         with pytest.raises(ValueError, match="strictly increasing"):
             ImputedTensor(("a",), np.array([1.0, 1.0]), np.zeros((1, 2, 1)))
         with pytest.raises(ValueError, match="must not contain nulls"):
