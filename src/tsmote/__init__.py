@@ -29,7 +29,6 @@ from .slicing import (
 )
 from .synthesis import (
     LambdaSpec,
-    PoolUnderflowError,
     SynthesisConfig,
     SynthesisError,
     SyntheticPool,
@@ -78,7 +77,7 @@ __all__ = [
     "compute_time_bounds", "build_slice_grid", "assign_slices",
     # synthesis
     "LambdaSpec", "SynthesisConfig", "SyntheticPool",
-    "SynthesisError", "PoolUnderflowError",
+    "SynthesisError",
     "knn_1d", "synthesize_slice", "generate_pool",
     # imputation
     "ImputationConfig", "impute_dataset",

@@ -34,7 +34,7 @@ from .data import (
     write_long_csv,
     write_tensor_csv,
 )
-from .imputation import ImputationConfig, impute_dataset
+from .imputation import ImputationConfig, impute_dataset, request_table
 from .moments import run_moment_verification
 from .oscillator import ExperimentConfig, generate_two_class_experiment
 from .slicing import (
@@ -64,7 +64,6 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slices", type=int, default=50, help="number of time slices")
     p.add_argument("--grid-time", choices=[MIDPOINT, "median"], default="median")
     p.add_argument("--k", type=int, default=5, help="nearest neighbors per feature")
-    p.add_argument("--surplus", type=float, default=1.5, help="synthetic surplus factor")
     p.add_argument("--lambda", dest="lambda_dist", default="uniform",
                    help="interpolation weight distribution: uniform | beta:a,b | point:c")
     p.add_argument("--replacement", choices=["with", "without"], default="without")
@@ -157,8 +156,8 @@ def cmd_impute(args) -> int:
     dataset, _ = _load_dataset(args)
     try:
         lam = LambdaSpec.parse(args.lambda_dist)
-        syn = SynthesisConfig(k_neighbors=args.k, lambda_dist=lam, surplus_factor=args.surplus,
-                              seed=args.seed, replacement_policy=args.replacement)
+        syn = SynthesisConfig(k_neighbors=args.k, lambda_dist=lam, seed=args.seed,
+                              replacement_policy=args.replacement)
         imp = ImputationConfig(method=args.method, allow_null_feature_imputation=args.allow_null_imputation)
         smo = SmoothingConfig(window=args.window, poly_order=args.order)
 
@@ -194,8 +193,10 @@ def cmd_demo_oscillator(args) -> int:
               [np.array(train.ids, dtype=object)[owner], np.array(train.labels, dtype=object)[owner],
                train.times, train.times - exp.grid.t_min, assignment, *train.values.T])
 
-    syn = SynthesisConfig(seed=args.seed)
-    pool = generate_pool(exp.train, exp.grid, assignment, syn)
+    # as many vectors per cell as a tsmote impute of the training set draws from it
+    *_, cells = request_table(train, exp.grid.n_slices, assignment)
+    sizes = np.bincount(cells, minlength=len(train.class_labels()) * exp.grid.n_slices)
+    pool = generate_pool(train, exp.grid, assignment, sizes, SynthesisConfig(seed=args.seed))
     write_pool_csv(pool, exp.grid, exp.train.feature_names, _out(args, "pool.csv"))
     print(f"wrote train ({exp.train.n_samples} samples), test ({exp.test.n_samples} samples), "
           f"grid, slices.csv, pool.csv")

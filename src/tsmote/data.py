@@ -287,7 +287,9 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
              f"fixed feature {k} varies across observations")
 
     # with max|v| * count finite, every sum, mean and difference of the
-    # feature's values downstream stays finite
+    # feature's values downstream stays finite; so does --smooth, since an
+    # imputed feature has a finite value in every cell, so count >= n_slices
+    # >= window, and each smoothing row's abs-sum is at most sqrt(window)
     magnitude = np.where(np.isfinite(values), np.abs(values), 0.0)
     n_finite = np.isfinite(values).sum(axis=0)
     with np.errstate(over="ignore"):

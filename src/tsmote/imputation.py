@@ -45,12 +45,13 @@ class ImputationConfig:
 def _slice_statistics(
     dataset: TimeSeriesDataset,
     n_slices: int,
-    cells: np.ndarray,
+    assignment: np.ndarray,
     method: str,
 ) -> np.ndarray:
     """(n_cells, F) featurewise mean or median of each (class, slice) cell's observed values."""
     reduce = np.nanmean if method == SLICE_MEAN else np.nanmedian
     labels = dataset.class_labels() or [None]
+    cells = dataset.class_positions()[dataset.row_sample] * n_slices + assignment
     stats = np.empty((len(labels) * n_slices, dataset.n_features))
     for c, block in enumerate(group_cells(dataset.values, cells, len(stats))):
         lab, si = labels[c // n_slices], c % n_slices
@@ -88,33 +89,23 @@ def impute_dataset(
     n_fix = dataset.fixed_prefix_len
     owner = dataset.row_sample
     first_rows = dataset.offsets[:-1]
-    sample_cell = dataset.class_positions() * n_t  # (class, slice) cell of each sample's slice 0
-    cells = sample_cell[owner] + assignment
 
-    if imp.method == TSMOTE:
-        if np.isnan(dataset.values).any() and not imp.allow_null_feature_imputation:
-            raise ValueError(
-                "dataset contains null feature entries; imputing them samples each feature "
-                "from its marginal distribution, which destroys cross-feature correlations. "
-                "Set allow_null_feature_imputation=True only if the features are independent."
-            )
-        pool = generate_pool(dataset, grid, assignment, syn)
-    else:
-        stats = _slice_statistics(dataset, n_t, cells, imp.method)
-
-    values = dataset.values.copy()
-    _pin_fixed_prefix(values, dataset)
-    null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
-    slots = owner * n_t + assignment  # flat (sample, slice) slot of each row
-    empty = np.flatnonzero(np.bincount(slots, minlength=n_d * n_t) == 0)
-
-    # the request table: null-bearing rows, then empty slots, stably sorted by sample
+    if imp.method == TSMOTE and np.isnan(dataset.values).any() and not imp.allow_null_feature_imputation:
+        raise ValueError(
+            "dataset contains null feature entries; imputing them samples each feature "
+            "from its marginal distribution, which destroys cross-feature correlations. "
+            "Set allow_null_feature_imputation=True only if the features are independent."
+        )
+    values, null_rows, empty, request_cells = request_table(dataset, n_t, assignment)
+    # serve the requests sample by sample: null-bearing rows, then empty slots
     order = np.argsort(np.concatenate((owner[null_rows], empty // n_t)), kind="stable")
-    request_cells = np.concatenate((cells[null_rows], sample_cell[empty // n_t] + empty % n_t))
     drawn = np.empty((len(order), n_f))
     if imp.method == TSMOTE:
+        sizes = np.bincount(request_cells, minlength=len(dataset.class_labels() or [None]) * n_t)
+        pool = generate_pool(dataset, grid, assignment, sizes, syn)
         drawn[order] = pool.serve(request_cells[order], np.random.default_rng(syn.seed))
     else:
+        stats = _slice_statistics(dataset, n_t, assignment, imp.method)
         drawn[order] = stats[request_cells[order]]
 
     nulls = np.isnan(values[null_rows])
@@ -124,6 +115,7 @@ def impute_dataset(
     # a slot holds the running mean (row * c + x) / (c + 1) of its rows in row order;
     # it is not a sum / count, which can differ in the last bit
     data = np.full((n_d * n_t, n_f), np.nan)
+    slots = owner * n_t + assignment  # flat (sample, slice) slot of each row
     rank = group_ranks(slots)
     for r in range(int(rank.max()) + 1):
         at = rank == r
@@ -139,6 +131,28 @@ def impute_dataset(
         class_labels=dataset.labels if dataset.has_labels else None,
         feature_names=dataset.feature_names,
     )
+
+
+def request_table(
+    dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The draws a fill makes, as ``(values, null_rows, empty, cells)``.
+
+    ``values`` is a copy of the dataset's values with the fixed prefix pinned.
+    The requests are the ``null_rows`` that still hold a null after pinning,
+    in row order, then the ``empty`` flat (sample, slice) slots that no row
+    falls in, in slot order; ``cells`` is each request's (class, slice) cell.
+    """
+    owner = dataset.row_sample
+    sample_cell = dataset.class_positions() * n_slices  # cell of each sample's slice 0
+    values = dataset.values.copy()
+    _pin_fixed_prefix(values, dataset)
+    null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
+    slots = owner * n_slices + assignment
+    empty = np.flatnonzero(np.bincount(slots, minlength=dataset.n_samples * n_slices) == 0)
+    cells = np.concatenate((sample_cell[owner[null_rows]] + assignment[null_rows],
+                            sample_cell[empty // n_slices] + empty % n_slices))
+    return values, null_rows, empty, cells
 
 
 def _pin_fixed_prefix(values: np.ndarray, dataset: TimeSeriesDataset) -> None:

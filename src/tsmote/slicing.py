@@ -204,7 +204,12 @@ def build_slice_grid(
 
     boundaries = [0.0]
     for p in splits:
-        boundaries.append(float((elapsed[p - 1] + elapsed[p]) / 2.0))
+        # the midpoint of two adjacent floats rounds to one of them; the
+        # lower one would move its observations up a slice
+        mid = (elapsed[p - 1] + elapsed[p]) / 2.0
+        boundaries.append(float(mid if mid > elapsed[p - 1] else elapsed[p]))
+    if boundaries[-1] >= span:
+        raise SliceGridError(f"the last slice's times all equal t_max; cannot build {n_slices} slices")
     boundaries.append(float(span))
 
     group_edges = [0, *splits, total]

@@ -21,7 +21,6 @@ independent features.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,10 +34,6 @@ logger = logging.getLogger(__name__)
 
 class SynthesisError(ValueError):
     """A slice cell cannot support synthetic generation."""
-
-
-class PoolUnderflowError(RuntimeError):
-    """A without-replacement pool ran out of vectors."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,8 @@ class LambdaSpec:
 
     @classmethod
     def beta(cls, a: float, b: float) -> "LambdaSpec":
-        if a <= 0 or b <= 0:
-            raise ValueError("beta parameters must be positive")
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ValueError(f"beta parameters must be positive and finite, not a={a!r}, b={b!r}")
         return cls("beta", a, b)
 
     @classmethod
@@ -99,8 +94,10 @@ class LambdaSpec:
         if text == "uniform":
             return cls.uniform()
         if text.startswith("beta:"):
-            a, b = (float(x) for x in text[5:].split(","))
-            return cls.beta(a, b)
+            params = text[5:].split(",")
+            if len(params) != 2:
+                raise ValueError(f"lambda distribution {text!r} must have the form beta:a,b")
+            return cls.beta(*map(float, params))
         if text.startswith("point:"):
             return cls.point_mass(float(text[6:]))
         raise ValueError(f"unrecognized lambda distribution {text!r}")
@@ -110,15 +107,12 @@ class LambdaSpec:
 class SynthesisConfig:
     k_neighbors: int = 5
     lambda_dist: LambdaSpec = field(default_factory=LambdaSpec.uniform)
-    surplus_factor: float = 1.5
     seed: int = 0
     replacement_policy: str = "without"  # "with" | "without"
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
-        if self.surplus_factor < 1.0:
-            raise ValueError("surplus_factor must be >= 1")
         if self.replacement_policy not in ("with", "without"):
             raise ValueError("replacement_policy must be 'with' or 'without'")
 
@@ -257,28 +251,16 @@ class SyntheticPool:
     def serve(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One vector for each request, given the requests' cells in request order.
 
-        With replacement a request takes a uniformly drawn row of its cell,
-        all from one ``rng.integers`` call (the same values as one call per
-        request). Without, a cell's n-th request takes its n-th row; the first
-        request beyond a cell's size raises :class:`PoolUnderflowError`.
+        ``generate_pool`` sizes each cell to its requests. With replacement a
+        request takes a uniformly drawn row of its cell, all from one
+        ``rng.integers`` call (the same values as one call per request).
+        Without, a cell's n-th request takes its n-th row, so every row is
+        taken exactly once.
         """
-        sizes = self.sizes[cells]
-        pick = group_ranks(cells) if self.replacement_policy == "without" else np.zeros_like(cells)
-        short = np.flatnonzero(pick >= sizes)
-        if short.size:
-            c = int(cells[short[0]])
-            lab, si = self.labels[c // self.n_slices], c % self.n_slices
-            if self.sizes[c] == 0:
-                raise PoolUnderflowError(
-                    f"pool underflow: no synthetic vectors for class={lab!r} slice={si}"
-                    " (increase surplus_factor or use replacement_policy='with')"
-                )
-            raise PoolUnderflowError(
-                f"pool underflow: class={lab!r} slice={si} exhausted after "
-                f"{self.sizes[c]} draws (increase surplus_factor)"
-            )
         if self.replacement_policy == "with":
-            pick = rng.integers(0, sizes)
+            pick = rng.integers(0, self.sizes[cells])
+        else:
+            pick = group_ranks(cells)
         return self.vectors[self.starts[cells] + pick]
 
 
@@ -286,31 +268,24 @@ def generate_pool(
     dataset: TimeSeriesDataset,
     grid: SliceGrid,
     assignment: np.ndarray,
+    sizes: np.ndarray,
     config: SynthesisConfig,
 ) -> SyntheticPool:
     """Build the per-class, per-slice synthetic pool.
 
     ``assignment`` is the (N,) slice index of every row, from ``assign_slices``.
-    Pool size per cell is ``ceil(surplus_factor * required)`` where
-    ``required`` counts the class samples missing the slice plus the cell's
-    null-bearing observations (each needs one replacement draw). Cells with
-    zero requirement stay empty. Each cell generates from its own RNG stream
-    keyed by (seed, class, slice), so a cell's vectors do not depend on the
-    other cells. Without replacement the cell is then put in a random order
-    drawn from the same stream. Neighbor search costs O(n log n) per column
-    of an n-row cell (see ``_neighbor_table``).
+    ``sizes[c]`` is the number of vectors cell ``c`` makes: the fill's
+    requests to it, from ``imputation.request_table``. A cell of size zero
+    makes none and needs no usable column. Each cell generates from its own
+    RNG stream keyed by (seed, class, slice), so a cell's vectors do not
+    depend on the other cells. Without replacement the cell is then put in a
+    random order drawn from the same stream. Neighbor search costs
+    O(n log n) per column of an n-row cell (see ``_neighbor_table``).
     """
     labels = dataset.class_labels() or [None]
     n_t = grid.n_slices
     n_cells = len(labels) * n_t
-    class_pos = dataset.class_positions()
-    cells = class_pos[dataset.row_sample] * n_t + assignment
-    # samples observed in each cell: distinct (cell, sample) pairs
-    present = np.bincount(np.unique(cells * dataset.n_samples + dataset.row_sample) // dataset.n_samples,
-                          minlength=n_cells)
-    null_rows = np.bincount(cells[np.isnan(dataset.values).any(axis=1)], minlength=n_cells)
-    required = np.repeat(np.bincount(class_pos), n_t) - present + null_rows
-    sizes = np.array([math.ceil(config.surplus_factor * int(r)) for r in required], dtype=np.intp)
+    cells = dataset.class_positions()[dataset.row_sample] * n_t + assignment
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     vectors = np.empty((int(sizes.sum()), dataset.n_features))
 

@@ -31,6 +31,14 @@ AGE_CSV = (
     "g,0.3,,3.1\ng,1.3,,3.2\ng,2.3,,3.3\n"
 )
 
+# the only nulls are ages that pinning the fixed prefix fills, and every
+# (sample, slice) slot of a 2-slice grid holds a row: nothing is drawn
+PINNED_AGE_CSV = (
+    "sample_id,time,class,age,x\n"
+    "a,0,c,1,1\na,0.1,c,1,1.5\na,1,c,,2\n"
+    "b,0,c,3,1\nb,0.2,c,3,1.2\nb,1,c,,2\n"
+)
+
 # 8 samples x 6 rows of x, y in {+1e308, -1e308, 0.5}: every value is finite,
 # but the two rows that share a slot sum past the float64 range
 HUGE_CSV = "sample_id,time,x,y\n" + "".join(
@@ -143,15 +151,15 @@ GOLDEN_OUTPUT_SHA256 = {
     ("demo-0", "train.csv"): "9d1f8f1280f8d453317e6ffc247a8ca06ac33e6511246a4ceab3b4f953ca94d9",
     ("demo-0", "test.csv"): "409fa59d7ef035b7804ee80859a23dcbf3ec1ec089b9973887aa1b7f4645b293",
     ("demo-0", "slices.csv"): "8f5909ee9cba5e52fd6ef03bd6c8c1d24b4a8ee7743cece5c79f0a6224458bed",
-    ("demo-0", "pool.csv"): "1171f4224d04aca9feb54717816b004c3699f3706d2c1a68c16b78c4b03f36d3",
+    ("demo-0", "pool.csv"): "99d9ebf3fee184df51589a8a906b47c74625807bba9664829b7be6bd236f937e",
     ("demo-1", "train.csv"): "8cf38395aefbd3d4d001310f43659bddc93fa72fe6dacb7a74d44d4cac27166b",
     ("demo-1", "test.csv"): "37f57fcb39e97e8021b05548c76dafc9078704d2a7dfc2c4afce4e1c571c1dd3",
     ("demo-1", "slices.csv"): "32ebfcdd1f2fc78efbac66db8ff6af2325a2e2012da144fe48db55313be09290",
-    ("demo-1", "pool.csv"): "b266323a0ea719e5fec826ec56a0983c8223d40f08b6b6b621f3464ca557b417",
+    ("demo-1", "pool.csv"): "cf978ba7861bde8c1419724efc9bb3f972e85ff47a7c43d809ee8f379a2ea1d1",
     ("slice", "assignment.csv"): "8a5270f9e374555ff1f706d3e68514e11a0a686f7e99f240addbbfa26c0b2bbc",
     ("compare", "comparison.csv"): "8d675527cfe267e2506d6995613f05cdb2398f5657632aa7407c681265c354c5",
-    ("impute-smooth", "imputed.csv"): "b2a313285033d19e7a7d81b7192910eb4885dd201565757529fc2d0842719c76",
-    ("impute-smooth", "imputed.json"): "3154467c35565d8e6017085bd51ff3a516c4ceb4fd4c9a0aa444e2193028fa9b",
+    ("impute-smooth", "imputed.csv"): "35ba7aa1d903a5914add84d7d8c75c3dcae08780b739d24233a49df4084b13a5",
+    ("impute-smooth", "imputed.json"): "e95f6960c24364e384d680b13dae0cee9bbd67994f4d2307853ce267d44b89fc",
     ("impute-mean", "imputed.csv"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     ("impute-mean", "imputed.json"): "44588f0a592ac350cd6b0173573ae9a2bd0a8ef0ceb12ff091595a98c1cfa400",
 }
@@ -252,7 +260,7 @@ class TestConfigFile:
         ("slices", None, "an integer"),
         ("slices", "3", "an integer"),
         ("slices", 3.0, "an integer"),
-        ("surplus", True, "a number"),
+        ("t_max", True, "a number"),
         ("smooth", 1, "true or false"),
         ("class_column", 0, "a string"),
         ("grid_time", "weekly", "one of ['midpoint', 'median']"),
@@ -266,7 +274,7 @@ class TestConfigFile:
 
     def test_null_allowed_where_default_is_null(self, toy_csv, tmp_path, run_cli):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_min": None, "surplus": 2, "slices": 2}))
+        cfg.write_text(json.dumps({"t_min": None, "slices": 2}))
         res = run_cli(["slice", str(toy_csv), "--config", str(cfg), "-o", "out"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert json.loads((tmp_path / "out" / "grid.json").read_text())["n_slices"] == 2
@@ -355,3 +363,32 @@ def test_unrecorded_fixed_feature_constant_under_baseline(tmp_path, run_cli):
     ages = {sid: {r[4] for r in rows if r[0] == sid} for sid in ("a", "b", "c", "g")}
     assert ages["a"] == {"40.0"} and ages["b"] == {"50.0"} and ages["c"] == {"70.0"}
     assert len(ages["g"]) == 1, ages["g"]
+
+
+def test_pinned_nulls_need_no_draws(tmp_path, run_cli):
+    # slice 1 has one recorded age, too few to synthesize from, but no draw asks for one
+    path = tmp_path / "pinned.csv"
+    path.write_text(PINNED_AGE_CSV)
+    out = tmp_path / "out"
+    res = run_cli(["impute", str(path), "--slices", "2", "--fixed", "1", "--allow-null-imputation",
+                   "-o", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in (out / "imputed.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[2], r[4], r[5]) for r in rows] == [
+        ("a", "0", "1.0", "1.25"), ("a", "1", "1.0", "2.0"),
+        ("b", "0", "3.0", "1.0"), ("b", "1", "3.0", "1.6"),
+    ]
+
+
+@pytest.mark.parametrize("spec, cause", [
+    ("beta:nan,1", "beta parameters must be positive and finite, not a=nan, b=1.0"),
+    ("beta:inf,1", "beta parameters must be positive and finite, not a=inf, b=1.0"),
+    ("beta:1", "lambda distribution 'beta:1' must have the form beta:a,b"),
+    ("beta:1,2,3", "lambda distribution 'beta:1,2,3' must have the form beta:a,b"),
+])
+def test_bad_beta_lambda_exits_2(toy_csv, tmp_path, run_cli, spec, cause):
+    out = tmp_path / "out"
+    res = run_cli(["impute", str(toy_csv), "--slices", "2", "--lambda", spec, "-o", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert json.loads(res.stderr)["error"] == cause
+    assert not out.exists()

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import tsmote.imputation
 from tsmote.data import TimeSeriesDataset, write_tensor_csv
-from tsmote.imputation import METHODS, ImputationConfig, impute_dataset
+from tsmote.imputation import METHODS, ImputationConfig, impute_dataset, request_table
 from tsmote.oscillator import generate_two_class_experiment
 from tsmote.slicing import MIDPOINT, SliceGrid, SliceGridError, assign_slices, build_slice_grid
-from tsmote.synthesis import PoolUnderflowError, SynthesisConfig, SynthesisError, generate_pool
+from tsmote.synthesis import SynthesisConfig, SynthesisError, SyntheticPool, generate_pool
 
 # five unit slices over [0, 5): an observation at time t lands in slice floor(t)
 GRID5 = SliceGrid(5, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (0.5, 1.5, 2.5, 3.5, 4.5), MIDPOINT, 0.0, 5.0)
@@ -57,19 +56,6 @@ class TestReplaceNulls:
         ds = with_background(("a", [(2.5, (None, 4.0))]))
         # slice 2 of feature 0 holds 20.0 in every background row
         np.testing.assert_array_equal(slice_mean(ds)[0, 2], [20.0, 4.0])
-
-    def test_underflow_when_pool_exhausted(self, monkeypatch):
-        build = tsmote.imputation.generate_pool
-
-        def short_pool(*args):
-            pool = build(*args)
-            return dataclasses.replace(pool, sizes=np.maximum(pool.sizes - 1, 0))
-
-        monkeypatch.setattr(tsmote.imputation, "generate_pool", short_pool)
-        ds = with_background(("a", [(0.5, (1.0, 2.0))]))
-        syn = SynthesisConfig(surplus_factor=1.0)
-        with pytest.raises(PoolUnderflowError, match="no synthetic vectors for class='c' slice=1"):
-            impute_dataset(ds, GRID5, synthesis_config=syn)
 
 
 class TestReshape:
@@ -121,9 +107,10 @@ class TestFillMissing:
     def test_no_missing_consumes_nothing(self):
         ds = with_background()
         for policy in ("with", "without"):
-            syn = SynthesisConfig(surplus_factor=1.0, replacement_policy=policy)
-            # an empty pool serves no request without raising PoolUnderflowError
-            assert generate_pool(ds, GRID5, assign_slices(ds, GRID5), syn).sizes.sum() == 0
+            syn = SynthesisConfig(replacement_policy=policy)
+            # nothing is requested, so the pool is built empty
+            *_, cells = request_table(ds, GRID5.n_slices, assign_slices(ds, GRID5))
+            assert cells.size == 0
             t = impute_dataset(ds, GRID5, synthesis_config=syn)
             np.testing.assert_array_equal(t.data, ds.values.reshape(3, 5, 2))
 
@@ -273,20 +260,50 @@ class TestImputeDataset:
         assert changed.any()
 
 
+@pytest.mark.parametrize("policy", ["with", "without"])
+def test_pool_sized_to_the_requests_served(monkeypatch, policy):
+    """Each cell makes as many vectors as the fill draws from it; without replacement each is drawn once.
+
+    The input has nulls, and a pinned prefix feature whose only nulls pinning fills: those rows ask for nothing.
+    """
+    served = []
+    serve = SyntheticPool.serve
+
+    def record(pool, cells, rng):
+        served.append((pool, cells, serve(pool, cells, rng)))
+        return served[-1][2]
+
+    monkeypatch.setattr(SyntheticPool, "serve", record)
+    train = generate_two_class_experiment(1).train
+    values = train.values.copy()
+    values[1::7, 0] = np.nan  # nulls in the fixed prefix, each one filled by pinning
+    values[::11, 1] = np.nan
+    ds = dataclasses.replace(train, values=values, fixed_prefix_len=1)
+    grid = build_slice_grid(ds, 20)
+    impute_dataset(ds, grid, synthesis_config=SynthesisConfig(seed=4, replacement_policy=policy),
+                   imputation_config=ImputationConfig(allow_null_feature_imputation=True))
+
+    (pool, cells, drawn), = served
+    n_requests = np.isnan(values[:, 1]).sum() + ds.n_samples * 20 - np.unique(
+        ds.row_sample * 20 + assign_slices(ds, grid)).size
+    assert pool.sizes.sum() == len(cells) == n_requests
+    np.testing.assert_array_equal(np.bincount(cells, minlength=pool.sizes.size), pool.sizes)
+    if policy == "without":
+        assert sorted(map(tuple, drawn)) == sorted(map(tuple, pool.vectors))
+
+
 def reference_impute(dataset, grid, syn, imp, reshape):
     """The per-sample fill loop that the request table replaced, kept as its oracle.
 
     Draws one vector at a time: for each sample, its null-bearing rows in row
-    order, then its empty slots in slice order.
+    order, then its empty slots in slice order. Under tsmote a first pass
+    counts each cell's draws and the pool is built with exactly that many
+    vectors per cell; the second pass checks it draws each cell that often.
     """
     a = assign_slices(dataset, grid)
-    n_t, n_fix = grid.n_slices, dataset.fixed_prefix_len
+    n_t = grid.n_slices
     labels = dataset.class_labels() or [None]
-    rng = np.random.default_rng(syn.seed)
-    if imp.method == "tsmote":
-        pool = generate_pool(dataset, grid, a, syn)
-        cursor = np.zeros_like(pool.sizes)
-    else:
+    if imp.method != "tsmote":
         reduce = np.nanmean if imp.method == "slice_mean" else np.nanmedian
         stats = {}
         for lab in labels:
@@ -299,26 +316,33 @@ def reference_impute(dataset, grid, syn, imp, reshape):
                 if np.isnan(cell).all(axis=0).any():
                     raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
                 stats[lab, si] = reduce(cell, axis=0)
+        return fill_per_sample(dataset, a, n_t, reshape, lambda lab, si: stats[lab, si])
+
+    counts = np.zeros(len(labels) * n_t, dtype=np.intp)
+
+    def count(lab, si):
+        counts[labels.index(lab) * n_t + si] += 1
+        return np.zeros(dataset.n_features)
+
+    fill_per_sample(dataset, a, n_t, reshape, count)
+    pool = generate_pool(dataset, grid, a, counts, syn)
+    rng = np.random.default_rng(syn.seed)
+    cursor = np.zeros_like(pool.sizes)
 
     def draw(lab, si):
-        if imp.method != "tsmote":
-            return stats[lab, si]
         c = labels.index(lab) * n_t + si
-        size = int(pool.sizes[c])
-        if size == 0:
-            raise PoolUnderflowError(
-                f"pool underflow: no synthetic vectors for class={lab!r} slice={si}"
-                " (increase surplus_factor or use replacement_policy='with')"
-            )
-        if syn.replacement_policy == "with":
-            return pool.vectors[pool.starts[c] + int(rng.integers(size))]
-        if cursor[c] >= size:
-            raise PoolUnderflowError(
-                f"pool underflow: class={lab!r} slice={si} exhausted after "
-                f"{size} draws (increase surplus_factor)"
-            )
+        pick = int(rng.integers(pool.sizes[c])) if syn.replacement_policy == "with" else cursor[c]
         cursor[c] += 1
-        return pool.vectors[pool.starts[c] + cursor[c] - 1]
+        return pool.vectors[pool.starts[c] + pick]
+
+    rows = fill_per_sample(dataset, a, n_t, reshape, draw)
+    np.testing.assert_array_equal(cursor, pool.sizes)  # every cell drawn exactly its size
+    return rows
+
+
+def fill_per_sample(dataset, a, n_t, reshape, draw):
+    """Each sample's slot grid, with ``draw(label, slice)`` filling nulls, then empty slots."""
+    n_fix = dataset.fixed_prefix_len
 
     def pin(mat):
         head = mat[:, :n_fix]
@@ -357,12 +381,11 @@ def reference_impute(dataset, grid, syn, imp, reshape):
     n_slices=st.integers(1, 3),
     method=st.sampled_from(METHODS),
     policy=st.sampled_from(["with", "without"]),
-    surplus=st.sampled_from([1.0, 1.01, 1.5]),
     k=st.integers(1, 3),
 )
 def test_fill_matches_per_sample_reference(
     reshape_reference, seed, n_samples, n_features, fixed, labeled, null_rate, n_slices, method,
-    policy, surplus, k,
+    policy, k,
 ):
     """Same tensor bytes as the per-sample loop, or the same error."""
     rng = np.random.default_rng(seed)
@@ -385,7 +408,7 @@ def test_fill_matches_per_sample_reference(
         grid = build_slice_grid(ds, n_slices)
     except SliceGridError:
         assume(False)
-    syn = SynthesisConfig(k_neighbors=k, surplus_factor=surplus, seed=seed % 97, replacement_policy=policy)
+    syn = SynthesisConfig(k_neighbors=k, seed=seed % 97, replacement_policy=policy)
     imp = ImputationConfig(method=method, allow_null_feature_imputation=True)
 
     def run(fill):
@@ -397,23 +420,21 @@ def test_fill_matches_per_sample_reference(
     got = run(lambda: impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp).data.tobytes())
     want = run(lambda: reference_impute(ds, grid, syn, imp, reshape_reference).tobytes())
     assert got == want
-    # generate_pool sizes every cell to cover its requests, so no cell runs short
-    assert not (isinstance(got, tuple) and got[0] is PoolUnderflowError), got
 
 
 # sha256 of the imputed.csv write_tensor_csv writes for impute_dataset(...) on the demo training set,
 # keyed by (seed, replacement policy, method)
 GOLDEN_DEMO_SHA256 = {
-    (0, "with", "tsmote"): "74ccc9d81ab6bff4d40fdd7eed0b7bfb4da79620e1932e3b547545b131f641b0",
+    (0, "with", "tsmote"): "e53f74b45b2d73141a13758b40630c4e2e9ab27ec9c61efc20d127085c7ee6ad",
     (0, "with", "slice_mean"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     (0, "with", "slice_median"): "12744d9901bbcad6a22e34e83e805612944fd3f41b32804fb9bde55cf3595476",
-    (0, "without", "tsmote"): "54b1cb1643c23b0fe57d692c0c300a66d044c68a88f3c4afdcfdd65e68a0e66a",
+    (0, "without", "tsmote"): "7e986a6242f0287107bb7084e528d050b273692cd5b5a80b4d1bb38cfc18b9f0",
     (0, "without", "slice_mean"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     (0, "without", "slice_median"): "12744d9901bbcad6a22e34e83e805612944fd3f41b32804fb9bde55cf3595476",
-    (1, "with", "tsmote"): "834530e785c06e3bcf4be45cc429bec2779804d351245d1927a4f0756f8548a7",
+    (1, "with", "tsmote"): "129bb4b2329901661759a1cd2448487c7900acfdaa45f386369e367d44fe76f9",
     (1, "with", "slice_mean"): "fa002ee6791e3cc1f1641ca6eba96e092cd7d563d8b207a213faf2e530cf413f",
     (1, "with", "slice_median"): "4002d0f4af047a126f8e4037396239ac94ccc32d87bbf23af31f30c572eb509e",
-    (1, "without", "tsmote"): "3e93120e0f9919c52730133df9a69263ab09ed9b3100c8fe5d88b3a1de901570",
+    (1, "without", "tsmote"): "ed179a33965dd6bc91a49d949407986407705298e2ff6d76954422a12f0a88f3",
     (1, "without", "slice_mean"): "fa002ee6791e3cc1f1641ca6eba96e092cd7d563d8b207a213faf2e530cf413f",
     (1, "without", "slice_median"): "4002d0f4af047a126f8e4037396239ac94ccc32d87bbf23af31f30c572eb509e",
 }

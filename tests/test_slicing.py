@@ -164,6 +164,19 @@ class TestAssign:
         )
 
 
+def test_split_between_adjacent_floats():
+    # the midpoint of 1.0 and the next float rounds down to 1.0
+    above_one = float(np.nextafter(1.0, 2.0))
+    ds = dataset_from_times([[0.0, 0.5, 1.0], [above_one, 3.0, 4.0]])
+    grid = build_slice_grid(ds, 2)
+    assert grid.boundaries[1] == above_one
+    np.testing.assert_array_equal(np.bincount(assign_slices(ds, grid)), grid.occupancy)
+    # a last group at t_max, just above its neighbour, leaves no width for the last slice
+    below_100 = float(np.nextafter(100.0, 0.0))
+    with pytest.raises(SliceGridError, match="t_max"):
+        build_slice_grid(dataset_from_times([[0.0, 0.0], [1.0, below_100, 100.0, 100.0]]), 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsmote.data import ImputedTensor
-from tsmote.smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor
+from tsmote.smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor, smoothing_matrix
 
 
 def random_grid(rng, n, lo=0.0, hi=10.0):
@@ -75,6 +75,26 @@ class TestSavgol:
             reductions.append(np.var(out) / np.var(y))
         assert np.mean(reductions) < 1.0
         assert max(reductions) < 1.0
+
+    @pytest.mark.parametrize("times", ["uniform", "exponential", "clustered"])
+    def test_row_abs_sum_at_most_sqrt_window(self, times):
+        # each row of S is a row of its window's least-squares hat matrix, an
+        # orthogonal projection: its 2-norm is at most 1, so its abs-sum is at
+        # most sqrt(window), and |S @ v| <= max|v| * sqrt(window)
+        rng = np.random.default_rng(["uniform", "exponential", "clustered"].index(times))
+        for _ in range(100):
+            n = int(rng.integers(5, 61))
+            window = int(rng.choice(np.arange(3, n + 1, 2)))
+            order = int(rng.integers(0, window))
+            if times == "uniform":
+                t = random_grid(rng, n)
+            elif times == "exponential":
+                t = np.cumsum(rng.exponential(1.0, n))
+            else:  # a few tight clusters far apart
+                centers = rng.uniform(0, 100, int(rng.integers(1, 5)))
+                t = np.sort(rng.choice(centers, n) + rng.uniform(0, 1e-3, n))
+            S = smoothing_matrix(t, window, order)
+            assert np.abs(S).sum(axis=1).max() <= np.sqrt(window) * (1 + 1e-9)
 
     def test_nonmonotone_times_rejected(self):
         t = np.array([0.0, 1.0, 1.0, 2.0] + list(np.arange(3, 30.0)))

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsmote.data import TimeSeriesDataset
+from tsmote.imputation import request_table
 from tsmote.slicing import assign_slices, build_slice_grid
 from tsmote.synthesis import (
     LambdaSpec,
-    PoolUnderflowError,
     SynthesisConfig,
     SynthesisError,
     SyntheticPool,
@@ -222,33 +222,21 @@ def sequential_serve(pool, cells, rng):
     out = []
     for c in cells:
         c = int(c)
-        lab, si = pool.labels[c // pool.n_slices], c % pool.n_slices
-        size = int(pool.sizes[c])
-        if size == 0:
-            raise PoolUnderflowError(
-                f"pool underflow: no synthetic vectors for class={lab!r} slice={si}"
-                " (increase surplus_factor or use replacement_policy='with')"
-            )
         if pool.replacement_policy == "with":
-            pick = int(rng.integers(size))
+            pick = int(rng.integers(pool.sizes[c]))
         else:
-            if cursor[c] >= size:
-                raise PoolUnderflowError(
-                    f"pool underflow: class={lab!r} slice={si} exhausted after "
-                    f"{size} draws (increase surplus_factor)"
-                )
             pick = cursor[c]
             cursor[c] += 1
         out.append(pool.vectors[pool.starts[c] + pick])
     return np.array(out).reshape(len(cells), pool.vectors.shape[1])
 
 
-def outcome(fn, *args):
-    """``fn(*args)``'s result, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError) as e:
-        return type(e), str(e)
+def pool_for(ds, grid, config):
+    """The pool a tsmote impute builds: each cell sized to the fill's requests to it."""
+    a = assign_slices(ds, grid)
+    *_, cells = request_table(ds, grid.n_slices, a)
+    sizes = np.bincount(cells, minlength=len(ds.class_labels() or [None]) * grid.n_slices)
+    return generate_pool(ds, grid, a, sizes, config)
 
 
 class TestGeneratePool:
@@ -260,14 +248,11 @@ class TestGeneratePool:
         ds = TimeSeriesDataset.from_segments([f"s{i}" for i in range(100)], times, values)
         grid = build_slice_grid(ds, 2, bounds=(0.0, 2.0))
         # grid split is count-based; rebuild membership from the assignment
-        a = assign_slices(ds, grid)
-        in_slice0 = int(np.sum(a == 0))
-        cfg = SynthesisConfig(surplus_factor=1.0, seed=1)
-        pool = generate_pool(ds, grid, a, cfg)
-        assert len(pool.cell(None, 0)) >= 100 - in_slice0
-        cfg2 = SynthesisConfig(surplus_factor=2.0, seed=1)
-        pool2 = generate_pool(ds, grid, a, cfg2)
-        assert len(pool2.cell(None, 0)) == 2 * (100 - in_slice0)
+        in_slice0 = int(np.sum(assign_slices(ds, grid) == 0))
+        pool = pool_for(ds, grid, SynthesisConfig(seed=1))
+        # each sample misses one slice and asks it for one vector
+        np.testing.assert_array_equal(pool.sizes, [100 - in_slice0, in_slice0])
+        assert len(pool.cell(None, 0)) == 100 - in_slice0
 
     def test_no_missing_means_empty_pool(self):
         # every sample observes every slice: nothing to draw
@@ -276,76 +261,57 @@ class TestGeneratePool:
             [[0.0, 1.0, 2.0, 3.0]] * 6,
             [[[i + t] for t in (0.0, 1.0, 2.0, 3.0)] for i in range(6)],
         )
-        grid = build_slice_grid(ds, 2)
-        a = assign_slices(ds, grid)
-        pool = generate_pool(ds, grid, a, SynthesisConfig(surplus_factor=1.0))
+        pool = pool_for(ds, build_slice_grid(ds, 2), SynthesisConfig())
         assert len(pool.cell(None, 0)) == 0 and len(pool.cell(None, 1)) == 0
 
     def test_pool_deterministic_from_seed(self):
         ds = two_class_dataset()
         grid = build_slice_grid(ds, 5)
-        a = assign_slices(ds, grid)
-        p1 = generate_pool(ds, grid, a, SynthesisConfig(seed=9))
-        p2 = generate_pool(ds, grid, a, SynthesisConfig(seed=9))
+        p1 = pool_for(ds, grid, SynthesisConfig(seed=9))
+        p2 = pool_for(ds, grid, SynthesisConfig(seed=9))
         np.testing.assert_array_equal(p1.vectors, p2.vectors)
         np.testing.assert_array_equal(p1.sizes, p2.sizes)
 
-    def test_without_replacement_consumes_and_underflows(self):
+    def test_without_replacement_serves_in_order(self):
         ds = two_class_dataset()
-        grid = build_slice_grid(ds, 5)
-        a = assign_slices(ds, grid)
-        pool = generate_pool(ds, grid, a, SynthesisConfig(seed=3, surplus_factor=1.0))
-        rng = np.random.default_rng(0)
+        pool = pool_for(ds, build_slice_grid(ds, 5), SynthesisConfig(seed=3))
         n = len(pool.cell("u", 0))
         assert n > 0
         cells = np.zeros(n, dtype=np.intp)  # cell 0 is ("u", slice 0)
-        np.testing.assert_array_equal(pool.serve(cells, rng), pool.cell("u", 0))
-        with pytest.raises(PoolUnderflowError, match="slice=0 exhausted after"):
-            pool.serve(np.zeros(n + 1, dtype=np.intp), rng)
-
-    def test_with_replacement_never_underflows(self):
-        ds = two_class_dataset()
-        grid = build_slice_grid(ds, 5)
-        a = assign_slices(ds, grid)
-        pool = generate_pool(
-            ds, grid, a, SynthesisConfig(seed=3, surplus_factor=1.0, replacement_policy="with")
-        )
-        n = len(pool.cell("u", 0))
-        drawn = pool.serve(np.zeros(3 * n, dtype=np.intp), np.random.default_rng(0))
-        assert len(drawn) == 3 * n
-        assert {tuple(v) for v in drawn} <= {tuple(v) for v in pool.cell("u", 0)}
+        np.testing.assert_array_equal(pool.serve(cells, np.random.default_rng(0)), pool.cell("u", 0))
 
     def test_null_bearing_observations_reserve_draws(self):
-        ds = two_class_dataset(with_null=True)
+        base_ds, ds = two_class_dataset(), two_class_dataset(with_null=True)
         grid = build_slice_grid(ds, 5)
-        a = assign_slices(ds, grid)
-        base = generate_pool(two_class_dataset(), grid, assign_slices(two_class_dataset(), grid),
-                             SynthesisConfig(surplus_factor=1.0))
-        with_null = generate_pool(ds, grid, a, SynthesisConfig(surplus_factor=1.0))
-        # one null-bearing observation per class reserves one extra draw each
-        assert with_null.sizes.sum() == base.sizes.sum() + 2
+        a = assign_slices(base_ds, grid)
+        base = pool_for(base_ds, grid, SynthesisConfig())
+        with_null = pool_for(ds, grid, SynthesisConfig())
+        # without nulls each sample asks once for every slice it misses
+        observed_slots = np.unique(base_ds.row_sample * 5 + a).size
+        assert base.sizes.sum() == base_ds.n_samples * 5 - observed_slots
+        # the first row of u0 and of v0 holds a null: one more draw from each of their cells
+        null_cells = [a[0], 5 + a[base_ds.offsets[50]]]
+        np.testing.assert_array_equal(with_null.sizes - base.sizes, np.bincount(null_cells, minlength=10))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     sizes=st.lists(st.integers(0, 4), min_size=1, max_size=6),
-    requests=st.lists(st.integers(0, 5), max_size=30),
+    requests=st.lists(st.integers(0, 47), unique=True, max_size=48),
     policy=st.sampled_from(["with", "without"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_serve_matches_one_request_at_a_time(sizes, requests, policy, seed):
-    """Batched serving gives the vectors, the underflow and the RNG state of one-by-one draws."""
+    """Batched serving gives the vectors and the RNG state of one-by-one draws."""
     sizes = np.array(sizes, dtype=np.intp)
     pool = SyntheticPool(
         labels=("a", "b"), n_slices=len(sizes), vectors=np.arange(2 * sizes.sum(), dtype=float)[:, None],
         starts=np.concatenate(([0], np.cumsum(np.tile(sizes, 2))[:-1])), sizes=np.tile(sizes, 2),
         replacement_policy=policy,
     )
-    cells = np.array([r % (2 * len(sizes)) for r in requests], dtype=np.intp)
+    # requests pick distinct pooled vectors, so no cell is asked for more than its size
+    vector_cell = np.repeat(np.arange(pool.sizes.size), pool.sizes)
+    cells = vector_cell[[r for r in requests if r < vector_cell.size]]
     rng_batch, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = outcome(pool.serve, cells, rng_batch), outcome(sequential_serve, pool, cells, rng_one)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        np.testing.assert_array_equal(got, want)
-        assert rng_batch.bit_generator.state == rng_one.bit_generator.state
+    np.testing.assert_array_equal(pool.serve(cells, rng_batch), sequential_serve(pool, cells, rng_one))
+    assert rng_batch.bit_generator.state == rng_one.bit_generator.state
