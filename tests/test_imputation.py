@@ -262,16 +262,18 @@ class TestImputeDataset:
 
 @pytest.mark.parametrize("policy", ["with", "without"])
 def test_pool_sized_to_the_requests_served(monkeypatch, policy):
-    """Each cell makes as many vectors as the fill draws from it; without replacement each is drawn once.
+    """Each cell makes as many vectors as the fill draws from it.
 
-    The input has nulls, and a pinned prefix feature whose only nulls pinning fills: those rows ask for nothing.
+    Without replacement every vector is drawn once. The input's fixed prefix
+    has nulls that pinning fills; those rows ask for nothing.
     """
     served = []
     serve = SyntheticPool.serve
 
     def record(pool, cells, rng):
-        served.append((pool, cells, serve(pool, cells, rng)))
-        return served[-1][2]
+        drawn = serve(pool, cells, rng)
+        served.append((pool, cells, drawn))
+        return drawn
 
     monkeypatch.setattr(SyntheticPool, "serve", record)
     train = generate_two_class_experiment(1).train
