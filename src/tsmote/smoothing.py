@@ -8,13 +8,13 @@ matches the input and endpoints stay defined.
 
 Fits use times centered on the evaluation window and scaled to [-1, 1];
 a raw Vandermonde basis in absolute time is badly conditioned for large t.
-The whole filter is a linear operator in the values, so a reusable
-(n x n) matrix is built per time grid.
+The whole filter is a linear operator in the values: one (n x n) matrix per
+time grid, applied to a whole tensor as one batched ``matmul``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,20 +82,13 @@ def savgol_nonuniform(times: np.ndarray, values: np.ndarray, config: SmoothingCo
 def smooth_tensor(
     tensor: ImputedTensor, config: SmoothingConfig, fixed_prefix_len: int = 0
 ) -> ImputedTensor:
-    """Apply the filter per sample per feature against the shared grid times.
+    """Apply the filter to every sample and feature as one batched ``matmul``.
 
     Fixed-prefix features pass through unmodified. Grid times are never
     changed.
     """
     S = smoothing_matrix(tensor.grid_times, config.window, config.poly_order)
-    # data is (n_samples, n_slices, n_features); contract S with the slice axis
-    smoothed = np.einsum("ts,nsf->ntf", S, tensor.data)
+    smoothed = np.matmul(S, tensor.data)
     if fixed_prefix_len > 0:
         smoothed[:, :, :fixed_prefix_len] = tensor.data[:, :, :fixed_prefix_len]
-    return ImputedTensor(
-        sample_ids=tensor.sample_ids,
-        grid_times=tensor.grid_times,
-        data=smoothed,
-        class_labels=tensor.class_labels,
-        feature_names=tensor.feature_names,
-    )
+    return replace(tensor, data=smoothed)

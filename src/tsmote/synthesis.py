@@ -93,13 +93,16 @@ class LambdaSpec:
         """Parse ``uniform``, ``beta:a,b`` or ``point:c``."""
         if text == "uniform":
             return cls.uniform()
-        if text.startswith("beta:"):
-            params = text[5:].split(",")
-            if len(params) != 2:
-                raise ValueError(f"lambda distribution {text!r} must have the form beta:a,b")
-            return cls.beta(*map(float, params))
-        if text.startswith("point:"):
-            return cls.point_mass(float(text[6:]))
+        for form, make in (("beta:a,b", cls.beta), ("point:c", cls.point_mass)):
+            prefix = form.partition(":")[0] + ":"
+            if text.startswith(prefix):
+                try:
+                    params = [float(p) for p in text[len(prefix) :].split(",")]
+                except ValueError:
+                    params = []
+                if len(params) != form.count(",") + 1:
+                    raise ValueError(f"lambda distribution {text!r} must have the form {form}")
+                return make(*params)
         raise ValueError(f"unrecognized lambda distribution {text!r}")
 
 

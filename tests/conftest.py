@@ -18,18 +18,23 @@ import pytest
 
 @pytest.fixture(scope="session")
 def run_python():
-    """``run_python(argv, cwd)`` runs ``python *argv`` against the ``tsmote`` under test."""
+    """``run_python(argv, cwd, env=None)`` runs ``python *argv`` against the ``tsmote`` under test.
+
+    ``env`` holds extra environment variables for the child, set on top of
+    this process's environment.
+    """
     # imported here, not at module level, so a missing package fails only the
     # tests that use the runner instead of aborting the whole session
     import tsmote
 
-    env = os.environ.copy()
+    base_env = os.environ.copy()
     package_root = str(Path(tsmote.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    base_env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, base_env.get("PYTHONPATH")]))
 
-    def run(argv, cwd):
+    def run(argv, cwd, env=None):
         return subprocess.run(
-            [sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=env
+            [sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
+            env={**base_env, **(env or {})},
         )
 
     return run
@@ -37,10 +42,10 @@ def run_python():
 
 @pytest.fixture(scope="session")
 def run_cli(run_python):
-    """``run_cli(args, cwd)`` runs ``python -m tsmote.cli *args`` in ``cwd``."""
+    """``run_cli(args, cwd, env=None)`` runs ``python -m tsmote.cli *args`` in ``cwd``."""
 
-    def run(args, cwd):
-        return run_python(["-m", "tsmote.cli", *args], cwd)
+    def run(args, cwd, env=None):
+        return run_python(["-m", "tsmote.cli", *args], cwd, env)
 
     return run
 

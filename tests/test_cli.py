@@ -158,8 +158,8 @@ GOLDEN_OUTPUT_SHA256 = {
     ("demo-1", "pool.csv"): "cf978ba7861bde8c1419724efc9bb3f972e85ff47a7c43d809ee8f379a2ea1d1",
     ("slice", "assignment.csv"): "8a5270f9e374555ff1f706d3e68514e11a0a686f7e99f240addbbfa26c0b2bbc",
     ("compare", "comparison.csv"): "8d675527cfe267e2506d6995613f05cdb2398f5657632aa7407c681265c354c5",
-    ("impute-smooth", "imputed.csv"): "35ba7aa1d903a5914add84d7d8c75c3dcae08780b739d24233a49df4084b13a5",
-    ("impute-smooth", "imputed.json"): "e95f6960c24364e384d680b13dae0cee9bbd67994f4d2307853ce267d44b89fc",
+    ("impute-smooth", "imputed.csv"): "bbd51ce9dcbce7a9d0d0e04051542d6d122e63c790e170e0018150262dbf1733",
+    ("impute-smooth", "imputed.json"): "f202268e6bac171629d315bdaf282398096849f62b8439170dd5f294c195f2b4",
     ("impute-mean", "imputed.csv"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     ("impute-mean", "imputed.json"): "44588f0a592ac350cd6b0173573ae9a2bd0a8ef0ceb12ff091595a98c1cfa400",
 }
@@ -188,6 +188,19 @@ def test_output_bytes_pinned(golden_runs, run, name):
     """The output bytes of demo-oscillator, slice, compare-imputers and impute stay what they were."""
     digest = hashlib.sha256((golden_runs / run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_OUTPUT_SHA256[(run, name)]
+
+
+def test_smoothed_bytes_do_not_depend_on_blas_threads(golden_runs, run_cli):
+    """The smoothing matmul gives the pinned bytes on one BLAS thread too."""
+    res = run_cli(
+        ["impute", str(golden_runs / "demo-0" / "train.csv"), "--smooth", "--replacement", "with",
+         "-o", str(golden_runs / "impute-smooth-1thread")],
+        golden_runs,
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert res.returncode == 0, res.stderr
+    digest = hashlib.sha256((golden_runs / "impute-smooth-1thread" / "imputed.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_OUTPUT_SHA256[("impute-smooth", "imputed.csv")]
 
 
 def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
@@ -391,4 +404,15 @@ def test_bad_beta_lambda_exits_2(toy_csv, tmp_path, run_cli, spec, cause):
     res = run_cli(["impute", str(toy_csv), "--slices", "2", "--lambda", spec, "-o", str(out)], tmp_path)
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == cause
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, form", [
+    ("beta:x,1", "beta:a,b"), ("beta:1,", "beta:a,b"), ("point:x", "point:c"), ("point:", "point:c"),
+])
+def test_unparsable_lambda_number_names_the_form(toy_csv, tmp_path, run_cli, spec, form):
+    out = tmp_path / "out"
+    res = run_cli(["impute", str(toy_csv), "--slices", "2", "--lambda", spec, "-o", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert json.loads(res.stderr)["error"] == f"lambda distribution {spec!r} must have the form {form}"
     assert not out.exists()

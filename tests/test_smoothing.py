@@ -133,3 +133,23 @@ class TestSmoothTensor:
         out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5), fixed_prefix_len=1)
         np.testing.assert_array_equal(out.data[:, :, 0], noisy[:, :, 0])
         assert not np.array_equal(out.data[:, :, 1], noisy[:, :, 1])
+
+    @pytest.mark.parametrize("n_feat", [1, 2, 3])
+    @pytest.mark.parametrize("fixed", [0, 1])
+    def test_matches_per_feature_reference(self, n_feat, fixed):
+        # F = 1 included on purpose: a contraction over the whole tensor may
+        # reduce a single-feature tensor in another order than a multi-feature one
+        rng = np.random.default_rng(10 * n_feat + fixed)
+        for _ in range(10):
+            n_t = int(rng.integers(7, 80))
+            window = int(rng.choice(np.arange(3, n_t + 1, 2)))
+            config = SmoothingConfig(window=window, poly_order=int(rng.integers(0, window)))
+            t = random_grid(rng, n_t)
+            data = rng.standard_normal((int(rng.integers(1, 30)), n_t, n_feat)) * 10.0 ** rng.integers(-3, 4)
+            tensor = ImputedTensor(tuple(f"s{i}" for i in range(len(data))), t, data)
+            out = smooth_tensor(tensor, config, fixed_prefix_len=fixed).data
+            S = smoothing_matrix(t, config.window, config.poly_order)
+            np.testing.assert_array_equal(out[..., :fixed], data[..., :fixed])
+            for f in range(fixed, n_feat):
+                reference = np.einsum("ts,ns->nt", S, data[..., f])
+                np.testing.assert_allclose(out[..., f], reference, rtol=0, atol=1e-12 * np.abs(data).max())
