@@ -44,8 +44,7 @@ from .smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor
 from .moments import (
     MomentReport,
     empirical_moments,
-    mean_imputation_variance_check,
-    neighbor_degree_check,
+    predicted_variance_ratio,
     run_moment_verification,
     theoretical_cov_factor,
 )
@@ -84,9 +83,8 @@ __all__ = [
     # smoothing
     "SmoothingConfig", "savgol_nonuniform", "smooth_tensor",
     # moments
-    "MomentReport", "theoretical_cov_factor", "empirical_moments",
-    "neighbor_degree_check", "mean_imputation_variance_check",
-    "run_moment_verification",
+    "MomentReport", "theoretical_cov_factor", "predicted_variance_ratio",
+    "empirical_moments", "run_moment_verification",
     # oscillator
     "OscillatorConfig", "ExperimentConfig", "TwoClassExperiment",
     "generate_oscillator_dataset", "generate_two_class_experiment",

@@ -258,7 +258,8 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
     # each sample gets the first time problem that applies: non-finite, unsorted, duplicates
     nonfinite = np.unique(row_sample[~np.isfinite(times)])
     within = row_sample[1:] == row_sample[:-1]
-    later, step = row_sample[1:][within], np.diff(times)[within]
+    with np.errstate(over="ignore"):  # a step that overflows to +-inf keeps its sign
+        later, step = row_sample[1:][within], np.diff(times)[within]
     unsorted = np.setdiff1d(later[step < 0], nonfinite)
     flag("nonfinite-time", nonfinite, "observation time is not finite")
     flag("unsorted-times", unsorted, "observation times are not ascending")

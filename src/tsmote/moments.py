@@ -6,7 +6,8 @@ Key facts verified here, for interpolation weights lam on [0, 1]:
   synthetic sample mean equals the original sample mean plus an error term
   whose expectation is exactly zero, for ANY i.i.d. data distribution. The
   combinatorial heart is the edge-count identity of the directed kNN graph:
-  the in-degrees k_mu sum to D*K, the number of edges.
+  the in-degrees k_mu sum to D*K, the number of edges, and at K = D - 1
+  every in-degree is D - 1.
 
 * Covariance contraction. When neighbor values behave as independent draws
   (every other point is a candidate neighbor and the weight is shared across
@@ -20,31 +21,55 @@ Key facts verified here, for interpolation weights lam on [0, 1]:
   a -2*E[lam*(1-lam)]/(D-1) correction, so Monte-Carlo comparisons here use
   slices large enough for that bias to vanish inside the tolerance.
 
-* Mean-imputation variance collapse. Padding a slice of n values with
-  (N - n) copies of its mean scales the population variance by n/N — i.e.
-  by 1/n_slices at exact occupancy — whereas padding with synthetic draws
-  yields the occupancy-weighted mix of original and synthetic variances.
+* Imputed slice variance. A (class, slice) cell with n observations among
+  its class's N samples keeps them and fills the other N - n slots: mean
+  imputation scales its variance by n/N, tsmote at k = n - 1 by
+  n/N + (1 - n/N) * factor_n (``predicted_variance_ratio``).
 
-The covariance Monte Carlo generates with the shared-weight, shared-neighbor
-sampling model these laws are derived for (`reference_interpolation_sample`).
-The production per-feature kernel provably matches the law on variances but
+Every check runs the package's own code (``synthesize_slice``,
+``_neighbor_table`` and ``impute_dataset``) except the entrywise covariance
+factor, which generates with ``reference_interpolation_sample`` (one shared
+weight and neighbor per vector) because the package has no shared-weight
+kernel. The production per-feature kernel follows the law on variances but
 not on cross-covariances, and at small k its nearest-neighbor selection bias
-pushes all factors toward 1; see `run_moment_verification` for both views.
+pushes all factors toward 1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .synthesis import LambdaSpec, SynthesisConfig, synthesize_slice
+from .data import TimeSeriesDataset
+from .imputation import SLICE_MEAN, TSMOTE, ImputationConfig, impute_dataset
+from .slicing import build_slice_grid
+from .synthesis import LambdaSpec, SynthesisConfig, _neighbor_table, synthesize_slice
 
 
 def theoretical_cov_factor(spec: LambdaSpec) -> float:
-    """Covariance contraction factor 1 + 2*(var + mean^2 - mean); in (0, 1]."""
-    return 1.0 + 2.0 * (spec.variance + spec.mean**2 - spec.mean)
+    """Covariance contraction factor 1 + 2*(E[lam^2] - E[lam]); in (0, 1]."""
+    return 1.0 + 2.0 * (spec.second_moment - spec.mean)
+
+
+def predicted_variance_ratio(n_obs: int, n_slots: int, lam: LambdaSpec, method: str) -> float:
+    """Expected imputed over observed population variance of one (class, slice) cell.
+
+    The cell has ``n_obs`` observed slots, one observation each, among
+    ``n_slots`` samples. ``slice_mean`` fills the rest with the cell mean:
+    ``n_obs / n_slots``, exactly. ``tsmote`` at ``k_neighbors = n_obs - 1``
+    fills them from whole (seed, rank) enumerations of the cell:
+    ``share + (1 - share) * factor_n``, with ``share = n_obs / n_slots``.
+    """
+    share = n_obs / n_slots
+    if method == SLICE_MEAN:
+        return share
+    if method == TSMOTE:
+        factor_n = 1.0 + (theoretical_cov_factor(lam) - 1.0) * n_obs / (n_obs - 1)
+        return share + (1.0 - share) * factor_n
+    raise ValueError(f"no variance law for method {method!r}")
 
 
 def population_cov(X: np.ndarray) -> np.ndarray:
@@ -65,9 +90,6 @@ class MomentReport:
     mean_se: np.ndarray  # standard error of the synthetic mean
     cov_se: np.ndarray  # asymptotic SEs of the synthetic covariance entries
     theoretical_factor: Optional[float] = None
-
-    def cov_ratio(self) -> np.ndarray:
-        return self.cov_synthetic / self.cov_original
 
     def to_dict(self) -> dict:
         return {
@@ -139,74 +161,28 @@ def reference_interpolation_sample(
     return X[seeds] + w * (X[neighbors] - X[seeds])
 
 
-def full_pair_interpolation(
-    X: np.ndarray, lam: LambdaSpec, rng: np.random.Generator, repeats: int = 1
-) -> np.ndarray:
-    """One synthetic row per ordered (seed, neighbor) pair, ``repeats`` times each."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = len(X)
-    seeds = np.repeat(np.arange(d), d - 1)
-    neighbors = np.concatenate([np.delete(np.arange(d), m) for m in range(d)])
-    if repeats > 1:
-        seeds = np.tile(seeds, repeats)
-        neighbors = np.tile(neighbors, repeats)
-    w = lam.sample(rng, len(seeds))[:, None]
-    return X[seeds] + w * (X[neighbors] - X[seeds])
+def _one_row_dataset(values: np.ndarray) -> TimeSeriesDataset:
+    """Samples with one row each, from ``values[class, slice, row]`` of shape (C, T, n, F).
 
-
-def neighbor_degree_check(X: np.ndarray, k: int) -> tuple[int, int]:
-    """(sum of in-degrees, D*K) for the directed kNN graph of the rows.
-
-    The two counts enumerate the same edge set and must be equal.
+    Row i of slice s of class c is observed at time ``C*n*s + C*i + c``, so
+    the equal-count grid of T slices puts n rows of every class in every
+    slice. Samples are ordered by class, slice, then row.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] == 1 or X.ndim == 1:
-        X = X.reshape(len(X), -1)
-    d = len(X)
-    if k >= d:
-        raise ValueError("k must be smaller than the number of rows")
-    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    nn = np.argsort(dist, kind="stable", axis=1)[:, :k]
-    in_degree = np.bincount(nn.reshape(-1), minlength=d)
-    return int(in_degree.sum()), d * k
+    n_cls, n_t, n, n_f = values.shape
+    cls, s, i = np.indices((n_cls, n_t, n)).reshape(3, -1)
+    return TimeSeriesDataset.from_segments(
+        [f"s{j}" for j in range(cls.size)], (n_cls * (n * s + i) + cls)[:, None],
+        values.reshape(-1, 1, n_f), labels=tuple(str(c) for c in cls))
 
 
-def mean_imputation_variance_check(values: np.ndarray, n_slices: int) -> tuple[float, float]:
-    """(predicted, observed) slice variance after mean padding.
-
-    Appends (N - n) copies of the slice mean, N = n * n_slices (exact
-    occupancy), and returns the predicted collapse sigma^2 / n_slices next to
-    the observed population variance of the padded slice.
-    """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    sigma2 = float(np.var(x))
-    predicted = sigma2 / n_slices
-    padded = np.concatenate([x, np.full(n * (n_slices - 1), x.mean())])
-    observed = float(np.var(padded))
-    return predicted, observed
-
-
-def synthetic_padding_variance(
-    values: np.ndarray, n_slices: int, lam: LambdaSpec, rng: np.random.Generator
-) -> tuple[float, float]:
-    """(predicted, observed) slice variance after synthetic padding.
-
-    Pads with (N - n) draws from the full-enumeration synthetic pool of the
-    slice. Predicted is the occupancy mix sigma^2/n_T + (1 - 1/n_T) * factor
-    * sigma^2 with the theoretical contraction factor; observed fluctuates
-    around it, so compare Monte-Carlo averages, not single runs.
-    """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    sigma2 = float(np.var(x))
-    factor = theoretical_cov_factor(lam)
-    predicted = sigma2 / n_slices + (1.0 - 1.0 / n_slices) * factor * sigma2
-    pool = full_pair_interpolation(x[:, None], lam, rng)[:, 0]
-    draws = rng.choice(pool, size=n * (n_slices - 1), replace=False)
-    observed = float(np.var(np.concatenate([x, draws])))
-    return predicted, observed
+def _imputed_variance_ratios(values: np.ndarray, method: str, seed: int = 0) -> np.ndarray:
+    """(C, T, F) variance of each cell's imputed column over its observed one, k = n - 1."""
+    n_cls, n_t, n, n_f = values.shape
+    dataset = _one_row_dataset(values)
+    tensor = impute_dataset(dataset, build_slice_grid(dataset, n_t),
+                            synthesis_config=SynthesisConfig(k_neighbors=n - 1, seed=seed),
+                            imputation_config=ImputationConfig(method))
+    return tensor.data.reshape(n_cls, n_t * n, n_t, n_f).var(axis=1) / values.var(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +281,13 @@ def _report_small_k_mean_bias(seed: int, reps: int = 20) -> CheckResult:
 
 
 def _check_covariance_factor(seed: int, reps: int = 20) -> list[CheckResult]:
-    """Entrywise cov ratio vs the factor law on correlated 5-D Gaussians."""
+    """Entrywise cov ratio vs the factor law on correlated 5-D Gaussians, plus copies.
+
+    The factor law is checked on the reference sampler, since the package has
+    no shared-weight kernel. The copy identity runs ``synthesize_slice`` over
+    its full enumeration at k = n - 1, where every row is a seed n - 1 times
+    and a neighbor n - 1 times in each column.
+    """
     results = []
     d, n_feat, count = 2000, 5, 100_000
     rho = 0.6
@@ -328,6 +310,7 @@ def _check_covariance_factor(seed: int, reps: int = 20) -> list[CheckResult]:
             CheckResult(
                 f"covariance-factor[{lam_name}]",
                 ok,
+                f"reference sampler (the package has no shared-weight kernel): "
                 f"expected={expected:.6f} max|dev|={np.abs(m - expected).max():.2e} "
                 f"max 3SE={3*se.max():.2e}",
             )
@@ -339,16 +322,16 @@ def _check_covariance_factor(seed: int, reps: int = 20) -> list[CheckResult]:
         exact_theory = theoretical_cov_factor(lam) == 1.0
         rng = np.random.default_rng(seed + 17)
         X = rng.standard_normal((200, 3))
-        Y = full_pair_interpolation(X, lam, rng)
-        ratio = population_cov(Y) / population_cov(X)
-        exact_emp = bool(np.all(np.abs(ratio - 1.0) < 1e-12))
-        results.append(
-            CheckResult(
-                f"copy-identity[point({c:g})]",
-                exact_theory and exact_emp,
-                f"theoretical==1: {exact_theory}, empirical dev {np.abs(ratio-1).max():.1e}",
-            )
-        )
+        cfg = SynthesisConfig(k_neighbors=len(X) - 1, lambda_dist=lam)
+        dev = np.abs(population_cov(synthesize_slice(X, cfg, 200 * 199, rng)) / population_cov(X) - 1)
+        # at lam = 1 each column copies its own neighbors, so rows are not kept whole
+        asserted = dev if c == 0.0 else np.diag(dev)
+        detail = ("full covariance" if c == 0.0 else "variances; cross-covariances not asserted "
+                  f"(per-feature neighbor lists, off by {dev.max():.1f})")
+        results.append(CheckResult(
+            f"kernel-copy-identity[point({c:g})]", exact_theory and bool(np.all(asserted < 1e-12)),
+            f"theoretical==1: {exact_theory}, synthesize_slice k=n-1 {detail}: "
+            f"dev {asserted.max():.1e}"))
     return results
 
 
@@ -390,74 +373,81 @@ def _check_kernel_variance_factor(seed: int, reps: int = 20) -> CheckResult:
 
 
 def _check_edge_counts(seed: int, n_slices: int = 100) -> CheckResult:
+    """``_neighbor_table`` rows: k distinct in-range indices, none the row's own.
+
+    So the in-degrees sum to n*k; at k = n - 1 every in-degree must be n - 1,
+    the condition the mean law needs.
+    """
     rng = np.random.default_rng(seed)
+    n_cols = 0
     for _ in range(n_slices):
         d = int(rng.integers(8, 64))
-        n_feat = int(rng.integers(1, 5))
-        X = rng.standard_normal((d, n_feat))
-        for k in (1, 3, 5):
-            if k >= d:
-                continue
-            lhs, rhs = neighbor_degree_check(X, k)
-            if lhs != rhs:
-                return CheckResult("edge-count-identity", False, f"{lhs} != {rhs} at D={d} K={k}")
-    return CheckResult("edge-count-identity", True, f"{n_slices} slices, K in (1,3,5), all exact")
+        X = rng.standard_normal((d, int(rng.integers(1, 5))))
+        n_cols += X.shape[1]
+        for col, k in itertools.product(X.T, (1, 3, 5, d - 1)):
+            nn = _neighbor_table(col, k)
+            in_degree = np.bincount(nn.ravel(), minlength=d)
+            faults = [name for name, bad in (
+                ("shape", nn.shape != (d, k)),
+                ("range", nn.min() < 0 or nn.max() >= d),
+                ("self", (nn == np.arange(d)[:, None]).any()),
+                ("repeat", (np.diff(np.sort(nn, axis=1), axis=1) == 0).any()),
+                ("in-degree sum", in_degree.sum() != d * k),
+                ("in-degree at k=n-1", k == d - 1 and (in_degree != k).any()),
+            ) if bad]
+            if faults:
+                return CheckResult("neighbor-table-edge-counts", False,
+                                   f"_neighbor_table {', '.join(faults)} wrong at D={d} K={k}")
+    return CheckResult("neighbor-table-edge-counts", True,
+                       f"_neighbor_table on {n_cols} columns of {n_slices} slices, K in (1,3,5,D-1): "
+                       "rows distinct, in range, without self; in-degrees sum to D*K, all D-1 at K=D-1")
 
 
-def _check_variance_laws(seed: int, reps: int = 100) -> list[CheckResult]:
+def _check_variance_laws(seed: int, reps: int = 25) -> list[CheckResult]:
+    """Every cell's variance after ``impute_dataset`` vs ``predicted_variance_ratio``.
+
+    Two classes with different means, n rows per cell (``_one_row_dataset``).
+    For tsmote T - 1 = 2(n - 1), so each cell's N - n requests are whole
+    (seed, rank) enumerations; the law there (0.6522) is not the n = T value
+    1/T + (1 - 1/T)*factor (0.6812).
+    """
     results = []
-    predicted, observed = mean_imputation_variance_check(np.array([0.0, 2.0]), 4)
-    exact = abs(observed - predicted) < 1e-12 and abs(predicted - 0.25) < 1e-12
-    results.append(
-        CheckResult("mean-imputation-collapse", exact, f"predicted={predicted} observed={observed}")
-    )
+    lam = LambdaSpec.uniform()
+    classes = np.array([0.0, 3.0])[:, None, None, None]
+    # cells {0, 2} and {3, 5}, 4 slices: 2 observations among 8 samples
+    hand = np.broadcast_to(np.array([[0.0], [2.0]]) + classes, (2, 4, 2, 1))
+    predicted = predicted_variance_ratio(2, 8, lam, SLICE_MEAN)
+    observed = _imputed_variance_ratios(hand, SLICE_MEAN)
+    results.append(CheckResult(
+        "impute-mean-collapse[hand]",
+        bool(np.all(np.abs(observed - predicted) < 1e-12)) and abs(predicted - 0.25) < 1e-12,
+        f"impute_dataset slice_mean, cells {{0,2}} and {{3,5}} in 4 slices: "
+        f"predicted={predicted} observed={observed.flat[np.abs(observed - predicted).argmax()]}"))
 
     rng = np.random.default_rng(seed)
+    worst = 0.0
     for _ in range(20):
-        n = int(rng.integers(4, 40))
-        n_t = int(rng.integers(2, 12))
-        x = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
-        p, o = mean_imputation_variance_check(x, n_t)
-        if abs(p - o) > 1e-12:
-            results.append(CheckResult("mean-imputation-collapse-random", False, f"|{p}-{o}|"))
-            break
-    else:
-        results.append(CheckResult("mean-imputation-collapse-random", True, "20 random slices exact to 1e-12"))
+        n, n_t = int(rng.integers(4, 40)), int(rng.integers(2, 12))
+        x = rng.standard_normal((2, n_t, n, 1)) * rng.uniform(0.5, 3.0) + classes
+        worst = max(worst, float(np.abs(_imputed_variance_ratios(x, SLICE_MEAN)
+                                        - predicted_variance_ratio(n, n * n_t, lam, SLICE_MEAN)).max()))
+    results.append(CheckResult("impute-mean-collapse[random]", worst <= 1e-12,
+                               f"impute_dataset slice_mean, 20 random datasets, every cell "
+                               f"within {worst:.1e} of n/N (bound 1e-12)"))
 
-    lam = LambdaSpec.uniform()
     rng = np.random.default_rng(seed + 1)
-    n, n_t = 200, 4
+    n, n_t = 12, 23
     ratios = np.empty(reps)
     for r in range(reps):
-        x = rng.standard_normal(n)
-        p, o = synthetic_padding_variance(x, n_t, lam, rng)
-        ratios[r] = o / float(np.var(x))
-    pred_ratio = 1.0 / n_t + (1.0 - 1.0 / n_t) * theoretical_cov_factor(lam)
+        x = rng.standard_normal((2, n_t, n, 1)) + classes
+        ratios[r] = _imputed_variance_ratios(x, TSMOTE, seed=int(rng.integers(2**31))).mean()
+    predicted = predicted_variance_ratio(n, n * n_t, lam, TSMOTE)
     m, se = ratios.mean(), ratios.std(ddof=1) / np.sqrt(reps)
-    ok = abs(m - pred_ratio) <= 3 * se
-    results.append(
-        CheckResult(
-            "synthetic-padding-variance",
-            bool(ok),
-            f"mean ratio={m:.5f} predicted={pred_ratio:.5f} 3SE={3*se:.5f}",
-        )
-    )
+    results.append(CheckResult(
+        "impute-tsmote-variance[uniform]", bool(abs(m - predicted) <= 3 * se),
+        f"impute_dataset tsmote k=n-1 at n={n} T={n_t}: "
+        f"mean ratio={m:.5f} predicted={predicted:.5f} 3SE={3*se:.5f}"))
     return results
-
-
-def _report_repeat_factors(seed: int) -> CheckResult:
-    """Factors for 1 and 3 draws per pair, reported without asserting a law."""
-    lam = LambdaSpec.uniform()
-    rng = np.random.default_rng(seed + 3)
-    details = []
-    for repeats in (1, 3):
-        ratios = []
-        for _ in range(10):
-            X = rng.standard_normal((300, 2))
-            Y = full_pair_interpolation(X, lam, rng, repeats=repeats)
-            ratios.append(np.diag(population_cov(Y) / population_cov(X)).mean())
-        details.append(f"repeats={repeats}: factor={np.mean(ratios):.4f}")
-    return CheckResult("repeat-draws-report", True, "; ".join(details))
 
 
 def run_moment_verification(seed: int = 0) -> dict:
@@ -468,7 +458,6 @@ def run_moment_verification(seed: int = 0) -> dict:
     checks.append(_check_kernel_variance_factor(seed))
     checks.append(_check_edge_counts(seed))
     checks.extend(_check_variance_laws(seed))
-    checks.append(_report_repeat_factors(seed))
     checks.append(_report_small_k_mean_bias(seed))
 
     rng = np.random.default_rng(seed + 101)

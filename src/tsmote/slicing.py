@@ -166,6 +166,11 @@ def build_slice_grid(
 
     t_lo, t_hi = compute_time_bounds(dataset, *(bounds or (None, None)))
     span = t_hi - t_lo
+    # boundaries and median grid times add two elapsed times
+    if not np.isfinite(2.0 * span):
+        raise SliceGridError(
+            f"time span from {t_lo!r} to {t_hi!r} is too wide: 2 * (t_max - t_min) overflows"
+        )
 
     elapsed = dataset.times - t_lo
     if np.any(elapsed < 0):

@@ -301,6 +301,11 @@ class TestVerifyAndCompare:
         report = json.loads((out / "moments_report.json").read_text())
         assert report["passed"] is True
         assert "[PASS]" in res.stdout
+        # the checks that run the neighbor table, the slice kernel and the fill
+        names = {check["name"] for check in report["checks"]}
+        assert {"neighbor-table-edge-counts", "kernel-copy-identity[point(0)]",
+                "kernel-copy-identity[point(1)]", "impute-mean-collapse[hand]",
+                "impute-mean-collapse[random]", "impute-tsmote-variance[uniform]"} <= names
 
     def test_compare_imputers_table_shape(self, tmp_path, run_cli):
         out = tmp_path / "cmp"
@@ -359,6 +364,23 @@ class TestRejectedInput:
         assert res.returncode == 2
         violations = json.loads(res.stderr)["report"]["violations"]
         assert {v["kind"] for v in violations} == {"value-out-of-range"}
+        assert not (out / "imputed.csv").exists()
+
+    # 4 samples, each observed at every time; twice the span is not a finite float
+    @pytest.mark.parametrize("times, slices", [
+        ((-1.7e308, -1.0, 1.0, 1.7e308), 2),
+        ((-9e307, -1.0, 1.0, 9e307), 2),
+        ((0.0, 1.0, 2.0, 1.7e308), 4),
+    ])
+    def test_time_span_that_overflows_exits_2(self, tmp_path, run_cli, times, slices):
+        path = tmp_path / "span.csv"
+        path.write_text("sample_id,time,x\n" + "".join(
+            f"s{i},{t!r},{i + j / 2}\n" for i in range(4) for j, t in enumerate(times)))
+        out = tmp_path / "out"
+        res = run_cli(["impute", str(path), "--slices", str(slices), "-o", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == (
+            f"time span from {times[0]!r} to {times[-1]!r} is too wide: 2 * (t_max - t_min) overflows")
         assert not (out / "imputed.csv").exists()
 
 

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsmote.imputation
 from tsmote.moments import (
+    _check_variance_laws,
+    _imputed_variance_ratios,
+    _one_row_dataset,
     empirical_moments,
-    full_pair_interpolation,
-    mean_imputation_variance_check,
-    neighbor_degree_check,
     population_cov,
+    predicted_variance_ratio,
     reference_interpolation_sample,
-    synthetic_padding_variance,
     theoretical_cov_factor,
 )
-from tsmote.synthesis import LambdaSpec
+from tsmote.slicing import assign_slices, build_slice_grid
+from tsmote.synthesis import LambdaSpec, SynthesisConfig, _neighbor_table, synthesize_slice
 
 
 class TestTheoreticalFactor:
@@ -64,54 +66,97 @@ class TestEmpiricalMoments:
             empirical_moments(np.ones((1, 2)), np.ones((5, 2)))
 
 
+def in_degrees(table: np.ndarray) -> np.ndarray:
+    return np.bincount(table.ravel(), minlength=len(table))
+
+
 class TestNeighborDegrees:
+    """The edge counts of the production ``_neighbor_table``."""
+
     def test_k1_sums_to_d(self):
-        X = np.random.default_rng(2).standard_normal((30, 2))
-        assert neighbor_degree_check(X, 1) == (30, 30)
+        values = np.random.default_rng(2).standard_normal(30)
+        assert in_degrees(_neighbor_table(values, 1)).sum() == 30
 
     def test_two_point_slice(self):
-        assert neighbor_degree_check(np.array([[0.0], [1.0]]), 1) == (2, 2)
+        table = _neighbor_table(np.array([0.0, 1.0]), 1)
+        assert table.tolist() == [[1], [0]]
+        assert in_degrees(table).sum() == 2
 
     def test_hundred_points_k5(self):
-        X = np.random.default_rng(3).standard_normal((100, 4))
-        assert neighbor_degree_check(X, 5) == (500, 500)
+        values = np.random.default_rng(3).standard_normal(100)
+        assert in_degrees(_neighbor_table(values, 5)).sum() == 500
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            neighbor_degree_check(np.zeros((3, 1)), 3)
+        # k is reduced to n - 1, where every entry is every other entry's neighbor
+        table = _neighbor_table(np.zeros(3), 3)
+        assert table.shape == (3, 2)
+        assert in_degrees(table).tolist() == [2, 2, 2]
+
+
+class TestOneRowDataset:
+    def test_each_cell_holds_n_rows_of_one_row_samples(self):
+        n_t, n = 5, 3
+        values = np.random.default_rng(9).standard_normal((2, n_t, n, 2))
+        dataset = _one_row_dataset(values)
+        assert dataset.counts.tolist() == [1] * (2 * n_t * n)
+        np.testing.assert_array_equal(dataset.values, values.reshape(-1, 2))
+        assignment = assign_slices(dataset, build_slice_grid(dataset, n_t))
+        cells = dataset.class_positions()[dataset.row_sample] * n_t + assignment
+        assert np.bincount(cells).tolist() == [n] * (2 * n_t)
+        # samples are ordered by class, slice, then row
+        np.testing.assert_array_equal(cells, np.repeat(np.arange(2 * n_t), n))
 
 
 class TestVarianceLaws:
+    """``predicted_variance_ratio`` against ``impute_dataset`` outputs."""
+
     def test_hand_example(self):
-        predicted, observed = mean_imputation_variance_check(np.array([0.0, 2.0]), 4)
-        assert predicted == 0.25
-        assert observed == 0.25
+        assert predicted_variance_ratio(2, 8, LambdaSpec.uniform(), "slice_mean") == 0.25
+        hand = np.broadcast_to(np.array([[0.0], [2.0]]) + np.array([0.0, 10.0])[:, None, None, None],
+                               (2, 4, 2, 1))
+        assert _imputed_variance_ratios(hand, "slice_mean").tolist() == [[[0.25]] * 4] * 2
 
     def test_single_slice_is_identity(self):
-        x = np.array([1.0, 5.0, 9.0])
-        predicted, observed = mean_imputation_variance_check(x, 1)
-        assert observed == pytest.approx(np.var(x), abs=1e-15)
+        # every slot is observed, so nothing is filled
+        x = np.random.default_rng(4).standard_normal((2, 1, 7, 2))
+        np.testing.assert_allclose(_imputed_variance_ratios(x, "slice_mean"), 1.0, rtol=1e-15)
+        assert predicted_variance_ratio(7, 7, LambdaSpec.uniform(), "slice_mean") == 1.0
 
     def test_exactness_random(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            x = rng.standard_normal(rng.integers(3, 30))
-            n_t = int(rng.integers(2, 9))
-            predicted, observed = mean_imputation_variance_check(x, n_t)
-            assert observed == pytest.approx(predicted, abs=1e-12)
+        for _ in range(5):
+            n, n_t = int(rng.integers(3, 30)), int(rng.integers(2, 9))
+            x = rng.standard_normal((2, n_t, n, 1)) + np.array([0.0, 5.0])[:, None, None, None]
+            predicted = predicted_variance_ratio(n, n * n_t, LambdaSpec.uniform(), "slice_mean")
+            assert predicted == n / (n * n_t)
+            np.testing.assert_allclose(_imputed_variance_ratios(x, "slice_mean"), predicted, atol=1e-12)
+
+    def test_copy_weights_predict_no_contraction(self):
+        for c in (0.0, 1.0):
+            for n_obs, n_slots in ((2, 8), (12, 276), (7, 7), (3, 10)):
+                assert predicted_variance_ratio(n_obs, n_slots, LambdaSpec.point_mass(c), "tsmote") == 1.0
 
     def test_synthetic_padding_mixture(self):
+        # T - 1 = n - 1: each cell's requests are one whole (seed, rank) enumeration
         rng = np.random.default_rng(5)
-        lam = LambdaSpec.uniform()
-        reps = 80
-        ratios = np.empty(reps)
-        for r in range(reps):
-            x = rng.standard_normal(150)
-            _, observed = synthetic_padding_variance(x, 4, lam, rng)
-            ratios[r] = observed / np.var(x)
-        predicted = 0.25 + 0.75 * (2 / 3)
-        se = ratios.std(ddof=1) / np.sqrt(reps)
+        n = n_t = 10
+        ratios = np.array([
+            _imputed_variance_ratios(rng.standard_normal((2, n_t, n, 1)), "tsmote", seed=r).mean()
+            for r in range(40)
+        ])
+        predicted = predicted_variance_ratio(n, n * n_t, LambdaSpec.uniform(), "tsmote")
+        assert predicted == pytest.approx(0.1 + 0.9 * (1 - (1 / 3) * 10 / 9))
+        se = ratios.std(ddof=1) / np.sqrt(len(ratios))
         assert abs(ratios.mean() - predicted) <= 3 * se
+
+    def test_class_blind_slice_mean_fails_the_battery(self, monkeypatch):
+        def pooled_over_classes(dataset, n_slices, assignment, method):
+            stats = [np.nanmean(dataset.values[assignment == s], axis=0) for s in range(n_slices)]
+            return np.tile(stats, (len(dataset.class_labels()), 1))
+
+        monkeypatch.setattr(tsmote.imputation, "_slice_statistics", pooled_over_classes)
+        failed = {c.name for c in _check_variance_laws(seed=0) if not c.passed}
+        assert failed == {"impute-mean-collapse[hand]", "impute-mean-collapse[random]"}
 
 
 class TestReferenceSampler:
@@ -135,15 +180,23 @@ class TestReferenceSampler:
         se = ratios.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(m - 2 / 3) <= 3 * se)
 
+
+
+class TestKernelEnumeration:
+    """``synthesize_slice`` at k = n - 1 over count = n(n - 1): every ordered pair once."""
+
     def test_full_enumeration_count(self):
         X = np.arange(8, dtype=float).reshape(4, 2)
-        Y = full_pair_interpolation(X, LambdaSpec.point_mass(0.0), np.random.default_rng(0))
+        cfg = SynthesisConfig(k_neighbors=3, lambda_dist=LambdaSpec.point_mass(1.0))
+        Y = synthesize_slice(X, cfg, 12, np.random.default_rng(0))
         assert Y.shape == (12, 2)  # 4 * 3 ordered pairs
-        Y3 = full_pair_interpolation(X, LambdaSpec.point_mass(0.0), np.random.default_rng(0), repeats=3)
-        assert Y3.shape == (36, 2)
+        # each row is a neighbor of each of the other three, once
+        for f in range(2):
+            assert sorted(Y[:, f].tolist()) == sorted(np.repeat(X[:, f], 3).tolist())
 
     def test_zero_weight_duplicates_preserve_cov_exactly(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((60, 3))
-        Y = full_pair_interpolation(X, LambdaSpec.point_mass(0.0), rng)
+        cfg = SynthesisConfig(k_neighbors=59, lambda_dist=LambdaSpec.point_mass(0.0))
+        Y = synthesize_slice(X, cfg, 60 * 59, rng)
         np.testing.assert_allclose(population_cov(Y), population_cov(X), atol=1e-12)
