@@ -62,6 +62,8 @@ def predicted_variance_ratio(n_obs: int, n_slots: int, lam: LambdaSpec, method: 
     ``n_obs / n_slots``, exactly. ``tsmote`` at ``k_neighbors = n_obs - 1``
     fills them from whole (seed, rank) enumerations of the cell:
     ``share + (1 - share) * factor_n``, with ``share = n_obs / n_slots``.
+    That leaves out the spread of the filled mean, which puts the expected
+    ratio ``2 * var(lam) * share * (1 - share) / (n_obs - 1)`` lower.
     """
     share = n_obs / n_slots
     if method == SLICE_MEAN:

@@ -124,7 +124,7 @@ class TestVarianceLaws:
 
     def test_exactness_random(self):
         rng = np.random.default_rng(4)
-        for _ in range(5):
+        for _ in range(10):
             n, n_t = int(rng.integers(3, 30)), int(rng.integers(2, 9))
             x = rng.standard_normal((2, n_t, n, 1)) + np.array([0.0, 5.0])[:, None, None, None]
             predicted = predicted_variance_ratio(n, n * n_t, LambdaSpec.uniform(), "slice_mean")
