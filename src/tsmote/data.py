@@ -23,8 +23,11 @@ import csv
 import json
 import math
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -337,6 +340,7 @@ def dataset_stats(dataset: TimeSeriesDataset) -> DatasetStats:
 
 _QUOTED = re.compile('[,"\r\n]')
 _CHUNK_ROWS = 8192  # rows formatted at a time: bounds the strings held in memory
+_TENSOR_COLUMNS = ("sample_id", "class", "slice_index", "grid_time")  # imputed.csv's leading columns
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -371,10 +375,13 @@ def write_csv(path, header, columns) -> None:
 def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
     """Parse long-format CSV: ``sample_id, time[, class], features...``.
 
-    The header row is required. An empty feature cell is a null; a feature
-    cell that is not a finite number (``nan``, ``inf``) is rejected with its
-    line. Rows are grouped by sample id (first-appearance order) and
-    stable-sorted by time within each sample.
+    The header row is required. A column name may not repeat, and no feature
+    may take the name of a leading column of :func:`write_tensor_csv`
+    (``sample_id``, ``class``, ``slice_index``, ``grid_time``), so the imputed
+    CSV reads back by name. An empty feature cell is a null; a feature cell
+    that is not a finite number (``nan``, ``inf``) is rejected with its line.
+    Rows are grouped by sample id (first-appearance order) and stable-sorted
+    by time within each sample.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -390,6 +397,12 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
         feature_names = tuple(header[3:] if has_class else header[2:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns found")
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise ValueError(f"{path}: column {name!r} appears twice in the header")
+        for name in feature_names:
+            if name in _TENSOR_COLUMNS:
+                raise ValueError(f"{path}: feature column {name!r} has the name of an imputed.csv column")
         first = 2 + has_class
         expected = first + len(feature_names)
 
@@ -466,6 +479,22 @@ def write_long_csv(dataset: TimeSeriesDataset, path, class_column: str = "class"
                              *dataset.values.T])
 
 
+def _write_chunks(csv_path, json_path, data, prefixes, slots, entry, step, seam) -> None:
+    """Append the samples of ``data`` to both files, ``step`` samples at a time.
+
+    A sample's CSV rows are its ``prefixes`` entry, then one ``slots`` row per slice;
+    its JSON entry is the ``entry`` template. ``seam`` goes before the first JSON
+    entry: ``", "`` when an earlier entry precedes it in the document.
+    """
+    with open(csv_path, "a", newline="") as csv_fh, open(json_path, "a") as json_fh:
+        for lo in range(0, len(prefixes), step):
+            chunk = prefixes[lo : lo + step]
+            values = tuple(map(repr, data[lo : lo + step].ravel().tolist()))
+            csv_fh.write("".join(p + p.join(slots) for p in chunk) % values)
+            json_fh.write(seam + ", ".join([entry] * len(chunk)) % values)
+            seam = ", "
+
+
 def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict) -> None:
     """Write the tensor as wide per-slice CSV and as compact JSON, in one pass.
 
@@ -475,6 +504,12 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     nested ``(sample, slice, feature)`` lists) and ``grid_meta`` under ``grid``, as
     :func:`json.dumps` writes it. The values are formatted once, a chunk of samples at
     a time, into per-sample ``%`` templates of both files.
+
+    With two chunks or more, this process formats the first half of the chunks while
+    one worker process formats the rest into a temporary directory beside
+    ``csv_path``; its files are then appended in order, so the bytes do not depend on
+    the split. The worker is joined and the directory removed before this returns,
+    on success or failure.
     """
     n_d, n_t, n_f = tensor.shape
     data = np.asarray(tensor.data, float)
@@ -494,15 +529,27 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
         "grid_times": grid_times.tolist(),
     }
     head = "".join(f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in members.items())
-    step = max(1, _CHUNK_ROWS // n_t)
     with open(csv_path, "w", newline="") as csv_fh, open(json_path, "w") as json_fh:
-        csv_fh.write(_csv_line(["sample_id", "class", "slice_index", "grid_time", *tensor.feature_names]))
+        csv_fh.write(_csv_line([*_TENSOR_COLUMNS, *tensor.feature_names]))
         json_fh.write('{%s"data": [' % head)
-        for lo in range(0, n_d, step):
-            chunk = prefixes[lo : lo + step]
-            values = tuple(map(repr, data[lo : lo + step].ravel().tolist()))
-            csv_fh.write("".join(p + p.join(slots) for p in chunk) % values)
-            json_fh.write((", " if lo else "") + ", ".join([entry] * len(chunk)) % values)
+
+    step = max(1, _CHUNK_ROWS // n_t)
+    n_chunks = -(-n_d // step)
+    if n_chunks < 2:
+        _write_chunks(csv_path, json_path, data, prefixes, slots, entry, step, "")
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        mid = step * ((n_chunks + 1) // 2)
+        with tempfile.TemporaryDirectory(dir=Path(csv_path).parent) as tmp, ProcessPoolExecutor(1) as pool:
+            parts = [Path(tmp, Path(path).name) for path in (csv_path, json_path)]
+            rest = pool.submit(_write_chunks, *parts, data[mid:], prefixes[mid:], slots, entry, step, ", ")
+            _write_chunks(csv_path, json_path, data[:mid], prefixes[:mid], slots, entry, step, "")
+            rest.result()
+            for part, path in zip(parts, (csv_path, json_path)):
+                with open(part, "rb") as src, open(path, "ab") as dst:
+                    shutil.copyfileobj(src, dst)
+    with open(json_path, "a") as json_fh:
         json_fh.write('], "grid": %s}' % json.dumps(grid_meta))
 
 

@@ -24,7 +24,8 @@ Key facts verified here, for interpolation weights lam on [0, 1]:
 * Imputed slice variance. A (class, slice) cell with n observations among
   its class's N samples keeps them and fills the other N - n slots: mean
   imputation scales its variance by n/N, tsmote at k = n - 1 by
-  n/N + (1 - n/N) * factor_n (``predicted_variance_ratio``).
+  n/N + (1 - n/N) * factor_n less the spread of the filled mean
+  (``predicted_variance_ratio``).
 
 Every check runs the package's own code (``synthesize_slice``,
 ``_neighbor_table`` and ``impute_dataset``) except the entrywise covariance
@@ -61,16 +62,17 @@ def predicted_variance_ratio(n_obs: int, n_slots: int, lam: LambdaSpec, method: 
     ``n_slots`` samples. ``slice_mean`` fills the rest with the cell mean:
     ``n_obs / n_slots``, exactly. ``tsmote`` at ``k_neighbors = n_obs - 1``
     fills them from whole (seed, rank) enumerations of the cell:
-    ``share + (1 - share) * factor_n``, with ``share = n_obs / n_slots``.
-    That leaves out the spread of the filled mean, which puts the expected
-    ratio ``2 * var(lam) * share * (1 - share) / (n_obs - 1)`` lower.
+    ``share + (1 - share) * factor_n - 2 * var(lam) * share * (1 - share) / (n_obs - 1)``,
+    with ``share = n_obs / n_slots``. The last term is the spread of the
+    filled slots' mean about the observed mean.
     """
     share = n_obs / n_slots
     if method == SLICE_MEAN:
         return share
     if method == TSMOTE:
         factor_n = 1.0 + (theoretical_cov_factor(lam) - 1.0) * n_obs / (n_obs - 1)
-        return share + (1.0 - share) * factor_n
+        mean_spread = 2.0 * lam.variance * share * (1.0 - share) / (n_obs - 1)
+        return share + (1.0 - share) * factor_n - mean_spread
     raise ValueError(f"no variance law for method {method!r}")
 
 
@@ -410,7 +412,7 @@ def _check_variance_laws(seed: int, reps: int = 25) -> list[CheckResult]:
 
     Two classes with different means, n rows per cell (``_one_row_dataset``).
     For tsmote T - 1 = 2(n - 1), so each cell's N - n requests are whole
-    (seed, rank) enumerations; the law there (0.6522) is not the n = T value
+    (seed, rank) enumerations; the law there (0.6515) is not the n = T value
     1/T + (1 - 1/T)*factor (0.6812).
     """
     results = []

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
 import tsmote
+import tsmote.cli
 
 TOY_CSV = "sample_id,time,x\na,0,0.0\na,1,0.1\na,2,0.2\nb,3,0.3\nb,4,0.4\nb,5,0.5\n"
 
@@ -203,6 +205,18 @@ def test_smoothed_bytes_do_not_depend_on_blas_threads(golden_runs, run_cli):
     assert digest == GOLDEN_OUTPUT_SHA256[("impute-smooth", "imputed.csv")]
 
 
+def test_in_process_impute_leaves_no_process(golden_runs, tmp_path):
+    """The tensor writer's worker is joined before ``main`` returns; the bytes are the pinned ones."""
+    out = tmp_path / "out"
+    assert tsmote.cli.main(["impute", str(golden_runs / "demo-0" / "train.csv"), "--method", "slice_mean",
+                            "-o", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    for name in ("imputed.csv", "imputed.json"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_OUTPUT_SHA256[("impute-mean", name)]
+    assert sorted(p.name for p in out.iterdir()) == ["grid.json", "imputed.csv", "imputed.json"]
+
+
 def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
     ids = ['a,"b', "plain", 'x"y,\nz']
     labels = ["class,0", "class,1", "class,0"]
@@ -365,6 +379,22 @@ class TestRejectedInput:
         violations = json.loads(res.stderr)["report"]["violations"]
         assert {v["kind"] for v in violations} == {"value-out-of-range"}
         assert not (out / "imputed.csv").exists()
+
+    # each header would repeat a column name in the header of imputed.csv
+    @pytest.mark.parametrize("header, row, error", [
+        ("sample_id,time,class,x,x", "c,{v},{v}", "column 'x' appears twice in the header"),
+        ("sample_id,time,class,class", "c,{v}", "column 'class' appears twice in the header"),
+        ("sample_id,time,x,class", "{v},{v}", "feature column 'class' has the name of an imputed.csv column"),
+    ])
+    def test_ambiguous_header_exits_2(self, tmp_path, run_cli, header, row, error):
+        path = tmp_path / "header.csv"
+        path.write_text(header + "\n" + "".join(
+            f"s{i},{t}," + row.format(v=i + t / 4) + "\n" for i in range(4) for t in range(3)))
+        out = tmp_path / "out"
+        res = run_cli(["impute", str(path), "--slices", "2", "-o", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == f"{path}: {error}"
+        assert not out.exists()
 
     # 4 samples, each observed at every time; twice the span is not a finite float
     @pytest.mark.parametrize("times, slices", [

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -341,6 +342,18 @@ class TestImputedTensor:
         np.testing.assert_array_equal(back.grid_times, t.grid_times)
 
 
+_WRITE_CHUNKS = tsmote.data._write_chunks
+
+
+def write_chunks_but_fail_in_worker(*args):
+    """``_write_chunks`` in this process, an error in the writer's worker process.
+
+    Module-level, so the writer can send it to its worker by name."""
+    if multiprocessing.parent_process() is not None:
+        raise OSError("planted failure in the worker")
+    _WRITE_CHUNKS(*args)
+
+
 def old_tensor_writers(tensor, csv_path, grid_meta) -> str:
     """The two writers that write_tensor_csv replaced, as the oracle of its bytes:
     write_csv on the per-slot columns, and the text of json.dumps on the whole payload."""
@@ -395,3 +408,33 @@ class TestWriteTensor:
             write_tensor_csv(tensor, root / "new.csv", root / "new.json", grid_meta)
         assert (root / "new.json").read_bytes() == expected_json.encode()
         assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
+
+    def test_split_write_matches_old_writers(self, tmp_path):
+        # 4 chunks of 128 samples at the real chunk size; ids and labels need quoting
+        n_d, n_t, n_f = 500, 64, 2
+        assert -(-n_d // (tsmote.data._CHUNK_ROWS // n_t)) == 4
+        tensor = ImputedTensor(
+            sample_ids=tuple(f'id,{i}"' for i in range(n_d)),
+            grid_times=np.linspace(0.0, 6.0, n_t),
+            data=np.sin(np.arange(n_d * n_t * n_f)).reshape(n_d, n_t, n_f) * 1e3,
+            class_labels=tuple(("a,1", 'b"2')[i % 2] for i in range(n_d)),
+            feature_names=("x", "y"),
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        write_tensor_csv(tensor, out / "imputed.csv", out / "imputed.json", {"n_slices": n_t})
+        expected_json = old_tensor_writers(tensor, tmp_path / "old.csv", {"n_slices": n_t})
+        assert (out / "imputed.json").read_bytes() == expected_json.encode()
+        assert (out / "imputed.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        # the worker's temporary files are gone, and so is the worker
+        assert sorted(p.name for p in out.iterdir()) == ["imputed.csv", "imputed.json"]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_raises_and_cleans_up(self, tmp_path, monkeypatch):
+        tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.zeros((3, 2, 1)))
+        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 2)  # one sample per chunk: 3 chunks
+        monkeypatch.setattr(tsmote.data, "_write_chunks", write_chunks_but_fail_in_worker)
+        with pytest.raises(OSError, match="planted failure in the worker"):
+            write_tensor_csv(tensor, tmp_path / "imputed.csv", tmp_path / "imputed.json", {})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["imputed.csv", "imputed.json"]
+        assert multiprocessing.active_children() == []

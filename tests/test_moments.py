@@ -145,8 +145,23 @@ class TestVarianceLaws:
             for r in range(40)
         ])
         predicted = predicted_variance_ratio(n, n * n_t, LambdaSpec.uniform(), "tsmote")
-        assert predicted == pytest.approx(0.1 + 0.9 * (1 - (1 / 3) * 10 / 9))
+        assert predicted == pytest.approx(0.1 + 0.9 * (1 - (1 / 3) * 10 / 9) - 2 * (1 / 12) * 0.1 * 0.9 / 9)
         se = ratios.std(ddof=1) / np.sqrt(len(ratios))
+        assert abs(ratios.mean() - predicted) <= 3 * se
+
+    def test_filled_mean_spread_on_the_kernel(self):
+        # each column is one cell: n = 4 observations and one whole (seed, rank)
+        # enumeration of N - n = 12 filled slots
+        rng = np.random.default_rng(10)
+        n, n_slots, cells = 4, 16, 4000
+        obs = rng.standard_normal((n, cells))
+        filled = synthesize_slice(obs, SynthesisConfig(k_neighbors=n - 1), n_slots - n, rng)
+        ratios = np.concatenate([obs, filled]).var(axis=0) / obs.var(axis=0)
+        se = ratios.std(ddof=1) / np.sqrt(cells)
+        spread = 2 * (1 / 12) * 0.25 * 0.75 / (n - 1)  # the filled mean's spread, 0.0104
+        assert 3 * se < spread
+        predicted = predicted_variance_ratio(n, n_slots, LambdaSpec.uniform(), "tsmote")
+        assert predicted == pytest.approx(0.25 + 0.75 * (1 - (1 / 3) * 4 / 3) - spread)
         assert abs(ratios.mean() - predicted) <= 3 * se
 
     def test_class_blind_slice_mean_fails_the_battery(self, monkeypatch):
