@@ -1,5 +1,7 @@
 """Tests for the from-scratch logistic regression and metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,17 @@ class TestFitLogistic:
         m2 = fit_logistic(X, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+
+    def test_weights_pinned_bit_for_bit(self):
+        """The weights of a comparison-sized fit (450 standardized rows, 100 features) stay the recorded bits."""
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((450, 100)) * rng.uniform(0.5, 3.0, 100) + rng.normal(0.0, 2.0, 100)
+        signal = X[:, :5].sum(axis=1)
+        y = (signal + rng.normal(0.0, 2.0, 450) > np.median(signal)).astype(float)
+        model = fit_logistic(Normalizer.fit(X).transform(X), y)
+        assert hashlib.sha256(model.weights.tobytes()).hexdigest() == (
+            "fecc377a0e60b9169e7f9e6ca2dd3d4780906f625d54643e5a5e65cb496e2b58")
+        assert model.bias.hex() == "0x1.9f2a766e3a856p-5"
 
     def test_non_binary_labels_rejected(self):
         X = np.zeros((4, 1))
