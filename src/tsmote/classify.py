@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import ImputedTensor
+from .data import ImputedTensor, run_split
 from .imputation import METHODS, ImputationConfig, impute_dataset
 from .oscillator import ExperimentConfig, generate_two_class_experiment
 from .slicing import assign_slices
@@ -71,9 +71,9 @@ def fit_logistic(
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(n_iterations):
-        p = _sigmoid(X @ w + b)
-        grad_w = X.T @ (p - y) / n + l2 * w
-        grad_b = float(np.sum(p - y) / n)
+        r = _sigmoid(X @ w + b) - y
+        grad_w = X.T @ r / n + l2 * w
+        grad_b = float(r.sum() / n)
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
     return LogisticModel(weights=w, bias=b)
@@ -132,6 +132,8 @@ class ComparisonConfig:
     def __post_init__(self):
         if self.feature_mode not in (FLATTENED, ENDPOINT):
             raise ValueError("feature_mode must be 'flattened' or 'endpoint'")
+        if self.n_repetitions < 1:
+            raise ValueError(f"n_repetitions must be at least 1, not {self.n_repetitions}")
 
 
 @dataclass
@@ -176,18 +178,10 @@ def _binary_labels(tensor: ImputedTensor) -> np.ndarray:
     return np.array([labels.index(c) for c in tensor.class_labels], dtype=float)
 
 
-def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfig()) -> list[ImputerResult]:
-    """Train-on-imputed / test-on-grid comparison of the three imputers.
-
-    For each repetition a fresh two-class oscillator experiment is generated;
-    each imputer completes the training trajectories, which are smoothed
-    (unless ``config.smoothing`` is None), z-normalized with training
-    statistics, and classified with logistic regression. The grid-generated
-    test set is already complete, so imputers differ only through the
-    training data they produce.
-    """
-    results = {m: ImputerResult(m, [], []) for m in METHODS}
-    for rep in range(config.n_repetitions):
+def _comparison_reps(seed: int, reps: range, config: ComparisonConfig) -> list[list[tuple[float, float]]]:
+    """For each repetition in ``reps``, the ``(accuracy, AUC)`` of each method in ``METHODS``."""
+    scores = []
+    for rep in reps:
         rep_seed = seed + rep
         exp = generate_two_class_experiment(rep_seed, config.experiment)
         assignment = assign_slices(exp.train, exp.grid)
@@ -199,6 +193,7 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
         X_test_raw = _features(test_tensor, config.feature_mode)
         y_test = _binary_labels(test_tensor)
 
+        scores.append([])
         for method in METHODS:
             train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
                                           ImputationConfig(method=method))
@@ -209,7 +204,27 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
 
             norm = Normalizer.fit(X_train)
             model = fit_logistic(norm.transform(X_train), y_train)
-            acc, auc = evaluate(model, norm.transform(X_test_raw), y_test)
-            results[method].accuracies.append(acc)
-            results[method].aucs.append(auc)
-    return [results[m] for m in METHODS]
+            scores[-1].append(evaluate(model, norm.transform(X_test_raw), y_test))
+    return scores
+
+
+def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfig()) -> list[ImputerResult]:
+    """Train-on-imputed / test-on-grid comparison of the three imputers.
+
+    For each repetition a fresh two-class oscillator experiment is generated;
+    each imputer completes the training trajectories, which are smoothed
+    (unless ``config.smoothing`` is None), z-normalized with training
+    statistics, and classified with logistic regression. The grid-generated
+    test set is already complete, so imputers differ only through the
+    training data they produce.
+
+    Repetition ``rep`` depends only on ``seed + rep`` and ``config``, so this process
+    runs the first half of the repetitions while one worker process runs the rest
+    (:func:`~tsmote.data.run_split`); the results do not depend on the split.
+    """
+    n = config.n_repetitions
+    mid = (n + 1) // 2
+    tail = (seed, range(mid, n), config) if n > 1 else ()
+    scores = [s for part in run_split(_comparison_reps, (seed, range(mid), config), tail) for s in part]
+    return [ImputerResult(m, [rep[k][0] for rep in scores], [rep[k][1] for rep in scores])
+            for k, m in enumerate(METHODS)]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import shutil
 import tempfile
@@ -495,6 +496,23 @@ def _write_chunks(csv_path, json_path, data, prefixes, slots, entry, step, seam)
             seam = ", "
 
 
+def run_split(fn, head: tuple, tail: tuple = ()) -> list:
+    """``[fn(*head), fn(*tail)]``, with ``fn(*tail)`` run in one worker process meanwhile.
+
+    The worker starts by the platform's default method; ``fn`` must be a
+    module-level function, so it reaches the worker by name. The worker is joined
+    before this returns, on success or failure, and its exception reaches the caller
+    through ``result()``. An empty ``tail`` gives ``[fn(*head)]`` with no worker.
+    """
+    if not tail:
+        return [fn(*head)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(1) as pool:
+        rest = pool.submit(fn, *tail)
+        return [fn(*head), rest.result()]
+
+
 def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict) -> None:
     """Write the tensor as wide per-slice CSV and as compact JSON, in one pass.
 
@@ -505,11 +523,11 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     :func:`json.dumps` writes it. The values are formatted once, a chunk of samples at
     a time, into per-sample ``%`` templates of both files.
 
-    With two chunks or more, this process formats the first half of the chunks while
-    one worker process formats the rest into a temporary directory beside
-    ``csv_path``; its files are then appended in order, so the bytes do not depend on
-    the split. The worker is joined and the directory removed before this returns,
-    on success or failure.
+    Both files are written in a temporary directory beside ``csv_path`` and renamed
+    into place once complete, so a failure part-way leaves whatever was there before;
+    ``json_path`` must be on the same filesystem. With two chunks or more,
+    :func:`run_split` formats the second half of the chunks in a worker process,
+    whose files are appended in order, so the bytes do not depend on the split.
     """
     n_d, n_t, n_f = tensor.shape
     data = np.asarray(tensor.data, float)
@@ -529,28 +547,26 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
         "grid_times": grid_times.tolist(),
     }
     head = "".join(f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in members.items())
-    with open(csv_path, "w", newline="") as csv_fh, open(json_path, "w") as json_fh:
-        csv_fh.write(_csv_line([*_TENSOR_COLUMNS, *tensor.feature_names]))
-        json_fh.write('{%s"data": [' % head)
 
     step = max(1, _CHUNK_ROWS // n_t)
     n_chunks = -(-n_d // step)
-    if n_chunks < 2:
-        _write_chunks(csv_path, json_path, data, prefixes, slots, entry, step, "")
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        mid = step * ((n_chunks + 1) // 2)
-        with tempfile.TemporaryDirectory(dir=Path(csv_path).parent) as tmp, ProcessPoolExecutor(1) as pool:
-            parts = [Path(tmp, Path(path).name) for path in (csv_path, json_path)]
-            rest = pool.submit(_write_chunks, *parts, data[mid:], prefixes[mid:], slots, entry, step, ", ")
-            _write_chunks(csv_path, json_path, data[:mid], prefixes[:mid], slots, entry, step, "")
-            rest.result()
-            for part, path in zip(parts, (csv_path, json_path)):
+    mid = step * ((n_chunks + 1) // 2)
+    with tempfile.TemporaryDirectory(dir=Path(csv_path).parent) as tmp:
+        # this process writes the "a" files; the worker writes the "b" files, appended to them
+        a_csv, a_json, b_csv, b_json = (Path(tmp, name) for name in ("a.csv", "a.json", "b.csv", "b.json"))
+        with open(a_csv, "w", newline="") as csv_fh, open(a_json, "w") as json_fh:
+            csv_fh.write(_csv_line([*_TENSOR_COLUMNS, *tensor.feature_names]))
+            json_fh.write('{%s"data": [' % head)
+        tail = (b_csv, b_json, data[mid:], prefixes[mid:], slots, entry, step, ", ") if n_chunks > 1 else ()
+        run_split(_write_chunks, (a_csv, a_json, data[:mid], prefixes[:mid], slots, entry, step, ""), tail)
+        if tail:
+            for part, path in ((b_csv, a_csv), (b_json, a_json)):
                 with open(part, "rb") as src, open(path, "ab") as dst:
                     shutil.copyfileobj(src, dst)
-    with open(json_path, "a") as json_fh:
-        json_fh.write('], "grid": %s}' % json.dumps(grid_meta))
+        with open(a_json, "a") as json_fh:
+            json_fh.write('], "grid": %s}' % json.dumps(grid_meta))
+        os.replace(a_csv, csv_path)
+        os.replace(a_json, json_path)
 
 
 def tensor_from_json(text: str) -> ImputedTensor:

@@ -1,6 +1,8 @@
 """Tests for the from-scratch logistic regression and metrics."""
 
+import dataclasses
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -8,14 +10,19 @@ import pytest
 from tsmote.classify import (
     ComparisonConfig,
     Normalizer,
+    _binary_labels,
+    _features,
     auc_score,
     evaluate,
     fit_logistic,
     predict_proba,
     run_imputer_comparison,
 )
-from tsmote.oscillator import ExperimentConfig
-from tsmote.smoothing import SmoothingConfig
+from tsmote.imputation import METHODS, ImputationConfig, impute_dataset
+from tsmote.oscillator import ExperimentConfig, generate_two_class_experiment
+from tsmote.slicing import assign_slices
+from tsmote.smoothing import SmoothingConfig, smooth_tensor
+from tsmote.synthesis import SynthesisConfig
 
 
 def brute_force_auc(scores, labels):
@@ -129,7 +136,59 @@ class TestAuc:
             assert auc_score(scores, labels) == pytest.approx(brute_force_auc(scores, labels))
 
 
+def serial_comparison(seed, config):
+    """The one-process repetition loop that the split comparison replaced, as its oracle:
+    ``{method: (accuracies, aucs)}``."""
+    results = {m: ([], []) for m in METHODS}
+    for rep in range(config.n_repetitions):
+        rep_seed = seed + rep
+        exp = generate_two_class_experiment(rep_seed, config.experiment)
+        assignment = assign_slices(exp.train, exp.grid)
+        test_tensor = impute_dataset(
+            exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean")
+        )
+        if config.smoothing is not None and config.smooth_test:
+            test_tensor = smooth_tensor(test_tensor, config.smoothing)
+        X_test_raw = _features(test_tensor, config.feature_mode)
+        y_test = _binary_labels(test_tensor)
+        for method in METHODS:
+            train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
+                                          ImputationConfig(method=method))
+            if config.smoothing is not None:
+                train_tensor = smooth_tensor(train_tensor, config.smoothing)
+            X_train = _features(train_tensor, config.feature_mode)
+            y_train = _binary_labels(train_tensor)
+            norm = Normalizer.fit(X_train)
+            model = fit_logistic(norm.transform(X_train), y_train)
+            acc, auc = evaluate(model, norm.transform(X_test_raw), y_test)
+            results[method][0].append(acc)
+            results[method][1].append(auc)
+    return results
+
+
+# noisy enough that every repetition scores differently, so a shuffled join shows
+NOISY_EXPERIMENT = ExperimentConfig(noise_sigma=1.0, n_train_a=40, n_train_b=30, n_test_a=8, n_test_b=6,
+                                    n_slices=10)
+
+
 class TestComparison:
+    @pytest.mark.parametrize("feature_mode, smoothing", [
+        ("flattened", SmoothingConfig(window=5, poly_order=2)),
+        ("endpoint", SmoothingConfig(window=5, poly_order=2)),
+        ("flattened", None),
+    ])
+    def test_split_matches_serial_loop(self, feature_mode, smoothing):
+        config = ComparisonConfig(experiment=NOISY_EXPERIMENT, smoothing=smoothing, n_repetitions=3,
+                                  feature_mode=feature_mode)
+        expected = serial_comparison(7, config)
+        assert len(set(expected["tsmote"][1])) == 3
+        # repetition r depends only on seed + r, so fewer repetitions give a prefix
+        for n in (1, 2, 3):
+            results = run_imputer_comparison(7, dataclasses.replace(config, n_repetitions=n))
+            assert multiprocessing.active_children() == []
+            assert {r.method: (r.accuracies, r.aucs) for r in results} == {
+                m: (accs[:n], aucs[:n]) for m, (accs, aucs) in expected.items()}
+
     def test_emits_three_methods_with_metrics(self):
         config = ComparisonConfig(
             experiment=ExperimentConfig(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tsmote
+import tsmote.classify
 import tsmote.cli
 
 TOY_CSV = "sample_id,time,x\na,0,0.0\na,1,0.1\na,2,0.2\nb,3,0.3\nb,4,0.4\nb,5,0.5\n"
@@ -217,6 +218,30 @@ def test_in_process_impute_leaves_no_process(golden_runs, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["grid.json", "imputed.csv", "imputed.json"]
 
 
+_COMPARISON_REPS = tsmote.classify._comparison_reps
+
+
+def comparison_reps_but_fail_in_worker(*args):
+    """``_comparison_reps`` in this process, an error in the comparison's worker process.
+
+    Module-level, so the comparison can send it to its worker by name."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError("planted failure in the worker")
+    return _COMPARISON_REPS(*args)
+
+
+def test_comparison_worker_failure_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tsmote.classify, "_comparison_reps", comparison_reps_but_fail_in_worker)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        tsmote.cli.main(["compare-imputers", "--reps", "2", "--slices", "10", "--window", "5", "--order", "2",
+                         "-o", str(out)])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "planted failure in the worker"}
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
     ids = ['a,"b', "plain", 'x"y,\nz']
     labels = ["class,0", "class,1", "class,0"]
@@ -348,6 +373,14 @@ class TestRejectedInput:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"].endswith("nonfinite.csv:5: non-finite value 'nan'")
         assert not (out / "imputed.csv").exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exit_2(self, tmp_path, run_cli, reps):
+        out = tmp_path / "out"
+        res = run_cli(["compare-imputers", "--reps", reps, "-o", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == f"n_repetitions must be at least 1, not {reps}"
+        assert not (out / "comparison.csv").exists()
 
     @pytest.mark.parametrize("command", ["slice", "impute"])
     def test_fixed_feature_checked_before_use(self, tmp_path, run_cli, command):

@@ -436,5 +436,21 @@ class TestWriteTensor:
         monkeypatch.setattr(tsmote.data, "_write_chunks", write_chunks_but_fail_in_worker)
         with pytest.raises(OSError, match="planted failure in the worker"):
             write_tensor_csv(tensor, tmp_path / "imputed.csv", tmp_path / "imputed.json", {})
+        # neither a partial output nor the temporary directory is left behind
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_failed_rewrite_keeps_earlier_outputs(self, tmp_path, monkeypatch):
+        tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.zeros((3, 2, 1)))
+        csv_path, json_path = tmp_path / "imputed.csv", tmp_path / "imputed.json"
+        write_tensor_csv(tensor, csv_path, json_path, {})
+        before = csv_path.read_bytes(), json_path.read_bytes()
+        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 2)
+        monkeypatch.setattr(tsmote.data, "_write_chunks", write_chunks_but_fail_in_worker)
+        changed = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.ones((3, 2, 1)))
+        with pytest.raises(OSError, match="planted failure in the worker"):
+            write_tensor_csv(changed, csv_path, json_path, {"n_slices": 2})
+        assert (csv_path.read_bytes(), json_path.read_bytes()) == before
+        assert tensor_from_json(before[1].decode()).data.shape == (3, 2, 1)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["imputed.csv", "imputed.json"]
         assert multiprocessing.active_children() == []
