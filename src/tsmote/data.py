@@ -496,23 +496,6 @@ def _write_chunks(csv_path, json_path, data, prefixes, slots, entry, step, seam)
             seam = ", "
 
 
-def run_split(fn, head: tuple, tail: tuple = ()) -> list:
-    """``[fn(*head), fn(*tail)]``, with ``fn(*tail)`` run in one worker process meanwhile.
-
-    The worker starts by the platform's default method; ``fn`` must be a
-    module-level function, so it reaches the worker by name. The worker is joined
-    before this returns, on success or failure, and its exception reaches the caller
-    through ``result()``. An empty ``tail`` gives ``[fn(*head)]`` with no worker.
-    """
-    if not tail:
-        return [fn(*head)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(1) as pool:
-        rest = pool.submit(fn, *tail)
-        return [fn(*head), rest.result()]
-
-
 def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict) -> None:
     """Write the tensor as wide per-slice CSV and as compact JSON, in one pass.
 
@@ -525,9 +508,10 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
 
     Both files are written in a temporary directory beside ``csv_path`` and renamed
     into place once complete, so a failure part-way leaves whatever was there before;
-    ``json_path`` must be on the same filesystem. With two chunks or more,
-    :func:`run_split` formats the second half of the chunks in a worker process,
-    whose files are appended in order, so the bytes do not depend on the split.
+    ``json_path`` must be on the same filesystem. With two chunks or more, one worker
+    process, started by the platform's default method, formats the second half of the
+    chunks meanwhile; its files are appended in order, so the bytes do not depend on
+    the split. The worker is joined before this returns, on success or failure.
     """
     n_d, n_t, n_f = tensor.shape
     data = np.asarray(tensor.data, float)
@@ -557,9 +541,15 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
         with open(a_csv, "w", newline="") as csv_fh, open(a_json, "w") as json_fh:
             csv_fh.write(_csv_line([*_TENSOR_COLUMNS, *tensor.feature_names]))
             json_fh.write('{%s"data": [' % head)
-        tail = (b_csv, b_json, data[mid:], prefixes[mid:], slots, entry, step, ", ") if n_chunks > 1 else ()
-        run_split(_write_chunks, (a_csv, a_json, data[:mid], prefixes[:mid], slots, entry, step, ""), tail)
-        if tail:
+        if n_chunks == 1:
+            _write_chunks(a_csv, a_json, data, prefixes, slots, entry, step, "")
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(1) as pool:
+                rest = pool.submit(_write_chunks, b_csv, b_json, data[mid:], prefixes[mid:], slots, entry, step, ", ")
+                _write_chunks(a_csv, a_json, data[:mid], prefixes[:mid], slots, entry, step, "")
+                rest.result()
             for part, path in ((b_csv, a_csv), (b_json, a_json)):
                 with open(part, "rb") as src, open(path, "ab") as dst:
                     shutil.copyfileobj(src, dst)

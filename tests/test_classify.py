@@ -2,27 +2,23 @@
 
 import dataclasses
 import hashlib
-import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsmote.classify
 from tsmote.classify import (
+    _L2,
     ComparisonConfig,
     Normalizer,
-    _binary_labels,
-    _features,
     auc_score,
     evaluate,
     fit_logistic,
-    predict_proba,
     run_imputer_comparison,
 )
-from tsmote.imputation import METHODS, ImputationConfig, impute_dataset
-from tsmote.oscillator import ExperimentConfig, generate_two_class_experiment
-from tsmote.slicing import assign_slices
-from tsmote.smoothing import SmoothingConfig, smooth_tensor
-from tsmote.synthesis import SynthesisConfig
+from tsmote.oscillator import ExperimentConfig
+from tsmote.smoothing import SmoothingConfig
 
 
 def brute_force_auc(scores, labels):
@@ -55,6 +51,41 @@ class TestNormalizer:
         assert out[0, 0] == pytest.approx(3.0)  # (4 - 1) / 1
 
 
+def pinned_problem():
+    """A comparison-sized fit: 450 standardized rows, 100 features, labels from the first five."""
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((450, 100)) * rng.uniform(0.5, 3.0, 100) + rng.normal(0.0, 2.0, 100)
+    signal = X[:, :5].sum(axis=1)
+    y = (signal + rng.normal(0.0, 2.0, 450) > np.median(signal)).astype(float)
+    return Normalizer.fit(X).transform(X), y
+
+
+def pinned_fit():
+    """``(sha256 of the weights, bias.hex())`` of the pinned problem's fit."""
+    model = fit_logistic(*pinned_problem())
+    return hashlib.sha256(model.weights.tobytes()).hexdigest(), model.bias.hex()
+
+
+def unstandardized_problem(seed):
+    """Up to 300 rows and 40 features with scales from 1e-2 to 1e3 and offsets of a few
+    scales; labels follow a random direction, or split the first feature at its median."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(10, 300)), int(rng.integers(1, 40))
+    scale = 10 ** rng.uniform(-2, 3, p)
+    X = rng.standard_normal((n, p)) * scale + rng.normal(0, 5, p) * scale
+    if rng.random() < 0.3:
+        return X, (X[:, 0] > np.median(X[:, 0])).astype(float)
+    return X, (rng.random(n) < 1 / (1 + np.exp(-(X / scale) @ rng.normal(0, 2, p)))).astype(float)
+
+
+def scaled_gradient(X, y, model):
+    """The gradient of mean cross-entropy plus ``_L2/2·‖w‖²`` at ``model``, each weight's
+    entry divided by the RMS of its feature, so its size does not depend on the feature's."""
+    r = 1 / (1 + np.exp(-np.clip(X @ model.weights + model.bias, -500, 500))) - y
+    grad_w = X.T @ r / len(y) + _L2 * model.weights
+    return np.append(grad_w / np.sqrt((X**2).mean(axis=0)), r.mean())
+
+
 class TestFitLogistic:
     def test_separable_data_perfect_training_accuracy(self):
         X = np.concatenate([-np.ones((50, 1)), np.ones((50, 1))])
@@ -74,15 +105,39 @@ class TestFitLogistic:
         assert m1.bias == m2.bias
 
     def test_weights_pinned_bit_for_bit(self):
-        """The weights of a comparison-sized fit (450 standardized rows, 100 features) stay the recorded bits."""
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((450, 100)) * rng.uniform(0.5, 3.0, 100) + rng.normal(0.0, 2.0, 100)
-        signal = X[:, :5].sum(axis=1)
-        y = (signal + rng.normal(0.0, 2.0, 450) > np.median(signal)).astype(float)
-        model = fit_logistic(Normalizer.fit(X).transform(X), y)
-        assert hashlib.sha256(model.weights.tobytes()).hexdigest() == (
-            "fecc377a0e60b9169e7f9e6ca2dd3d4780906f625d54643e5a5e65cb496e2b58")
-        assert model.bias.hex() == "0x1.9f2a766e3a856p-5"
+        """The weights of a comparison-sized fit stay the recorded bits."""
+        assert pinned_fit() == ("747e09a20e3f3307c203c336f6dca707b4dcb524cc43397071245efb07473244",
+                                "0x1.55618730e23f2p-7")
+
+    def test_weights_do_not_depend_on_blas_threads(self, run_python, tmp_path):
+        """The pinned fit gives the same bits on one BLAS thread as in this process."""
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from test_classify import pinned_fit; print(*pinned_fit())"
+        res = run_python(["-c", code, str(Path(__file__).parent)], tmp_path,
+                         {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+        assert res.returncode == 0, res.stderr
+        assert tuple(res.stdout.split()) == pinned_fit()
+
+    @pytest.mark.parametrize("problem", [
+        pinned_problem,
+        lambda: (np.concatenate([-np.ones((50, 1)), np.ones((50, 1))]) * 100,
+                 np.concatenate([np.zeros(50), np.ones(50)])),
+        # more features than rows: separable, so only the penalty bounds the weights
+        lambda: (np.random.default_rng(4).standard_normal((60, 200)),
+                 (np.random.default_rng(5).random(60) < 0.5).astype(float)),
+        # undamped Newton steps give NaN weights on these six
+        *[lambda seed=seed: unstandardized_problem(seed) for seed in (77, 79, 89, 154, 248, 251)],
+    ], ids=["pinned", "separable-x100", "p-over-n", *[f"unstandardized-{s}" for s in (77, 79, 89, 154, 248, 251)]])
+    def test_reaches_the_optimum(self, problem):
+        X, y = problem()
+        model = fit_logistic(X, y)
+        assert np.isfinite(model.weights).all()
+        assert np.abs(scaled_gradient(X, y, model)).max() < 1e-8
+
+    def test_step_cap_raises(self, monkeypatch):
+        """A fit that needs more Newton steps than allowed raises instead of returning."""
+        monkeypatch.setattr(tsmote.classify, "_MAX_NEWTON_STEPS", 3)
+        with pytest.raises(ValueError, match="did not converge in 3 Newton steps"):
+            fit_logistic(*pinned_problem())
 
     def test_non_binary_labels_rejected(self):
         X = np.zeros((4, 1))
@@ -101,7 +156,7 @@ class TestFitLogistic:
         X = rng.standard_normal((10_000, 3))
         y = (rng.random(10_000) < 0.5).astype(float)
         n_train = 8000
-        model = fit_logistic(X[:n_train], y[:n_train], n_iterations=500)
+        model = fit_logistic(X[:n_train], y[:n_train])
         _, auc = evaluate(model, X[n_train:], y[n_train:])
         assert 0.45 <= auc <= 0.55
 
@@ -136,37 +191,7 @@ class TestAuc:
             assert auc_score(scores, labels) == pytest.approx(brute_force_auc(scores, labels))
 
 
-def serial_comparison(seed, config):
-    """The one-process repetition loop that the split comparison replaced, as its oracle:
-    ``{method: (accuracies, aucs)}``."""
-    results = {m: ([], []) for m in METHODS}
-    for rep in range(config.n_repetitions):
-        rep_seed = seed + rep
-        exp = generate_two_class_experiment(rep_seed, config.experiment)
-        assignment = assign_slices(exp.train, exp.grid)
-        test_tensor = impute_dataset(
-            exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean")
-        )
-        if config.smoothing is not None and config.smooth_test:
-            test_tensor = smooth_tensor(test_tensor, config.smoothing)
-        X_test_raw = _features(test_tensor, config.feature_mode)
-        y_test = _binary_labels(test_tensor)
-        for method in METHODS:
-            train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
-                                          ImputationConfig(method=method))
-            if config.smoothing is not None:
-                train_tensor = smooth_tensor(train_tensor, config.smoothing)
-            X_train = _features(train_tensor, config.feature_mode)
-            y_train = _binary_labels(train_tensor)
-            norm = Normalizer.fit(X_train)
-            model = fit_logistic(norm.transform(X_train), y_train)
-            acc, auc = evaluate(model, norm.transform(X_test_raw), y_test)
-            results[method][0].append(acc)
-            results[method][1].append(auc)
-    return results
-
-
-# noisy enough that every repetition scores differently, so a shuffled join shows
+# noisy enough that every repetition scores differently, so a reordered or repeated one shows
 NOISY_EXPERIMENT = ExperimentConfig(noise_sigma=1.0, n_train_a=40, n_train_b=30, n_test_a=8, n_test_b=6,
                                     n_slices=10)
 
@@ -177,15 +202,15 @@ class TestComparison:
         ("endpoint", SmoothingConfig(window=5, poly_order=2)),
         ("flattened", None),
     ])
-    def test_split_matches_serial_loop(self, feature_mode, smoothing):
+    def test_fewer_repetitions_give_a_prefix(self, feature_mode, smoothing):
+        """Repetition r depends only on seed + r, so ``n`` repetitions score as the first
+        ``n`` of three do."""
         config = ComparisonConfig(experiment=NOISY_EXPERIMENT, smoothing=smoothing, n_repetitions=3,
                                   feature_mode=feature_mode)
-        expected = serial_comparison(7, config)
+        expected = {r.method: (r.accuracies, r.aucs) for r in run_imputer_comparison(7, config)}
         assert len(set(expected["tsmote"][1])) == 3
-        # repetition r depends only on seed + r, so fewer repetitions give a prefix
-        for n in (1, 2, 3):
+        for n in (1, 2):
             results = run_imputer_comparison(7, dataclasses.replace(config, n_repetitions=n))
-            assert multiprocessing.active_children() == []
             assert {r.method: (r.accuracies, r.aucs) for r in results} == {
                 m: (accs[:n], aucs[:n]) for m, (accs, aucs) in expected.items()}
 

@@ -218,27 +218,20 @@ def test_in_process_impute_leaves_no_process(golden_runs, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["grid.json", "imputed.csv", "imputed.json"]
 
 
-_COMPARISON_REPS = tsmote.classify._comparison_reps
+def fit_logistic_but_fail(X, y):
+    raise ValueError("logistic regression did not converge in 100 Newton steps")
 
 
-def comparison_reps_but_fail_in_worker(*args):
-    """``_comparison_reps`` in this process, an error in the comparison's worker process.
-
-    Module-level, so the comparison can send it to its worker by name."""
-    if multiprocessing.parent_process() is not None:
-        raise ValueError("planted failure in the worker")
-    return _COMPARISON_REPS(*args)
-
-
-def test_comparison_worker_failure_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(tsmote.classify, "_comparison_reps", comparison_reps_but_fail_in_worker)
+def test_comparison_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """A classifier that fails mid-comparison exits 2 with the JSON error, and writes nothing."""
+    monkeypatch.setattr(tsmote.classify, "fit_logistic", fit_logistic_but_fail)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         tsmote.cli.main(["compare-imputers", "--reps", "2", "--slices", "10", "--window", "5", "--order", "2",
                          "-o", str(out)])
     assert exc.value.code == 2
-    assert json.loads(capsys.readouterr().err) == {"error": "planted failure in the worker"}
-    assert multiprocessing.active_children() == []
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "logistic regression did not converge in 100 Newton steps"}
     assert not out.exists()
 
 
