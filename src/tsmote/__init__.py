@@ -31,7 +31,6 @@ from .synthesis import (
     LambdaSpec,
     SynthesisConfig,
     SynthesisError,
-    SyntheticPool,
     generate_pool,
     knn_1d,
     synthesize_slice,
@@ -75,7 +74,7 @@ __all__ = [
     "SliceGrid", "SliceGridError",
     "compute_time_bounds", "build_slice_grid", "assign_slices",
     # synthesis
-    "LambdaSpec", "SynthesisConfig", "SyntheticPool",
+    "LambdaSpec", "SynthesisConfig",
     "SynthesisError",
     "knn_1d", "synthesize_slice", "generate_pool",
     # imputation

@@ -45,7 +45,7 @@ from .slicing import (
     build_slice_grid,
 )
 from .smoothing import SmoothingConfig, smooth_tensor
-from .synthesis import LambdaSpec, SynthesisConfig, generate_pool, write_pool_csv
+from .synthesis import LambdaSpec, SynthesisConfig, generate_pool
 
 
 def _fail(message: str, **extra) -> NoReturn:
@@ -193,11 +193,14 @@ def cmd_demo_oscillator(args) -> int:
               [np.array(train.ids, dtype=object)[owner], np.array(train.labels, dtype=object)[owner],
                train.times, train.times - exp.grid.t_min, assignment, *train.values.T])
 
-    # as many vectors per cell as a tsmote impute of the training set draws from it
+    # the vectors a tsmote impute of the training set draws, cell by cell in pool order
     *_, cells = request_table(train, exp.grid.n_slices, assignment)
-    sizes = np.bincount(cells, minlength=len(train.class_labels()) * exp.grid.n_slices)
-    pool = generate_pool(train, exp.grid, assignment, sizes, SynthesisConfig(seed=args.seed))
-    write_pool_csv(pool, exp.grid, exp.train.feature_names, _out(args, "pool.csv"))
+    cells = np.sort(cells)
+    pool = generate_pool(train, exp.grid, assignment, cells, SynthesisConfig(seed=args.seed))
+    position, si = np.divmod(cells, exp.grid.n_slices)
+    write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
+              [np.array(train.class_labels(), dtype=object)[position], si,
+               np.asarray(exp.grid.grid_times, dtype=float)[si], *pool.T])
     print(f"wrote train ({exp.train.n_samples} samples), test ({exp.test.n_samples} samples), "
           f"grid, slices.csv, pool.csv")
     return 0

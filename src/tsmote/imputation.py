@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ImputedTensor, TimeSeriesDataset
-from .slicing import SliceGrid, assign_slices, group_cells, group_ranks
+from .slicing import SliceGrid, assign_slices, cell_blocks, cell_index, group_ranks
 from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
@@ -50,19 +50,12 @@ def _slice_statistics(
 ) -> np.ndarray:
     """(n_cells, F) featurewise mean or median of each (class, slice) cell's observed values."""
     reduce = np.nanmean if method == SLICE_MEAN else np.nanmedian
-    labels = dataset.class_labels() or [None]
-    cells = dataset.class_positions()[dataset.row_sample] * n_slices + assignment
-    stats = np.empty((len(labels) * n_slices, dataset.n_features))
-    for c, block in enumerate(group_cells(dataset.values, cells, len(stats))):
-        lab, si = labels[c // n_slices], c % n_slices
-        if len(block) == 0:
-            raise ValueError(
-                f"class={lab!r} has no observations in slice {si}; cannot compute baseline statistic"
-            )
-        if np.isnan(block).all(axis=0).any():
-            raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
-        stats[c] = reduce(block, axis=0)
-    return stats
+    stats = []
+    for _, name, rows in cell_blocks(dataset, n_slices, assignment):
+        if np.isnan(rows).all(axis=0).any():
+            raise ValueError(f"{name} has a feature with no observed values")
+        stats.append(reduce(rows, axis=0))
+    return np.array(stats)
 
 
 def impute_dataset(
@@ -99,14 +92,14 @@ def impute_dataset(
     values, null_rows, empty, request_cells = request_table(dataset, n_t, assignment)
     # serve the requests sample by sample: null-bearing rows, then empty slots
     order = np.argsort(np.concatenate((owner[null_rows], empty // n_t)), kind="stable")
-    drawn = np.empty((len(order), n_f))
     if imp.method == TSMOTE:
-        sizes = np.bincount(request_cells, minlength=len(dataset.class_labels() or [None]) * n_t)
-        pool = generate_pool(dataset, grid, assignment, sizes, syn)
-        drawn[order] = pool.serve(request_cells[order], np.random.default_rng(syn.seed))
+        served = generate_pool(dataset, grid, assignment, request_cells[order], syn)
     else:
-        stats = _slice_statistics(dataset, n_t, assignment, imp.method)
-        drawn[order] = stats[request_cells[order]]
+        served = _slice_statistics(dataset, n_t, assignment, imp.method)[request_cells[order]]
+    # allocated after the pool is freed, and the served copy freed before the fill: a lower peak RSS
+    drawn = np.empty_like(served)
+    drawn[order] = served
+    del served
 
     nulls = np.isnan(values[null_rows])
     values[null_rows] = np.where(nulls, drawn[: len(null_rows)], values[null_rows])
@@ -144,14 +137,13 @@ def request_table(
     falls in, in slot order; ``cells`` is each request's (class, slice) cell.
     """
     owner = dataset.row_sample
-    sample_cell = dataset.class_positions() * n_slices  # cell of each sample's slice 0
     values = dataset.values.copy()
     _pin_fixed_prefix(values, dataset)
     null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
     slots = owner * n_slices + assignment
     empty = np.flatnonzero(np.bincount(slots, minlength=dataset.n_samples * n_slices) == 0)
-    cells = np.concatenate((sample_cell[owner[null_rows]] + assignment[null_rows],
-                            sample_cell[empty // n_slices] + empty % n_slices))
+    cells = cell_index(dataset, np.concatenate((owner[null_rows], empty // n_slices)),
+                       np.concatenate((assignment[null_rows], empty % n_slices)), n_slices)
     return values, null_rows, empty, cells
 
 

@@ -55,12 +55,20 @@ class SliceGrid:
     occupancy: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.boundaries) != self.n_slices + 1:
-            raise ValueError("boundaries must have n_slices + 1 entries")
-        if any(b <= a for a, b in zip(self.boundaries, self.boundaries[1:])):
+        b, g = self.boundaries, self.grid_times
+        if not np.isfinite([*b, *g, self.t_min, self.t_max]).all():
+            raise ValueError("slice grid entries must be finite")
+        if self.n_slices < 1 or len(b) != self.n_slices + 1 or len(g) != self.n_slices:
+            raise ValueError("n_slices must be at least 1, with n_slices + 1 boundaries and n_slices grid times")
+        if b[0] != 0 or b[-1] != self.t_max - self.t_min:
+            raise ValueError("boundaries must run from 0 to t_max - t_min")
+        if any(hi <= lo for lo, hi in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing")
-        if len(self.grid_times) != self.n_slices:
-            raise ValueError("one grid time per slice required")
+        # closed above too: a midpoint between adjacent floats can round onto the upper boundary
+        if not all(lo <= t <= hi for lo, t, hi in zip(b, g, b[1:])):
+            raise ValueError("each grid time must lie in its slice")
+        if self.grid_time_policy not in _POLICIES:
+            raise ValueError(f"unknown grid_time_policy {self.grid_time_policy!r}; use one of {_POLICIES}")
 
     @property
     def slice_widths(self) -> np.ndarray:
@@ -92,14 +100,26 @@ class SliceGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SliceGrid":
+        if not isinstance(d, dict):
+            raise ValueError(f"a slice grid must be a JSON object, not {type(d).__name__}")
+
+        def entry(key, convert):
+            try:
+                return convert(d[key])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise ValueError(f"slice grid entry {key!r} is missing or malformed: {d.get(key)!r}") from None
+
+        def floats(xs):
+            return tuple(float(x) for x in xs)
+
         return cls(
-            n_slices=int(d["n_slices"]),
-            boundaries=tuple(float(x) for x in d["boundaries"]),
-            grid_times=tuple(float(x) for x in d["grid_times"]),
-            grid_time_policy=d["grid_time_policy"],
-            t_min=float(d["t_min"]),
-            t_max=float(d["t_max"]),
-            occupancy=tuple(int(x) for x in d.get("occupancy", ())),
+            n_slices=entry("n_slices", int),
+            boundaries=entry("boundaries", floats),
+            grid_times=entry("grid_times", floats),
+            grid_time_policy=entry("grid_time_policy", lambda p: p),
+            t_min=entry("t_min", float),
+            t_max=entry("t_max", float),
+            occupancy=entry("occupancy", lambda xs: tuple(int(x) for x in xs)) if "occupancy" in d else (),
         )
 
     @classmethod
@@ -107,14 +127,33 @@ class SliceGrid:
         return cls.from_dict(json.loads(text))
 
 
-def group_cells(values: np.ndarray, cells: np.ndarray, n_cells: int) -> list[np.ndarray]:
-    """Rows of ``values`` in every cell ``0 .. n_cells - 1``, NaN marking nulls.
+def cell_index(dataset: TimeSeriesDataset, samples: np.ndarray, slices: np.ndarray, n_slices: int) -> np.ndarray:
+    """The (class, slice) cell ``class position * n_slices + slice`` of each (sample, slice) pair.
 
-    One stable sort by cell, so each cell keeps its rows in dataset order
-    (sample order, then observation order).
+    Class positions follow ``dataset.class_labels()``; an unlabeled dataset has one class.
     """
-    order = np.argsort(cells, kind="stable")
-    return np.split(values[order], np.cumsum(np.bincount(cells, minlength=n_cells))[:-1])
+    return dataset.class_positions()[samples] * n_slices + slices
+
+
+def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
+    """Yield ``(cell, name, rows)`` for every (class, slice) cell in cell order.
+
+    ``rows`` holds the cell's values in dataset order (sample order, then
+    observation order), NaN marking nulls; ``name`` reads ``class=... slice=...``.
+    A cell with no rows raises ``ValueError`` when it is reached, so errors
+    come out in cell order.
+    """
+    labels = dataset.class_labels() or [None]
+    cells = cell_index(dataset, dataset.row_sample, assignment, n_slices)
+    counts = np.bincount(cells, minlength=len(labels) * n_slices)
+    blocks = np.split(dataset.values[np.argsort(cells, kind="stable")], np.cumsum(counts)[:-1])
+    for c, rows in enumerate(blocks):
+        lab, si = labels[c // n_slices], c % n_slices
+        if len(rows) == 0:
+            raise ValueError(
+                f"class={lab!r} has no observations in slice {si}; reduce n_slices or provide more data"
+            )
+        yield c, f"class={lab!r} slice={si}", rows
 
 
 def group_ranks(keys: np.ndarray) -> np.ndarray:

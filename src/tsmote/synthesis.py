@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .data import TimeSeriesDataset, write_csv
-from .slicing import SliceGrid, group_cells, group_ranks
+from .data import TimeSeriesDataset
+from .slicing import SliceGrid, cell_blocks, group_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -125,11 +124,16 @@ def knn_1d(values: np.ndarray, query_index: int, k: int) -> np.ndarray:
 
     Ties break toward the smaller index. If ``k`` exceeds the number of other
     values it is reduced with a warning (the slice is too sparse for the
-    requested neighborhood).
+    requested neighborhood). A ``k`` below 1 or a ``query_index`` outside
+    ``[0, n)`` raises ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise SynthesisError("need at least 2 values for nearest-neighbor search")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, not {k}")
+    if not 0 <= query_index < values.size:
+        raise ValueError(f"query_index {query_index} is outside [0, {values.size})")
     return _neighbor_table(values, k)[query_index]
 
 
@@ -228,92 +232,40 @@ def synthesize_slice(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SyntheticPool:
-    """Synthetic vectors of every (class, slice) cell in one flat array.
-
-    Cell ``c = class position * n_slices + slice`` owns rows
-    ``starts[c] : starts[c] + sizes[c]`` of ``vectors``; class positions
-    follow ``labels``. Without replacement each cell's rows are stored in a
-    pre-shuffled deterministic order and requests consume them in that
-    order, so the assignment depends only on the request sequence, not on
-    shared RNG state.
-    """
-
-    labels: tuple[Optional[str], ...]
-    n_slices: int
-    vectors: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    replacement_policy: str
-
-    def cell(self, class_label: Optional[str], slice_index: int) -> np.ndarray:
-        c = self.labels.index(class_label) * self.n_slices + slice_index
-        return self.vectors[self.starts[c] : self.starts[c] + self.sizes[c]]
-
-    def serve(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One vector for each request, given the requests' cells in request order.
-
-        ``generate_pool`` sizes each cell to its requests. With replacement a
-        request takes a uniformly drawn row of its cell, all from one
-        ``rng.integers`` call (the same values as one call per request).
-        Without, a cell's n-th request takes its n-th row, so every row is
-        taken exactly once.
-        """
-        if self.replacement_policy == "with":
-            pick = rng.integers(0, self.sizes[cells])
-        else:
-            pick = group_ranks(cells)
-        return self.vectors[self.starts[cells] + pick]
-
-
 def generate_pool(
     dataset: TimeSeriesDataset,
     grid: SliceGrid,
     assignment: np.ndarray,
-    sizes: np.ndarray,
+    cells: np.ndarray,
     config: SynthesisConfig,
-) -> SyntheticPool:
-    """Build the per-class, per-slice synthetic pool.
+) -> np.ndarray:
+    """One synthetic vector for each request, given the requests' (class, slice) cells in request order.
 
-    ``assignment`` is the (N,) slice index of every row, from ``assign_slices``.
-    ``sizes[c]`` is the number of vectors cell ``c`` makes: the fill's
-    requests to it, from ``imputation.request_table``. A cell of size zero
-    makes none and needs no usable column. Each cell generates from its own
-    RNG stream keyed by (seed, class, slice), so a cell's vectors do not
-    depend on the other cells. Without replacement the cell is then put in a
-    random order drawn from the same stream. Neighbor search costs
-    O(n log n) per column of an n-row cell (see ``_neighbor_table``).
+    ``assignment`` is the (N,) slice index of every row, from ``assign_slices``;
+    ``cells`` numbers cells as ``slicing.cell_index`` does. Each cell makes as
+    many vectors as it has requests; one with none needs no usable column.
+    A cell generates from its own RNG stream keyed by (seed, class, slice),
+    so its vectors do not depend on the other cells. Without replacement the
+    cell's vectors are put in a random order drawn from the same stream, and
+    a cell's n-th request takes its n-th vector, so every vector is taken
+    once. With replacement a request takes a uniformly drawn vector of its
+    cell, all from one ``integers`` call on ``default_rng(seed)`` (the same
+    values as one call per request). Neighbor search costs O(n log n) per
+    column of an n-row cell (see ``_neighbor_table``).
     """
-    labels = dataset.class_labels() or [None]
     n_t = grid.n_slices
-    n_cells = len(labels) * n_t
-    cells = dataset.class_positions()[dataset.row_sample] * n_t + assignment
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    vectors = np.empty((int(sizes.sum()), dataset.n_features))
-
-    for c, block in enumerate(group_cells(dataset.values, cells, n_cells)):
-        lab, si = labels[c // n_t], c % n_t
-        if len(block) == 0:
-            raise SynthesisError(
-                f"class={lab!r} has no observations in slice {si}; "
-                "reduce n_slices or provide more data"
-            )
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(c // n_t, si))
-        )
-        pool = synthesize_slice(block, config, sizes[c], rng, label=f"class={lab!r} slice={si}")
+    sizes = np.bincount(cells, minlength=len(dataset.class_labels() or [None]) * n_t)
+    starts = np.cumsum(sizes) - sizes
+    vectors = np.empty((len(cells), dataset.n_features))
+    for c, name, rows in cell_blocks(dataset, n_t, assignment):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_t)))
+        pool = synthesize_slice(rows, config, sizes[c], rng, label=name)
         if config.replacement_policy == "without":
             # the same order and RNG state as rng.shuffle(pool, axis=0), far faster
             pool = pool[rng.permutation(sizes[c])]
         vectors[starts[c] : starts[c] + sizes[c]] = pool
-    return SyntheticPool(tuple(labels), n_t, vectors, starts, sizes, config.replacement_policy)
-
-
-def write_pool_csv(pool: SyntheticPool, grid: SliceGrid, feature_names, path) -> None:
-    """Flat CSV of all pooled vectors: class, slice_index, grid_time, features."""
-    cell = np.repeat(np.arange(len(pool.sizes)), pool.sizes)
-    si = cell % pool.n_slices
-    write_csv(path, ["class", "slice_index", "grid_time", *feature_names],
-              [np.array(pool.labels, dtype=object)[cell // pool.n_slices], si,
-               np.asarray(grid.grid_times, dtype=float)[si], *pool.vectors.T])
+    if config.replacement_policy == "with":
+        pick = np.random.default_rng(config.seed).integers(0, sizes[cells])
+    else:
+        pick = group_ranks(cells)
+    return vectors[starts[cells] + pick]

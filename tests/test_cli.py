@@ -1,7 +1,9 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
+import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import multiprocessing
@@ -14,6 +16,8 @@ import tsmote.classify
 import tsmote.cli
 
 TOY_CSV = "sample_id,time,x\na,0,0.0\na,1,0.1\na,2,0.2\nb,3,0.3\nb,4,0.4\nb,5,0.5\n"
+TOY_GRID = {"n_slices": 3, "boundaries": [0.0, 1.5, 3.5, 5.0], "grid_times": [0.5, 2.5, 4.5],
+            "grid_time_policy": "median_of_observations", "t_min": 0.0, "t_max": 5.0}
 
 
 # one nan cell (line 5) and one inf cell (line 7); sample a has no non-finite
@@ -63,6 +67,26 @@ def test_subprocess_imports_package_under_test(tmp_path, run_python):
     res = run_python(["-c", "import tsmote; print(tsmote.__file__)"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert Path(res.stdout.strip()).resolve() == Path(tsmote.__file__).resolve()
+
+
+def test_benchmark_span_names_are_exported():
+    """Every module ``perfbench/traced.py`` wraps a span through exposes the span's function.
+
+    Spans whose function is gone from its home module are skipped: they are
+    listed as missing by the benchmark itself. This catches a module that
+    stops importing a name before the span goes missing from a benchmark run.
+    """
+    traced = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "traced.py").read_text())
+    targets, = (ast.literal_eval(node.value) for node in traced.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TARGETS")
+    checked = 0
+    for span, modules in targets.items():
+        home, name = span.split(".")
+        if hasattr(importlib.import_module(f"tsmote.{home}"), name):
+            checked += 1
+            for module in modules:
+                assert hasattr(importlib.import_module(module), name), f"{module} does not expose {name}"
+    assert checked
 
 
 class TestSlice:
@@ -420,6 +444,24 @@ class TestRejectedInput:
         res = run_cli(["impute", str(path), "--slices", "2", "-o", str(out)], tmp_path)
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["error"] == f"{path}: {error}"
+        assert not out.exists()
+
+    # TOY_GRID is the grid `slice --slices 3` builds for TOY_CSV; each file breaks one entry
+    @pytest.mark.parametrize("grid, error", [
+        ([0.0, 1.5, 3.5, 5.0], "a slice grid must be a JSON object, not list"),
+        ({k: v for k, v in TOY_GRID.items() if k != "boundaries"},
+         "slice grid entry 'boundaries' is missing or malformed: None"),
+        ({**TOY_GRID, "t_max": None}, "slice grid entry 't_max' is missing or malformed: None"),
+        ({**TOY_GRID, "grid_times": [float("nan"), 2.5, 4.5]}, "slice grid entries must be finite"),
+        ({**TOY_GRID, "boundaries": [0.0, float("nan"), 3.5, 5.0]}, "slice grid entries must be finite"),
+    ])
+    def test_malformed_grid_file_exits_2(self, toy_csv, tmp_path, run_cli, grid, error):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out = tmp_path / "out"
+        res = run_cli(["impute", str(toy_csv), "--grid", str(path), "-o", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == error
         assert not out.exists()
 
     # 4 samples, each observed at every time; twice the span is not a finite float

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tsmote import imputation, synthesis
 from tsmote.data import TimeSeriesDataset, write_tensor_csv
 from tsmote.imputation import METHODS, ImputationConfig, impute_dataset, request_table
 from tsmote.oscillator import generate_two_class_experiment
 from tsmote.slicing import MIDPOINT, SliceGrid, SliceGridError, assign_slices, build_slice_grid
-from tsmote.synthesis import SynthesisConfig, SynthesisError, SyntheticPool, generate_pool
+from tsmote.synthesis import SynthesisConfig, SynthesisError, synthesize_slice
 
 # five unit slices over [0, 5): an observation at time t lands in slice floor(t)
 GRID5 = SliceGrid(5, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (0.5, 1.5, 2.5, 3.5, 4.5), MIDPOINT, 0.0, 5.0)
@@ -267,15 +268,19 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
     Without replacement every vector is drawn once. The input's fixed prefix
     has nulls that pinning fills; those rows ask for nothing.
     """
-    served = []
-    serve = SyntheticPool.serve
+    made, served = [], []
+    synthesize, generate = synthesis.synthesize_slice, synthesis.generate_pool
 
-    def record(pool, cells, rng):
-        drawn = serve(pool, cells, rng)
-        served.append((pool, cells, drawn))
-        return drawn
+    def record_made(*args, **kwargs):
+        made.append(synthesize(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(SyntheticPool, "serve", record)
+    def record_served(dataset, grid, assignment, cells, config):
+        served.append((cells, generate(dataset, grid, assignment, cells, config)))
+        return served[-1][1]
+
+    monkeypatch.setattr(synthesis, "synthesize_slice", record_made)
+    monkeypatch.setattr(imputation, "generate_pool", record_served)
     train = generate_two_class_experiment(1).train
     values = train.values.copy()
     values[1::7, 0] = np.nan  # nulls in the fixed prefix, each one filled by pinning
@@ -285,13 +290,14 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
     impute_dataset(ds, grid, synthesis_config=SynthesisConfig(seed=4, replacement_policy=policy),
                    imputation_config=ImputationConfig(allow_null_feature_imputation=True))
 
-    (pool, cells, drawn), = served
+    (cells, drawn), = served
     n_requests = np.isnan(values[:, 1]).sum() + ds.n_samples * 20 - np.unique(
         ds.row_sample * 20 + assign_slices(ds, grid)).size
-    assert pool.sizes.sum() == len(cells) == n_requests
-    np.testing.assert_array_equal(np.bincount(cells, minlength=pool.sizes.size), pool.sizes)
+    assert len(made) == 2 * 20
+    assert len(cells) == len(drawn) == n_requests
+    np.testing.assert_array_equal(np.bincount(cells, minlength=len(made)), [len(v) for v in made])
     if policy == "without":
-        assert sorted(map(tuple, drawn)) == sorted(map(tuple, pool.vectors))
+        assert sorted(map(tuple, drawn)) == sorted(map(tuple, np.concatenate(made)))
 
 
 def reference_impute(dataset, grid, syn, imp, reshape):
@@ -299,25 +305,31 @@ def reference_impute(dataset, grid, syn, imp, reshape):
 
     Draws one vector at a time: for each sample, its null-bearing rows in row
     order, then its empty slots in slice order. Under tsmote a first pass
-    counts each cell's draws and the pool is built with exactly that many
-    vectors per cell; the second pass checks it draws each cell that often.
+    counts each cell's draws, and each cell's pool is built from
+    ``synthesize_slice`` with exactly that many vectors, on the cell's own
+    ``SeedSequence``; the second pass checks it draws each cell that often.
     """
     a = assign_slices(dataset, grid)
     n_t = grid.n_slices
     labels = dataset.class_labels() or [None]
+
+    def cells():
+        for c in range(len(labels) * n_t):
+            lab, si = labels[c // n_t], c % n_t
+            rows = dataset.values[(np.array(dataset.labels) == lab)[dataset.row_sample] & (a == si)]
+            if len(rows) == 0:
+                raise ValueError(
+                    f"class={lab!r} has no observations in slice {si}; reduce n_slices or provide more data"
+                )
+            yield c, lab, si, rows
+
     if imp.method != "tsmote":
         reduce = np.nanmean if imp.method == "slice_mean" else np.nanmedian
         stats = {}
-        for lab in labels:
-            for si in range(n_t):
-                cell = dataset.values[(np.array(dataset.labels) == lab)[dataset.row_sample] & (a == si)]
-                if len(cell) == 0:
-                    raise ValueError(
-                        f"class={lab!r} has no observations in slice {si}; cannot compute baseline statistic"
-                    )
-                if np.isnan(cell).all(axis=0).any():
-                    raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
-                stats[lab, si] = reduce(cell, axis=0)
+        for _, lab, si, rows in cells():
+            if np.isnan(rows).all(axis=0).any():
+                raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
+            stats[lab, si] = reduce(rows, axis=0)
         return fill_per_sample(dataset, a, n_t, reshape, lambda lab, si: stats[lab, si])
 
     counts = np.zeros(len(labels) * n_t, dtype=np.intp)
@@ -327,18 +339,22 @@ def reference_impute(dataset, grid, syn, imp, reshape):
         return np.zeros(dataset.n_features)
 
     fill_per_sample(dataset, a, n_t, reshape, count)
-    pool = generate_pool(dataset, grid, a, counts, syn)
+    pools = []
+    for c, lab, si, rows in cells():
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=syn.seed, spawn_key=(c // n_t, si)))
+        pool = synthesize_slice(rows, syn, counts[c], rng, label=f"class={lab!r} slice={si}")
+        pools.append(pool if syn.replacement_policy == "with" else pool[rng.permutation(counts[c])])
     rng = np.random.default_rng(syn.seed)
-    cursor = np.zeros_like(pool.sizes)
+    cursor = np.zeros_like(counts)
 
     def draw(lab, si):
         c = labels.index(lab) * n_t + si
-        pick = int(rng.integers(pool.sizes[c])) if syn.replacement_policy == "with" else cursor[c]
+        pick = int(rng.integers(counts[c])) if syn.replacement_policy == "with" else cursor[c]
         cursor[c] += 1
-        return pool.vectors[pool.starts[c] + pick]
+        return pools[c][pick]
 
     rows = fill_per_sample(dataset, a, n_t, reshape, draw)
-    np.testing.assert_array_equal(cursor, pool.sizes)  # every cell drawn exactly its size
+    np.testing.assert_array_equal(cursor, counts)  # every cell drawn exactly its size
     return rows
 
 

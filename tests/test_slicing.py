@@ -111,6 +111,51 @@ class TestBuildGrid:
         assert SliceGrid.from_json(grid.to_json()) == grid
 
 
+# a valid three-slice grid, and the one entry each invalid variant changes
+VALID_GRID = dict(n_slices=3, boundaries=(0.0, 1.5, 3.5, 5.0), grid_times=(0.5, 2.5, 4.5),
+                  grid_time_policy=MEDIAN_OF_OBSERVATIONS, t_min=10.0, t_max=15.0)
+
+
+class TestGridInvariants:
+    @pytest.mark.parametrize("change, error", [
+        ({"grid_times": (np.nan, 2.5, 4.5)}, "must be finite"),
+        ({"boundaries": (0.0, np.nan, 3.5, 5.0)}, "must be finite"),
+        ({"t_max": np.inf}, "must be finite"),
+        ({"n_slices": 0, "boundaries": (0.0,), "grid_times": ()}, "n_slices must be at least 1"),
+        ({"grid_times": (0.5, 2.5)}, "n_slices grid times"),
+        ({"boundaries": (0.5, 1.5, 3.5, 5.0)}, "from 0 to t_max - t_min"),
+        ({"t_max": 16.0}, "from 0 to t_max - t_min"),
+        ({"boundaries": (0.0, 3.5, 1.5, 5.0)}, "strictly increasing"),
+        ({"grid_times": (0.5, 1.4, 4.5)}, "each grid time must lie in its slice"),
+        ({"grid_times": (0.5, 2.5, 5.5)}, "each grid time must lie in its slice"),
+        ({"grid_time_policy": "mean"}, "unknown grid_time_policy 'mean'"),
+    ])
+    def test_invalid_grid_rejected(self, change, error):
+        with pytest.raises(ValueError, match=error):
+            SliceGrid(**{**VALID_GRID, **change})
+
+    def test_grid_time_may_sit_on_either_boundary(self):
+        SliceGrid(**{**VALID_GRID, "grid_times": (0.0, 3.5, 5.0)})
+
+    def test_midpoint_rounded_onto_upper_boundary_accepted(self):
+        # slice 2 is [x, next float after x): their midpoint rounds up to the even upper boundary
+        x = float(np.nextafter(1.0, 2.0))
+        nx = float(np.nextafter(x, 2.0))
+        grid = build_slice_grid(dataset_from_times([[0.0, 1.0, x, nx, 3.0], [0.5, 1.0, x, nx, 3.0]]), 5, MIDPOINT)
+        assert grid.boundaries[2:4] == (x, nx) and grid.grid_times[2] == nx
+
+    @pytest.mark.parametrize("doc, error", [
+        ([0.0, 1.5], "a slice grid must be a JSON object, not list"),
+        ({k: v for k, v in VALID_GRID.items() if k != "boundaries"}, "entry 'boundaries' is missing"),
+        ({**VALID_GRID, "t_min": None}, "entry 't_min' is missing or malformed: None"),
+        ({**VALID_GRID, "n_slices": "three"}, "entry 'n_slices' is missing or malformed: 'three'"),
+        ({**VALID_GRID, "occupancy": None}, "entry 'occupancy' is missing or malformed: None"),
+    ])
+    def test_malformed_dict_names_the_entry(self, doc, error):
+        with pytest.raises(ValueError, match=error):
+            SliceGrid.from_dict(doc)
+
+
 class TestAssign:
     def test_boundary_belongs_to_upper_slice(self):
         ds = dataset_from_times([[0, 1, 2], [3, 4, 5]])

@@ -14,7 +14,6 @@ from tsmote.synthesis import (
     LambdaSpec,
     SynthesisConfig,
     SynthesisError,
-    SyntheticPool,
     _neighbor_table,
     generate_pool,
     knn_1d,
@@ -45,6 +44,16 @@ class TestKnn1d:
     def test_tie_breaks_to_smaller_index(self):
         idx = knn_1d(np.array([0.0, 1.0, 1.0, 3.0]), 0, 1)
         assert idx.tolist() == [1]
+
+    @pytest.mark.parametrize("query, k, error", [
+        (0, 0, "k must be at least 1, not 0"),
+        (0, -2, "k must be at least 1, not -2"),
+        (-1, 2, r"query_index -1 is outside \[0, 4\)"),
+        (4, 2, r"query_index 4 is outside \[0, 4\)"),
+    ])
+    def test_bad_arguments_rejected(self, query, k, error):
+        with pytest.raises(ValueError, match=error):
+            knn_1d(np.array([1.0, 2.0, 5.0, 9.0]), query, k)
 
     def test_k_reduced_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
@@ -216,27 +225,37 @@ def two_class_dataset(n_per_class=50, n_obs=4, seed=0, with_null=False):
     return TimeSeriesDataset.from_segments(ids, times, values, labels=labels)
 
 
-def sequential_serve(pool, cells, rng):
-    """Oracle: one request at a time, as the pool served draws one by one."""
-    cursor = np.zeros_like(pool.sizes)
+def reference_pool(ds, n_slices, assignment, cells, config):
+    """Oracle: each cell's vectors from ``synthesize_slice`` on the cell's own
+    ``SeedSequence``, then served one request at a time."""
+    labels = ds.class_labels() or [None]
+    row_class = np.array(ds.labels, dtype=object)[ds.row_sample]
+    sizes = np.bincount(cells, minlength=len(labels) * n_slices)
+    pools = []
+    for c, size in enumerate(sizes):
+        rows = ds.values[(row_class == labels[c // n_slices]) & (assignment == c % n_slices)]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(c // n_slices, c % n_slices))
+        )
+        pool = synthesize_slice(rows, config, size, rng)
+        pools.append(pool if config.replacement_policy == "with" else pool[rng.permutation(size)])
+    rng, cursor = np.random.default_rng(config.seed), np.zeros_like(sizes)
     out = []
     for c in cells:
-        c = int(c)
-        if pool.replacement_policy == "with":
-            pick = int(rng.integers(pool.sizes[c]))
+        if config.replacement_policy == "with":
+            pick = int(rng.integers(sizes[c]))
         else:
             pick = cursor[c]
             cursor[c] += 1
-        out.append(pool.vectors[pool.starts[c] + pick])
-    return np.array(out).reshape(len(cells), pool.vectors.shape[1])
+        out.append(pools[c][pick])
+    return np.array(out).reshape(len(cells), ds.n_features)
 
 
 def pool_for(ds, grid, config):
-    """The pool a tsmote impute builds: each cell sized to the fill's requests to it."""
+    """The requests' cells in a tsmote impute, and the vectors the pool serves them."""
     a = assign_slices(ds, grid)
     *_, cells = request_table(ds, grid.n_slices, a)
-    sizes = np.bincount(cells, minlength=len(ds.class_labels() or [None]) * grid.n_slices)
-    return generate_pool(ds, grid, a, sizes, config)
+    return cells, generate_pool(ds, grid, a, cells, config)
 
 
 class TestGeneratePool:
@@ -248,11 +267,16 @@ class TestGeneratePool:
         ds = TimeSeriesDataset.from_segments([f"s{i}" for i in range(100)], times, values)
         grid = build_slice_grid(ds, 2, bounds=(0.0, 2.0))
         # grid split is count-based; rebuild membership from the assignment
-        in_slice0 = int(np.sum(assign_slices(ds, grid) == 0))
-        pool = pool_for(ds, grid, SynthesisConfig(seed=1))
+        a = assign_slices(ds, grid)
+        in_slice0 = int(np.sum(a == 0))
+        cells, drawn = pool_for(ds, grid, SynthesisConfig(seed=1))
         # each sample misses one slice and asks it for one vector
-        np.testing.assert_array_equal(pool.sizes, [100 - in_slice0, in_slice0])
-        assert len(pool.cell(None, 0)) == 100 - in_slice0
+        np.testing.assert_array_equal(np.bincount(cells), [100 - in_slice0, in_slice0])
+        assert drawn.shape == (100, 1)
+        # every request is served from its own cell: inside that slice's value range
+        for si in (0, 1):
+            col = ds.values[a == si, 0]
+            assert col.min() <= drawn[cells == si].min() and drawn[cells == si].max() <= col.max()
 
     def test_no_missing_means_empty_pool(self):
         # every sample observes every slice: nothing to draw
@@ -261,57 +285,54 @@ class TestGeneratePool:
             [[0.0, 1.0, 2.0, 3.0]] * 6,
             [[[i + t] for t in (0.0, 1.0, 2.0, 3.0)] for i in range(6)],
         )
-        pool = pool_for(ds, build_slice_grid(ds, 2), SynthesisConfig())
-        assert len(pool.cell(None, 0)) == 0 and len(pool.cell(None, 1)) == 0
+        cells, drawn = pool_for(ds, build_slice_grid(ds, 2), SynthesisConfig())
+        assert cells.size == 0 and drawn.shape == (0, 1)
 
     def test_pool_deterministic_from_seed(self):
         ds = two_class_dataset()
         grid = build_slice_grid(ds, 5)
-        p1 = pool_for(ds, grid, SynthesisConfig(seed=9))
-        p2 = pool_for(ds, grid, SynthesisConfig(seed=9))
-        np.testing.assert_array_equal(p1.vectors, p2.vectors)
-        np.testing.assert_array_equal(p1.sizes, p2.sizes)
+        c1, p1 = pool_for(ds, grid, SynthesisConfig(seed=9))
+        c2, p2 = pool_for(ds, grid, SynthesisConfig(seed=9))
+        np.testing.assert_array_equal(c1, c2)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_without_replacement_serves_in_order(self):
         ds = two_class_dataset()
-        pool = pool_for(ds, build_slice_grid(ds, 5), SynthesisConfig(seed=3))
-        n = len(pool.cell("u", 0))
-        assert n > 0
-        cells = np.zeros(n, dtype=np.intp)  # cell 0 is ("u", slice 0)
-        np.testing.assert_array_equal(pool.serve(cells, np.random.default_rng(0)), pool.cell("u", 0))
+        grid = build_slice_grid(ds, 5)
+        config = SynthesisConfig(seed=3)
+        cells, drawn = pool_for(ds, grid, config)
+        assert (cells == 0).any()  # cell 0 is ("u", slice 0)
+        np.testing.assert_array_equal(drawn, reference_pool(ds, 5, assign_slices(ds, grid), cells, config))
 
     def test_null_bearing_observations_reserve_draws(self):
         base_ds, ds = two_class_dataset(), two_class_dataset(with_null=True)
         grid = build_slice_grid(ds, 5)
         a = assign_slices(base_ds, grid)
-        base = pool_for(base_ds, grid, SynthesisConfig())
-        with_null = pool_for(ds, grid, SynthesisConfig())
+        base_cells, base = pool_for(base_ds, grid, SynthesisConfig())
+        null_cells, with_null = pool_for(ds, grid, SynthesisConfig())
         # without nulls each sample asks once for every slice it misses
         observed_slots = np.unique(base_ds.row_sample * 5 + a).size
-        assert base.sizes.sum() == base_ds.n_samples * 5 - observed_slots
+        assert len(base) == base_ds.n_samples * 5 - observed_slots
         # the first row of u0 and of v0 holds a null: one more draw from each of their cells
-        null_cells = [a[0], 5 + a[base_ds.offsets[50]]]
-        np.testing.assert_array_equal(with_null.sizes - base.sizes, np.bincount(null_cells, minlength=10))
+        null_cells_added = [a[0], 5 + a[base_ds.offsets[50]]]
+        np.testing.assert_array_equal(
+            np.bincount(null_cells, minlength=10) - np.bincount(base_cells, minlength=10),
+            np.bincount(null_cells_added, minlength=10),
+        )
+        assert len(with_null) == len(base) + 2
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    sizes=st.lists(st.integers(0, 4), min_size=1, max_size=6),
-    requests=st.lists(st.integers(0, 47), unique=True, max_size=48),
+    requests=st.lists(st.integers(0, 5), max_size=40),
     policy=st.sampled_from(["with", "without"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_serve_matches_one_request_at_a_time(sizes, requests, policy, seed):
-    """Batched serving gives the vectors and the RNG state of one-by-one draws."""
-    sizes = np.array(sizes, dtype=np.intp)
-    pool = SyntheticPool(
-        labels=("a", "b"), n_slices=len(sizes), vectors=np.arange(2 * sizes.sum(), dtype=float)[:, None],
-        starts=np.concatenate(([0], np.cumsum(np.tile(sizes, 2))[:-1])), sizes=np.tile(sizes, 2),
-        replacement_policy=policy,
-    )
-    # requests pick distinct pooled vectors, so no cell is asked for more than its size
-    vector_cell = np.repeat(np.arange(pool.sizes.size), pool.sizes)
-    cells = vector_cell[[r for r in requests if r < vector_cell.size]]
-    rng_batch, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
-    np.testing.assert_array_equal(pool.serve(cells, rng_batch), sequential_serve(pool, cells, rng_one))
-    assert rng_batch.bit_generator.state == rng_one.bit_generator.state
+def test_serve_matches_one_request_at_a_time(requests, policy, seed):
+    """Batched serving gives the vectors of one-by-one draws, in any request order."""
+    ds = two_class_dataset(n_per_class=8)
+    grid = build_slice_grid(ds, 3)
+    a = assign_slices(ds, grid)
+    cells = np.array(requests, dtype=np.intp)
+    config = SynthesisConfig(k_neighbors=2, seed=seed, replacement_policy=policy)
+    np.testing.assert_array_equal(generate_pool(ds, grid, a, cells, config), reference_pool(ds, 3, a, cells, config))
