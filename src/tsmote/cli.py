@@ -26,7 +26,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .classify import ComparisonConfig, run_imputer_comparison
+from .classify import ENDPOINT, FLATTENED, ComparisonConfig, run_imputer_comparison
 from .data import (
     read_long_csv,
     validate_dataset,
@@ -34,9 +34,9 @@ from .data import (
     write_long_csv,
     write_tensor_csv,
 )
-from .imputation import ImputationConfig, impute_dataset, request_table
+from .imputation import METHODS, TSMOTE, ImputationConfig, impute_dataset, request_table
 from .moments import run_moment_verification
-from .oscillator import ExperimentConfig, generate_two_class_experiment
+from .oscillator import EXPONENTIAL, UNIFORM, ExperimentConfig, generate_two_class_experiment
 from .slicing import (
     MEDIAN_OF_OBSERVATIONS,
     MIDPOINT,
@@ -54,29 +54,11 @@ def _fail(message: str, **extra) -> NoReturn:
     raise SystemExit(2)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON file with default option values")
-    p.add_argument("--output-dir", "-o", type=Path, default=Path("."), help="directory for all outputs")
-    p.add_argument("--seed", type=int, default=0)
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error exits 2 with the JSON error too; subparsers inherit the class."""
 
-
-def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slices", type=int, default=50, help="number of time slices")
-    p.add_argument("--grid-time", choices=[MIDPOINT, "median"], default="median")
-    p.add_argument("--k", type=int, default=5, help="nearest neighbors per feature")
-    p.add_argument("--lambda", dest="lambda_dist", default="uniform",
-                   help="interpolation weight distribution: uniform | beta:a,b | point:c")
-    p.add_argument("--replacement", choices=["with", "without"], default="without")
-    p.add_argument("--method", choices=["tsmote", "slice_mean", "slice_median"], default="tsmote")
-    p.add_argument("--allow-null-imputation", action="store_true",
-                   help="permit per-feature null replacement (features must be independent)")
-    p.add_argument("--fixed", type=int, default=0, help="number of leading time-independent features")
-    p.add_argument("--class-column", default="class")
-    p.add_argument("--t-min", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--smooth", action="store_true", help="apply Savitzky-Golay smoothing")
-    p.add_argument("--window", type=int, default=25)
-    p.add_argument("--order", type=int, default=5)
+    def error(self, message: str) -> NoReturn:
+        _fail(message)
 
 
 # the JSON values a config file may give an option, by the option's type; a
@@ -90,7 +72,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     try:
         file_values = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
-        _fail(f"cannot read config file: {e}")
+        raise ValueError(f"cannot read config file: {e}") from e
     if not isinstance(file_values, dict):
         _fail(f"config file must hold a JSON object, not {type(file_values).__name__}")
     # only the subcommand's own options: not --help, nor what set_defaults adds
@@ -110,16 +92,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     args.parser.set_defaults(**{key.replace("-", "_"): value for key, value in file_values.items()})
 
 
-def _grid_policy(name: str) -> str:
-    return MEDIAN_OF_OBSERVATIONS if name == "median" else MIDPOINT
+# --grid-time's choices and the grid-time policy each names
+_GRID_TIMES = {MIDPOINT: MIDPOINT, "median": MEDIAN_OF_OBSERVATIONS}
 
 
 def _load_dataset(args):
     """Read and validate ``args.input``; ``--fixed`` applies before validation."""
-    try:
-        dataset = read_long_csv(args.input, class_column=args.class_column)
-    except (OSError, ValueError) as e:
-        _fail(str(e))
+    dataset = read_long_csv(args.input, class_column=args.class_column)
     if args.fixed:
         dataset = dataclasses.replace(dataset, fixed_prefix_len=args.fixed)
     report = validate_dataset(dataset, n_slices=args.slices)
@@ -139,8 +118,7 @@ def _out(args, name: str) -> Path:
 
 def cmd_slice(args) -> int:
     dataset, report = _load_dataset(args)
-    bounds = (args.t_min, args.t_max)
-    grid = build_slice_grid(dataset, args.slices, _grid_policy(args.grid_time), bounds)
+    grid = build_slice_grid(dataset, args.slices, _GRID_TIMES[args.grid_time], (args.t_min, args.t_max))
     assignment = assign_slices(dataset, grid)
 
     _out(args, "grid.json").write_text(grid.to_json())
@@ -154,23 +132,18 @@ def cmd_slice(args) -> int:
 
 def cmd_impute(args) -> int:
     dataset, _ = _load_dataset(args)
-    try:
-        lam = LambdaSpec.parse(args.lambda_dist)
-        syn = SynthesisConfig(k_neighbors=args.k, lambda_dist=lam, seed=args.seed,
-                              replacement_policy=args.replacement)
-        imp = ImputationConfig(method=args.method, allow_null_feature_imputation=args.allow_null_imputation)
-        smo = SmoothingConfig(window=args.window, poly_order=args.order)
+    syn = SynthesisConfig(k_neighbors=args.k, lambda_dist=LambdaSpec.parse(args.lambda_dist),
+                          seed=args.seed, replacement_policy=args.replacement)
+    imp = ImputationConfig(method=args.method, allow_null_feature_imputation=args.allow_null_imputation)
+    smo = SmoothingConfig(window=args.window, poly_order=args.order)
 
-        if args.grid:
-            grid = SliceGrid.from_json(Path(args.grid).read_text())
-        else:
-            grid = build_slice_grid(dataset, args.slices, _grid_policy(args.grid_time),
-                                    (args.t_min, args.t_max))
-        tensor = impute_dataset(dataset, grid, synthesis_config=syn, imputation_config=imp)
-        if args.smooth:
-            tensor = smooth_tensor(tensor, smo, fixed_prefix_len=args.fixed)
-    except (ValueError, RuntimeError, OSError) as e:
-        _fail(str(e))
+    if args.grid:
+        grid = SliceGrid.from_json(Path(args.grid).read_text())
+    else:
+        grid = build_slice_grid(dataset, args.slices, _GRID_TIMES[args.grid_time], (args.t_min, args.t_max))
+    tensor = impute_dataset(dataset, grid, synthesis_config=syn, imputation_config=imp)
+    if args.smooth:
+        tensor = smooth_tensor(tensor, smo, fixed_prefix_len=args.fixed)
 
     write_tensor_csv(tensor, _out(args, "imputed.csv"), _out(args, "imputed.json"), grid.to_dict())
     _out(args, "grid.json").write_text(grid.to_json())
@@ -239,57 +212,71 @@ def cmd_compare_imputers(args) -> int:
     return 0
 
 
+# every option once, by its dest: the flags, then add_argument's keywords
+_OPTIONS = {
+    "input": (["input"], dict(type=Path)),
+    "config": (["--config"], dict(type=Path, help="JSON file with default option values")),
+    "output_dir": (["--output-dir", "-o"], dict(type=Path, default=Path("."), help="directory for all outputs")),
+    "seed": (["--seed"], dict(type=int, default=0)),
+    "grid": (["--grid"], dict(type=Path, help="reuse a previously exported grid JSON")),
+    "slices": (["--slices"], dict(type=int, default=50, help="number of time slices")),
+    "grid_time": (["--grid-time"], dict(choices=list(_GRID_TIMES), default="median")),
+    "k": (["--k"], dict(type=int, default=5, help="nearest neighbors per feature")),
+    "lambda_dist": (["--lambda"], dict(dest="lambda_dist", default="uniform",
+                                       help="interpolation weight distribution: uniform | beta:a,b | point:c")),
+    "replacement": (["--replacement"], dict(choices=["with", "without"], default="without")),
+    "method": (["--method"], dict(choices=METHODS, default=TSMOTE)),
+    "allow_null_imputation": (["--allow-null-imputation"], dict(
+        action="store_true", help="permit per-feature null replacement (features must be independent)")),
+    "fixed": (["--fixed"], dict(type=int, default=0, help="number of leading time-independent features")),
+    "class_column": (["--class-column"], dict(default="class")),
+    "t_min": (["--t-min"], dict(type=float, default=None)),
+    "t_max": (["--t-max"], dict(type=float, default=None)),
+    "smooth": (["--smooth"], dict(action="store_true", help="apply Savitzky-Golay smoothing")),
+    "window": (["--window"], dict(type=int, default=25)),
+    "order": (["--order"], dict(type=int, default=5)),
+    "time_dist": (["--time-dist"], dict(choices=[UNIFORM, EXPONENTIAL], default=UNIFORM)),
+    "reps": (["--reps"], dict(type=int, default=10)),
+    "no_smoothing": (["--no-smoothing"], dict(action="store_true")),
+    "features": (["--features"], dict(choices=[FLATTENED, ENDPOINT], default=FLATTENED)),
+}
+
+# each subcommand: its command, its help, and the options the command reads
+_COMMANDS = {
+    "slice": (cmd_slice, "build a slice grid from a long CSV",
+              "input config output_dir slices grid_time fixed class_column t_min t_max"),
+    "impute": (cmd_impute, "impute a long CSV onto the slice grid",
+               "input grid config output_dir seed slices grid_time k lambda_dist replacement method "
+               "allow_null_imputation fixed class_column t_min t_max smooth window order"),
+    "demo-oscillator": (cmd_demo_oscillator, "write the two-class oscillator experiment",
+                        "config output_dir seed slices time_dist"),
+    "verify-moments": (cmd_verify_moments, "run the moment-law verification battery", "config output_dir seed"),
+    "compare-imputers": (cmd_compare_imputers, "compare tsmote with mean/median baselines",
+                         "config output_dir seed slices time_dist reps window order no_smoothing features"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tsmote", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="tsmote", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slice", help="build a slice grid from a long CSV")
-    p.add_argument("input", type=Path)
-    _add_common(p)
-    _add_pipeline(p)
-    p.set_defaults(func=cmd_slice, parser=p)
-
-    p = sub.add_parser("impute", help="impute a long CSV onto the slice grid")
-    p.add_argument("input", type=Path)
-    p.add_argument("--grid", type=Path, help="reuse a previously exported grid JSON")
-    _add_common(p)
-    _add_pipeline(p)
-    p.set_defaults(func=cmd_impute, parser=p)
-
-    p = sub.add_parser("demo-oscillator", help="write the two-class oscillator experiment")
-    _add_common(p)
-    p.add_argument("--slices", type=int, default=50)
-    p.add_argument("--time-dist", choices=["uniform", "exponential"], default="uniform")
-    p.set_defaults(func=cmd_demo_oscillator, parser=p)
-
-    p = sub.add_parser("verify-moments", help="run the moment-law verification battery")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_moments, parser=p)
-
-    p = sub.add_parser("compare-imputers", help="compare tsmote with mean/median baselines")
-    _add_common(p)
-    p.add_argument("--slices", type=int, default=50)
-    p.add_argument("--time-dist", choices=["uniform", "exponential"], default="uniform")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--window", type=int, default=25)
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--no-smoothing", action="store_true")
-    p.add_argument("--features", choices=["flattened", "endpoint"], default="flattened")
-    p.set_defaults(func=cmd_compare_imputers, parser=p)
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        _apply_config_file(args)
-        args = parser.parse_args(argv)  # string defaults go through the option's type, as flags do
     try:
+        if args.config:
+            _apply_config_file(args)
+            args = parser.parse_args(argv)  # string defaults go through the option's type, as flags do
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, RuntimeError, OSError) as e:
         _fail(str(e))
 

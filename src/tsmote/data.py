@@ -137,6 +137,17 @@ class TimeSeriesDataset:
         """(N,) position of the sample that owns each row."""
         return np.repeat(np.arange(self.n_samples), self.counts)
 
+    @cached_property
+    def fixed_values(self) -> np.ndarray:
+        """(n_samples, fixed_prefix_len) value of each fixed-prefix feature: the sample's
+        first non-null entry, NaN where the sample never records the feature."""
+        n, n_fix = len(self.values), self.fixed_prefix_len
+        head = self.values[:, :n_fix]
+        # row n of the padded head is all NaN: the "first non-null row" of an all-null column
+        padded = np.vstack((head, np.full((1, n_fix), np.nan)))
+        first = np.minimum.reduceat(np.where(np.isnan(head), n, np.arange(n)[:, None]), self.offsets[:-1])
+        return padded[first, np.arange(n_fix)]
+
     @property
     def has_labels(self) -> bool:
         return any(lab is not None for lab in self.labels)
@@ -216,8 +227,8 @@ class ValidationReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -282,13 +293,10 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
         )
 
     # each fixed feature's non-null entries must equal the sample's first one
-    for k in range(dataset.fixed_prefix_len):
-        rows = np.flatnonzero(~nulls[:, k])
-        owner = row_sample[rows]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = owner[1:] != owner[:-1]
-        reference = values[rows[first], k][np.cumsum(first) - 1]
-        flag("inconsistent-fixed-feature", np.unique(owner[values[rows, k] != reference]),
+    n_fix = dataset.fixed_prefix_len
+    varies = (values[:, :n_fix] != dataset.fixed_values[row_sample]) & ~nulls[:, :n_fix]
+    for k in range(n_fix):
+        flag("inconsistent-fixed-feature", np.unique(row_sample[varies[:, k]]),
              f"fixed feature {k} varies across observations")
 
     # with max|v| * count finite, every sum, mean and difference of the
@@ -471,11 +479,11 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
     )
 
 
-def write_long_csv(dataset: TimeSeriesDataset, path, class_column: str = "class") -> None:
+def write_long_csv(dataset: TimeSeriesDataset, path) -> None:
     """Write the dataset in the long format accepted by :func:`read_long_csv`."""
     owner = dataset.row_sample
     labels = [np.array(dataset.labels, dtype=object)[owner]] if dataset.has_labels else []
-    header = ["sample_id", "time"] + [class_column] * len(labels) + list(dataset.feature_names)
+    header = ["sample_id", "time"] + ["class"] * len(labels) + list(dataset.feature_names)
     write_csv(path, header, [np.array(dataset.ids, dtype=object)[owner], dataset.times, *labels,
                              *dataset.values.T])
 

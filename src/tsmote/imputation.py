@@ -138,7 +138,7 @@ def request_table(
     """
     owner = dataset.row_sample
     values = dataset.values.copy()
-    _pin_fixed_prefix(values, dataset)
+    values[:, : dataset.fixed_prefix_len] = dataset.fixed_values[owner]
     null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
     slots = owner * n_slices + assignment
     empty = np.flatnonzero(np.bincount(slots, minlength=dataset.n_samples * n_slices) == 0)
@@ -146,15 +146,3 @@ def request_table(
                        np.concatenate((assignment[null_rows], empty % n_slices)), n_slices)
     return values, null_rows, empty, cells
 
-
-def _pin_fixed_prefix(values: np.ndarray, dataset: TimeSeriesDataset) -> None:
-    """Write each sample's first non-null value of each fixed-prefix column into all its rows.
-
-    Works in place; a column that is null in every row of a sample stays null.
-    """
-    n, n_fix = len(values), dataset.fixed_prefix_len
-    head = values[:, :n_fix]
-    # row n of the padded head is all NaN: the "first non-null row" of an all-null column
-    padded = np.vstack((head, np.full((1, n_fix), np.nan)))
-    first = np.minimum.reduceat(np.where(np.isnan(head), n, np.arange(n)[:, None]), dataset.offsets[:-1])
-    head[:] = padded[first, np.arange(n_fix)][dataset.row_sample]

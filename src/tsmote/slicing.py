@@ -95,8 +95,8 @@ class SliceGrid:
             "occupancy": list(self.occupancy),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SliceGrid":

@@ -46,30 +46,16 @@ def smoothing_matrix(times: np.ndarray, window: int, poly_order: int) -> np.ndar
         raise ValueError("times must be strictly increasing")
 
     half = window // 2
-    degree = poly_order + 1
-    powers = np.arange(degree)
+    powers = np.arange(poly_order + 1)
     S = np.zeros((n, n))
-
-    def window_pinv(start: int, center_time: float, scale: float) -> np.ndarray:
-        tw = (t[start : start + window] - center_time) / scale
-        A = tw[:, None] ** powers
-        return np.linalg.pinv(A)
-
-    for i in range(half, n - half):
-        start = i - half
-        scale = max(t[start + window - 1] - t[i], t[i] - t[start])
-        pinv = window_pinv(start, t[i], scale)
-        # fitted value at the (centered) evaluation time 0 is coefficient 0
-        S[i, start : start + window] = pinv[0]
-
-    # boundary rows evaluate the nearest full window's fit at their own times
-    for edge_start, rows in ((0, range(half)), (n - window, range(n - half, n))):
-        center = edge_start + half
-        scale = max(t[edge_start + window - 1] - t[center], t[center] - t[edge_start])
-        pinv = window_pinv(edge_start, t[center], scale)
-        for i in rows:
-            phi = ((t[i] - t[center]) / scale) ** powers
-            S[i, edge_start : edge_start + window] = phi @ pinv
+    for i in range(n):
+        # the window centered on row i, or the nearest full one for rows near an end;
+        # its fit is evaluated at t[i], which for a centered window is coefficient 0
+        start = min(max(i - half, 0), n - window)
+        center = t[start + half]
+        scale = max(t[start + window - 1] - center, center - t[start])
+        pinv = np.linalg.pinv(((t[start : start + window] - center) / scale)[:, None] ** powers)
+        S[i, start : start + window] = ((t[i] - center) / scale) ** powers @ pinv
     return S
 
 

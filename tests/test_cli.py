@@ -277,7 +277,7 @@ def test_impute_quotes_ids_and_labels(tmp_path, run_cli):
 class TestConfigFile:
     def test_file_fills_defaults_but_flags_win(self, toy_csv, tmp_path, run_cli):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"slices": 3, "seed": 99, "grid_time": "midpoint"}))
+        cfg.write_text(json.dumps({"slices": 3, "fixed": 0, "grid_time": "midpoint"}))
         out = tmp_path / "o1"
         res = run_cli(
             ["slice", str(toy_csv), "--config", str(cfg), "-o", str(out)], tmp_path
@@ -309,14 +309,23 @@ class TestConfigFile:
         res = run_cli(["slice", str(toy_csv), "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("key", ["func", "parser", "command", "help"])
+    @pytest.mark.parametrize("key", ["func", "parser", "command", "help", "k"])
     def test_key_naming_no_option_exits_2(self, toy_csv, tmp_path, run_cli, key):
-        # attributes argparse sets that are not options of the subcommand
+        # attributes argparse sets, and an option of impute, that are not options of slice
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
         res = run_cli(["slice", str(toy_csv), "--slices", "2", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == f"unknown config key {key!r}"
+
+    @pytest.mark.parametrize("text", [None, "{"])
+    def test_unreadable_file_exits_2(self, toy_csv, tmp_path, run_cli, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        res = run_cli(["slice", str(toy_csv), "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"].startswith("cannot read config file: ")
 
     def test_file_not_an_object_exits_2(self, toy_csv, tmp_path, run_cli):
         cfg = tmp_path / "cfg.json"
@@ -337,7 +346,7 @@ class TestConfigFile:
     def test_value_of_wrong_type_exits_2(self, toy_csv, tmp_path, run_cli, key, value, what):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        res = run_cli(["slice", str(toy_csv), "--config", str(cfg)], tmp_path)
+        res = run_cli(["impute", str(toy_csv), "--config", str(cfg)], tmp_path)
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["error"] == f"config key {key!r} must be {what}, not {json.dumps(value)}"
 
@@ -347,6 +356,50 @@ class TestConfigFile:
         res = run_cli(["slice", str(toy_csv), "--config", str(cfg), "-o", "out"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert json.loads((tmp_path / "out" / "grid.json").read_text())["n_slices"] == 2
+
+
+# argparse's own errors: a bad type, an unknown flag (also one of another
+# subcommand), a bad choice, a missing positional
+@pytest.mark.parametrize("argv, error", [
+    (["impute", "{csv}", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+    (["impute", "{csv}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["slice", "{csv}", "--smooth"], "unrecognized arguments: --smooth"),
+    (["impute", "{csv}", "--method", "mode"], "argument --method: invalid choice: 'mode'"),
+    (["impute"], "the following arguments are required: input"),
+], ids=["type", "unknown-flag", "flag-of-impute", "choice", "missing-input"])
+def test_usage_error_prints_json_error(toy_csv, capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        tsmote.cli.main([a.format(csv=toy_csv) for a in argv])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(error)
+
+
+class _Reads:
+    """Parsed arguments that record the name of each attribute read from them."""
+
+    def __init__(self, args):
+        self.args, self.names = args, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.args, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "{csv}", "--slices", "3"],
+    ["impute", "{csv}", "--slices", "3", "--method", "slice_mean", "--smooth", "--window", "3", "--order", "1"],
+    ["demo-oscillator", "--slices", "10"],
+    ["verify-moments"],
+    ["compare-imputers"],
+], ids=lambda argv: argv[0])
+def test_each_subcommand_reads_every_option_it_declares(toy_csv, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(tsmote.cli, "run_moment_verification", lambda seed: {"checks": [], "passed": True})
+    monkeypatch.setattr(tsmote.cli, "run_imputer_comparison", lambda seed, config: [])
+    args = tsmote.cli.build_parser().parse_args([a.format(csv=toy_csv) for a in argv] + ["-o", str(tmp_path)])
+    reads = _Reads(args)
+    assert args.func(reads) == 0
+    declared = {action.dest for action in args.parser._actions if action.dest != "help"}
+    assert declared - reads.names == {"config"}  # main reads --config
 
 
 class TestVerifyAndCompare:

@@ -69,6 +69,14 @@ class TestContainers:
         with pytest.raises(ValueError, match="fixed_prefix_len 3 must lie between 0 and the 2 features"):
             dataset_of(make_sample("a", [0.0], [(1.0, 2.0)]), fixed=3)
 
+    def test_fixed_values_are_first_non_null_entries(self):
+        ds = dataset_of(
+            make_sample("a", [0.0, 1.0, 2.0], [(None, 7.0, 1.0), (3.0, None, 2.0), (4.0, 8.0, 3.0)]),
+            make_sample("b", [0.0], [(None, 5.0, 1.0)]),
+            fixed=2,
+        )
+        np.testing.assert_array_equal(ds.fixed_values, [[3.0, 7.0], [np.nan, 5.0]])
+
 
 class TestValidation:
     def test_minimal_valid_dataset(self):
