@@ -96,12 +96,12 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 _GRID_TIMES = {MIDPOINT: MIDPOINT, "median": MEDIAN_OF_OBSERVATIONS}
 
 
-def _load_dataset(args):
-    """Read and validate ``args.input``; ``--fixed`` applies before validation."""
+def _load_dataset(args, n_slices=None):
+    """Read and validate ``args.input`` (``--fixed`` applies first); ``n_slices`` sizes a warning."""
     dataset = read_long_csv(args.input, class_column=args.class_column)
     if args.fixed:
         dataset = dataclasses.replace(dataset, fixed_prefix_len=args.fixed)
-    report = validate_dataset(dataset, n_slices=args.slices)
+    report = validate_dataset(dataset, n_slices=n_slices)
     if not report.ok:
         _fail("dataset failed validation", report=report.to_dict())
     return dataset, report
@@ -117,7 +117,7 @@ def _out(args, name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_slice(args) -> int:
-    dataset, report = _load_dataset(args)
+    dataset, report = _load_dataset(args, args.slices)
     grid = build_slice_grid(dataset, args.slices, _GRID_TIMES[args.grid_time], (args.t_min, args.t_max))
     assignment = assign_slices(dataset, grid)
 
@@ -143,7 +143,7 @@ def cmd_impute(args) -> int:
         grid = build_slice_grid(dataset, args.slices, _GRID_TIMES[args.grid_time], (args.t_min, args.t_max))
     tensor = impute_dataset(dataset, grid, synthesis_config=syn, imputation_config=imp)
     if args.smooth:
-        tensor = smooth_tensor(tensor, smo, fixed_prefix_len=args.fixed)
+        tensor = smooth_tensor(tensor, smo)
 
     write_tensor_csv(tensor, _out(args, "imputed.csv"), _out(args, "imputed.json"), grid.to_dict())
     _out(args, "grid.json").write_text(grid.to_json())
@@ -172,7 +172,7 @@ def cmd_demo_oscillator(args) -> int:
     pool = generate_pool(train, exp.grid, assignment, cells, SynthesisConfig(seed=args.seed))
     position, si = np.divmod(cells, exp.grid.n_slices)
     write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
-              [np.array(train.class_labels(), dtype=object)[position], si,
+              [np.array(train.classes, dtype=object)[position], si,
                np.asarray(exp.grid.grid_times, dtype=float)[si], *pool.T])
     print(f"wrote train ({exp.train.n_samples} samples), test ({exp.test.n_samples} samples), "
           f"grid, slices.csv, pool.csv")
@@ -276,6 +276,15 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config_file(args)
             args = parser.parse_args(argv)  # string defaults go through the option's type, as flags do
+        if vars(args).get("grid"):
+            # parsed again without option defaults, args hold only what argv or the config file set
+            # (the file's values are the parser's own defaults, which stay)
+            for action in args.parser._actions:
+                action.default = argparse.SUPPRESS
+            given = vars(parser.parse_args(argv))
+            excluded = [_OPTIONS[d][0][0] for d in ("slices", "grid_time", "t_min", "t_max") if d in given]
+            if excluded:
+                _fail(f"--grid excludes {', '.join(excluded)}: the grid file sets the slices and their times")
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as e:
         _fail(str(e))

@@ -40,18 +40,24 @@ def _frozen(a, dtype) -> np.ndarray:
     return out
 
 
+def _check_fixed_prefix(n_fix: int, n_features: int) -> None:
+    if not 0 <= n_fix <= n_features:
+        raise ValueError(f"fixed_prefix_len {n_fix} must lie between 0 and the {n_features} features")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeriesDataset:
     """Ragged samples sharing one feature schema, stored as flat arrays.
 
     Sample ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of ``times (N,)``
-    and ``values (N, n_features)``, and has at least one row; NaN marks a
-    null value. ``ids`` are expected unique and each sample's times
-    ascending (violations are reported by :func:`validate_dataset`, not
-    rejected here). ``labels`` holds one class label per sample (all None
-    when unlabeled). The leading ``fixed_prefix_len`` features are
+    and ``values (N, n_features)``, and has at least one row. The ``ids`` are
+    unique, every time is finite, each sample's times never go down (equal
+    times are averaged later), and no value is infinite (NaN marks a null).
+    ``labels`` holds one class label per sample, on every sample or on none
+    (all None). Construction raises ``ValueError``, naming the sample, where
+    one of these fails. The leading ``fixed_prefix_len`` features are
     time-independent (e.g. age), expected identical across a sample's
-    non-null observations.
+    non-null observations (:func:`validate_dataset` reports where not).
     """
 
     ids: tuple[str, ...]
@@ -88,14 +94,27 @@ class TimeSeriesDataset:
         names = tuple(self.feature_names) or tuple(f"f_{k}" for k in range(n_f))
         if len(names) != n_f:
             raise ValueError("feature_names length must equal n_features")
-        if not 0 <= self.fixed_prefix_len <= n_f:
-            raise ValueError(
-                f"fixed_prefix_len {self.fixed_prefix_len} must lie between 0 and "
-                f"the {n_f} features"
-            )
+        _check_fixed_prefix(self.fixed_prefix_len, n_f)
         for name, value in (("ids", ids), ("offsets", offsets), ("times", times),
                             ("values", values), ("labels", labels), ("feature_names", names)):
             object.__setattr__(self, name, value)
+
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValueError(f"sample id {sid!r} repeats")
+            seen.add(sid)
+        owner = self.row_sample
+        # a comparison, not np.diff: the step between two huge times can overflow
+        goes_down = np.concatenate(([False], (times[1:] < times[:-1]) & (owner[1:] == owner[:-1])))
+        for rows, problem in ((~np.isfinite(times), "has a non-finite time"),
+                              (goes_down, "has times that go down"),
+                              (np.isinf(values).any(axis=1), "has an infinite value")):
+            if rows.any():
+                raise ValueError(f"sample {ids[owner[rows.argmax()]]!r} {problem}")
+        labeled = [lab is not None for lab in labels]
+        if any(labeled) and not all(labeled):
+            raise ValueError(f"sample {ids[labeled.index(False)]!r} has no class label, but other samples do")
 
     @classmethod
     def from_segments(cls, ids, times, values, **fields) -> "TimeSeriesDataset":
@@ -150,20 +169,18 @@ class TimeSeriesDataset:
 
     @property
     def has_labels(self) -> bool:
-        return any(lab is not None for lab in self.labels)
+        return self.labels[0] is not None
 
-    def class_labels(self) -> list[str]:
-        """Distinct labels in sorted order (empty if unlabeled)."""
-        return sorted({lab for lab in self.labels if lab is not None})
+    @cached_property
+    def classes(self) -> tuple[Optional[str], ...]:
+        """The distinct labels in sorted order; ``(None,)`` when unlabeled, which is one class."""
+        return tuple(sorted(set(self.labels))) if self.has_labels else (None,)
 
-    def class_positions(self) -> np.ndarray:
-        """(n_samples,) position of each sample's label in :meth:`class_labels`; all
-        zero when unlabeled. A dataset labeled on only some samples is an error."""
-        pos = {lab: i for i, lab in enumerate(self.class_labels() or [None])}
-        try:
-            return np.array([pos[lab] for lab in self.labels], dtype=np.intp)
-        except KeyError:
-            raise ValueError("class labels must be present on every sample or none") from None
+    @cached_property
+    def class_codes(self) -> np.ndarray:
+        """(n_samples,) position of each sample's label in :attr:`classes`."""
+        code = {lab: i for i, lab in enumerate(self.classes)}
+        return _frozen([code[lab] for lab in self.labels], np.intp)
 
     def total_observations(self) -> int:
         return len(self.times)
@@ -171,13 +188,15 @@ class TimeSeriesDataset:
 
 @dataclass(frozen=True)
 class ImputedTensor:
-    """Dense (n_samples, n_slices, n_features) trajectory tensor, no nulls, at least one slice."""
+    """Dense (n_samples, n_slices, n_features) trajectory tensor, no nulls, at least one slice;
+    its leading ``fixed_prefix_len`` features are time-independent, as in the dataset."""
 
     sample_ids: tuple[str, ...]
     grid_times: np.ndarray
     data: np.ndarray
     class_labels: Optional[tuple[Optional[str], ...]] = None
     feature_names: tuple[str, ...] = ()
+    fixed_prefix_len: int = 0
 
     def __post_init__(self):
         n_d, n_t, n_f = self.data.shape
@@ -191,6 +210,7 @@ class ImputedTensor:
             raise ValueError("grid_times must be strictly increasing")
         if not np.isfinite(self.data).all():
             raise ValueError("imputed tensor must not contain nulls or infinite values")
+        _check_fixed_prefix(self.fixed_prefix_len, n_f)
         if not self.feature_names:
             object.__setattr__(
                 self, "feature_names", tuple(f"f_{k}" for k in range(n_f))
@@ -242,84 +262,57 @@ class DatasetStats:
 
 
 def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None) -> ValidationReport:
-    """Report structural problems without raising.
+    """Report, without raising, what a valid dataset can still get wrong.
 
-    Checks per sample: finite and sorted times, finite feature values,
-    fully-null observations, fixed-prefix consistency (one violation per
-    sample and feature), and duplicate timestamps (warning only, resolved
-    later by degeneracy averaging). Dataset-wide: label-presence
-    consistency, feature magnitudes whose sums would overflow, and — when a
-    slice count is given — whether the total observation count can support
-    it (at least two observations per slice per class).
+    Violations: fully-null observations, fixed-prefix inconsistency (one per
+    sample and feature), and feature magnitudes whose sums would overflow.
+    Warnings: duplicate timestamps (averaged later) and, when a slice count
+    is given, fewer than two observations per slice per class.
     """
     violations: list[Violation] = []
     warnings: list[str] = []
     ids, times, values = dataset.ids, dataset.times, dataset.values
     row_sample = dataset.row_sample
 
-    def flag(kind: str, samples, message: str) -> None:
-        violations.extend(Violation(kind, ids[i], message) for i in samples)
-
-    if dataset.has_labels and None in dataset.labels:
-        violations.append(
-            Violation("partial-labels", None, "class labels must be present on every sample or none")
-        )
-    seen_ids: set[str] = set()
-    for sid in ids:
-        if sid in seen_ids:
-            violations.append(Violation("duplicate-sample-id", sid, f"sample id {sid!r} repeats"))
-        seen_ids.add(sid)
-
-    # each sample gets the first time problem that applies: non-finite, unsorted, duplicates
-    nonfinite = np.unique(row_sample[~np.isfinite(times)])
-    within = row_sample[1:] == row_sample[:-1]
-    with np.errstate(over="ignore"):  # a step that overflows to +-inf keeps its sign
-        later, step = row_sample[1:][within], np.diff(times)[within]
-    unsorted = np.setdiff1d(later[step < 0], nonfinite)
-    flag("nonfinite-time", nonfinite, "observation time is not finite")
-    flag("unsorted-times", unsorted, "observation times are not ascending")
-    for i in np.setdiff1d(later[step == 0], np.concatenate((nonfinite, unsorted))):
+    repeat = (times[1:] == times[:-1]) & (row_sample[1:] == row_sample[:-1])
+    for i in np.unique(row_sample[1:][repeat]):
         warnings.append(f"sample {ids[i]!r} has duplicate timestamps (degenerate observations)")
 
     nulls = np.isnan(values)
-    t_list = times.tolist()
-    for kind, rows, what in (
-        ("nonfinite-value", np.isinf(values).any(axis=1), "has a non-finite value"),
-        ("all-null-observation", nulls.all(axis=1), "is entirely null"),
-    ):
-        violations.extend(
-            Violation(kind, ids[row_sample[r]], f"observation at t={t_list[r]} {what}")
-            for r in np.flatnonzero(rows)
-        )
+    for r in np.flatnonzero(nulls.all(axis=1)):
+        violations.append(Violation("all-null-observation", ids[row_sample[r]],
+                                    f"observation at t={float(times[r])} is entirely null"))
 
     # each fixed feature's non-null entries must equal the sample's first one
     n_fix = dataset.fixed_prefix_len
     varies = (values[:, :n_fix] != dataset.fixed_values[row_sample]) & ~nulls[:, :n_fix]
     for k in range(n_fix):
-        flag("inconsistent-fixed-feature", np.unique(row_sample[varies[:, k]]),
-             f"fixed feature {k} varies across observations")
+        for i in np.unique(row_sample[varies[:, k]]):
+            violations.append(Violation("inconsistent-fixed-feature", ids[i],
+                                        f"fixed feature {k} varies across observations"))
 
-    # with max|v| * count finite, every sum, mean and difference of the
-    # feature's values downstream stays finite; so does --smooth, since an
-    # imputed feature has a finite value in every cell, so count >= n_slices
-    # >= window, and each smoothing row's abs-sum is at most sqrt(window)
-    magnitude = np.where(np.isfinite(values), np.abs(values), 0.0)
-    n_finite = np.isfinite(values).sum(axis=0)
+    # with max|v| * count finite, no sum, mean or difference of the feature's
+    # values downstream overflows. count is the most of its non-null values, the
+    # longest sample's rows (a slot averages at most those once nulls are
+    # replaced) and 2 (nanmedian adds a lone value to itself); a feature has a
+    # value in every cell, so count >= n_slices >= window, which bounds --smooth
+    # too, as each smoothing row's abs-sum is at most sqrt(window)
+    magnitude = np.where(nulls, 0.0, np.abs(values))
+    count = np.maximum((~nulls).sum(axis=0), max(dataset.counts.max(), 2))
     with np.errstate(over="ignore"):
-        bound = magnitude.max(axis=0) * n_finite
+        bound = magnitude.max(axis=0) * count
     for k in np.flatnonzero(~np.isfinite(bound)):
         r = int(magnitude[:, k].argmax())
         violations.append(Violation(
             "value-out-of-range",
             ids[row_sample[r]],
             f"feature {dataset.feature_names[k]!r} reaches |value| {float(magnitude[r, k])!r}; "
-            f"{int(n_finite[k])} values that large overflow float64 sums and means",
+            f"{int(count[k])} values that large overflow float64 sums and means",
         ))
 
     if n_slices is not None and n_slices > 0:
-        n_classes = max(1, len(dataset.class_labels()))
         total = dataset.total_observations()
-        needed = 2 * n_slices * n_classes
+        needed = 2 * n_slices * len(dataset.classes)
         if total < needed:
             warnings.append(
                 f"insufficient observations for {n_slices} slices: "
@@ -387,8 +380,9 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
     The header row is required. A column name may not repeat, and no feature
     may take the name of a leading column of :func:`write_tensor_csv`
     (``sample_id``, ``class``, ``slice_index``, ``grid_time``), so the imputed
-    CSV reads back by name. An empty feature cell is a null; a feature cell
-    that is not a finite number (``nan``, ``inf``) is rejected with its line.
+    CSV reads back by name. An empty feature cell is a null; a time or
+    feature cell that is not a finite number (``nan``, ``inf``, ``1e400``) is
+    rejected with its line.
     Rows are grouped by sample id (first-appearance order) and stable-sorted
     by time within each sample.
     """
@@ -436,15 +430,18 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
             np.fromiter(map(float, [c or "nan" for c in columns[k]]), float, len(rows))
             for k in range(first, expected)
         ])
-        clean = all(not rows[r][first + k] for r, k in np.argwhere(~np.isfinite(values)))
+        clean = np.isfinite(times).all() and all(
+            not rows[r][first + k] for r, k in np.argwhere(~np.isfinite(values)))
     except ValueError:
         clean = False
     if not clean:
         for row, lineno in zip(rows, lines):
             try:
-                float(row[1])
+                t = float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable time {row[1]!r}") from None
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: non-finite time {row[1]!r}")
             for cell in row[first:]:
                 try:
                     v = float(cell or 0)

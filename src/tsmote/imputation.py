@@ -123,6 +123,7 @@ def impute_dataset(
         data=data.reshape(n_d, n_t, n_f),
         class_labels=dataset.labels if dataset.has_labels else None,
         feature_names=dataset.feature_names,
+        fixed_prefix_len=n_fix,
     )
 
 

@@ -1,8 +1,8 @@
 """Synthetic 2D uncoupled harmonic-oscillator datasets.
 
-Each sample observes the curve x = sin(wx*t) + eps, y = sin(wy*t + delta) + eps
-at a random number of irregular times inside one full period
-[0, max(2*pi/wx, 2*pi/wy)], with Gaussian noise. Observation times come from
+Each sample observes the curve x = sin(t) + eps, y = sin(wy*t) + eps at a
+random number of irregular times inside one full period
+[0, max(2*pi, 2*pi/wy)], with Gaussian noise. Observation times come from
 a uniform or truncated-exponential distribution; the exponential's early
 pile-up is what makes the final time slice parametrically wide downstream.
 """
@@ -25,17 +25,15 @@ OBS_MIN, OBS_MAX = 5, 20  # observations per sample, inclusive
 
 @dataclass(frozen=True)
 class OscillatorConfig:
-    omega_x: float = 1.0
     omega_y: float = 2.0
-    delta: float = 0.0
     noise_sigma: float = 0.05
     n_samples: int = 100
     time_dist: str = UNIFORM
     seed: int = 0
 
     def __post_init__(self):
-        if self.omega_x <= 0 or self.omega_y <= 0:
-            raise ValueError("frequencies must be positive")
+        if self.omega_y <= 0:
+            raise ValueError("omega_y must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if self.time_dist not in (UNIFORM, EXPONENTIAL):
@@ -43,7 +41,7 @@ class OscillatorConfig:
 
     @property
     def t_max(self) -> float:
-        return max(2 * math.pi / self.omega_x, 2 * math.pi / self.omega_y)
+        return 2 * math.pi / min(1.0, self.omega_y)
 
 
 def _draw_times(config: OscillatorConfig, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,8 +61,8 @@ def _draw_times(config: OscillatorConfig, m: int, rng: np.random.Generator) -> n
 
 def curve_values(config: OscillatorConfig, times: np.ndarray) -> np.ndarray:
     """Noise-free (len(times), 2) points of the configured Lissajous curve."""
-    x = np.sin(config.omega_x * times)
-    y = np.sin(config.omega_y * times + config.delta)
+    x = np.sin(times)
+    y = np.sin(config.omega_y * times)
     return np.column_stack([x, y])
 
 

@@ -128,11 +128,8 @@ class SliceGrid:
 
 
 def cell_index(dataset: TimeSeriesDataset, samples: np.ndarray, slices: np.ndarray, n_slices: int) -> np.ndarray:
-    """The (class, slice) cell ``class position * n_slices + slice`` of each (sample, slice) pair.
-
-    Class positions follow ``dataset.class_labels()``; an unlabeled dataset has one class.
-    """
-    return dataset.class_positions()[samples] * n_slices + slices
+    """The (class, slice) cell ``dataset.class_codes[sample] * n_slices + slice`` of each pair."""
+    return dataset.class_codes[samples] * n_slices + slices
 
 
 def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
@@ -143,12 +140,11 @@ def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarra
     A cell with no rows raises ``ValueError`` when it is reached, so errors
     come out in cell order.
     """
-    labels = dataset.class_labels() or [None]
     cells = cell_index(dataset, dataset.row_sample, assignment, n_slices)
-    counts = np.bincount(cells, minlength=len(labels) * n_slices)
+    counts = np.bincount(cells, minlength=len(dataset.classes) * n_slices)
     blocks = np.split(dataset.values[np.argsort(cells, kind="stable")], np.cumsum(counts)[:-1])
     for c, rows in enumerate(blocks):
-        lab, si = labels[c // n_slices], c % n_slices
+        lab, si = dataset.classes[c // n_slices], c % n_slices
         if len(rows) == 0:
             raise ValueError(
                 f"class={lab!r} has no observations in slice {si}; reduce n_slices or provide more data"

@@ -65,16 +65,13 @@ def savgol_nonuniform(times: np.ndarray, values: np.ndarray, config: SmoothingCo
     return S @ np.asarray(values, dtype=float)
 
 
-def smooth_tensor(
-    tensor: ImputedTensor, config: SmoothingConfig, fixed_prefix_len: int = 0
-) -> ImputedTensor:
+def smooth_tensor(tensor: ImputedTensor, config: SmoothingConfig) -> ImputedTensor:
     """Apply the filter to every sample and feature as one batched ``matmul``.
 
-    Fixed-prefix features pass through unmodified. Grid times are never
-    changed.
+    The tensor's fixed-prefix features pass through unmodified. Grid times
+    are never changed.
     """
     S = smoothing_matrix(tensor.grid_times, config.window, config.poly_order)
     smoothed = np.matmul(S, tensor.data)
-    if fixed_prefix_len > 0:
-        smoothed[:, :, :fixed_prefix_len] = tensor.data[:, :, :fixed_prefix_len]
+    smoothed[:, :, : tensor.fixed_prefix_len] = tensor.data[:, :, : tensor.fixed_prefix_len]
     return replace(tensor, data=smoothed)

@@ -254,7 +254,7 @@ def generate_pool(
     column of an n-row cell (see ``_neighbor_table``).
     """
     n_t = grid.n_slices
-    sizes = np.bincount(cells, minlength=len(dataset.class_labels() or [None]) * n_t)
+    sizes = np.bincount(cells, minlength=len(dataset.classes) * n_t)
     starts = np.cumsum(sizes) - sizes
     vectors = np.empty((len(cells), dataset.n_features))
     for c, name, rows in cell_blocks(dataset, n_t, assignment):

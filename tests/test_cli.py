@@ -444,6 +444,25 @@ class TestRejectedInput:
         assert json.loads(res.stderr)["error"].endswith("nonfinite.csv:5: non-finite value 'nan'")
         assert not (out / "imputed.csv").exists()
 
+    def test_nonfinite_time_exits_2(self, tmp_path, run_cli):
+        path = tmp_path / "span.csv"
+        path.write_text(TOY_CSV.replace("b,4,", "b,inf,"))
+        out = tmp_path / "out"
+        res = run_cli(["impute", str(path), "--slices", "2", "-o", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == f"{path}:6: non-finite time 'inf'"
+        assert not out.exists()
+
+    def test_partial_labels_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,time,class,x\na,0,u,0.0\na,1,,0.1\na,2,,0.2\nb,3,,0.3\nb,4,,0.4\nb,5,,0.5\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            tsmote.cli.main(["impute", str(path), "--slices", "2", "-o", str(out)])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "sample 'b' has no class label, but other samples do"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exit_2(self, tmp_path, run_cli, reps):
         out = tmp_path / "out"
@@ -515,6 +534,27 @@ class TestRejectedInput:
         res = run_cli(["impute", str(toy_csv), "--grid", str(path), "-o", str(out)], tmp_path)
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["error"] == error
+        assert not out.exists()
+
+    # each option that builds a grid, given with --grid: --slices repeats its default, and
+    # a config file repeats --grid-time's
+    @pytest.mark.parametrize("argv, option", [
+        (["--slices", "50"], "--slices"),
+        (["--grid-time", "midpoint"], "--grid-time"),
+        (["--t-min", "0"], "--t-min"),
+        (["--t-max", "99"], "--t-max"),
+        (["--config", "{config}"], "--grid-time"),
+    ], ids=["slices", "grid-time", "t-min", "t-max", "config-key"])
+    def test_grid_excludes_grid_options(self, toy_csv, tmp_path, capsys, argv, option):
+        grid, config, out = tmp_path / "grid.json", tmp_path / "cfg.json", tmp_path / "out"
+        grid.write_text(json.dumps(TOY_GRID))
+        config.write_text(json.dumps({"grid_time": "median"}))
+        with pytest.raises(SystemExit) as exc:
+            tsmote.cli.main(["impute", str(toy_csv), "--grid", str(grid), "-o", str(out),
+                             *[a.format(config=config) for a in argv]])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"--grid excludes {option}: the grid file sets the slices and their times"}
         assert not out.exists()
 
     # 4 samples, each observed at every time; twice the span is not a finite float

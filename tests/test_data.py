@@ -24,6 +24,7 @@ from tsmote.data import (
     write_tensor_csv,
 )
 from tsmote.data import ImputedTensor
+from tsmote.slicing import build_slice_grid
 
 
 def make_sample(sid, times, values, label=None):
@@ -63,7 +64,15 @@ class TestContainers:
             make_sample("a", [0.0], [(1.0,)], label="z"),
             make_sample("b", [0.0], [(1.0,)], label="a"),
         )
-        assert ds.class_labels() == ["a", "z"]
+        assert ds.classes == ("a", "z")
+        assert ds.class_codes.tolist() == [1, 0]
+        unlabeled = dataset_of(make_sample("a", [0.0], [(1.0,)]), make_sample("b", [0.0], [(1.0,)]))
+        assert unlabeled.classes == (None,)
+        assert unlabeled.class_codes.tolist() == [0, 0]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="sample id 'b' repeats"):
+            dataset_of(*(make_sample(sid, [0.0], [(1.0,)]) for sid in ("a", "b", "c", "b", "a")))
 
     def test_fixed_prefix_beyond_features_rejected(self):
         with pytest.raises(ValueError, match="fixed_prefix_len 3 must lie between 0 and the 2 features"):
@@ -85,12 +94,13 @@ class TestValidation:
         assert report.ok
         assert report.violations == ()
 
+    # the constructor rejects what validate_dataset once reported, naming the sample
     def test_unsorted_times_flagged(self):
-        ds = dataset_of(make_sample("bad", [3.0, 1.0], [(1.0,), (2.0,)]))
-        report = validate_dataset(ds)
-        kinds = [v.kind for v in report.violations]
-        assert "unsorted-times" in kinds
-        assert report.violations[0].sample_id == "bad"
+        with pytest.raises(ValueError, match="sample 'bad' has times that go down"):
+            dataset_of(make_sample("ok", [5.0], [(1.0,)]), make_sample("bad", [3.0, 1.0], [(1.0,), (2.0,)]))
+        # a later sample may start before an earlier one ends, and times may repeat
+        assert validate_dataset(dataset_of(make_sample("a", [2.0, 2.0], [(1.0,), (2.0,)]),
+                                           make_sample("b", [1.0], [(1.0,)]))).ok
 
     def test_insufficient_observations_warning(self):
         # 10 samples x 2 obs = 20 < 2 * 50 slices
@@ -119,11 +129,11 @@ class TestValidation:
         assert any("duplicate timestamps" in w for w in report.warnings)
 
     def test_partial_labels_flagged(self):
-        ds = dataset_of(
-            make_sample("a", [0.0], [(1.0,)], label="x"),
-            make_sample("b", [0.0], [(1.0,)]),
-        )
-        assert any(v.kind == "partial-labels" for v in validate_dataset(ds).violations)
+        with pytest.raises(ValueError, match="sample 'b' has no class label, but other samples do"):
+            dataset_of(
+                make_sample("a", [0.0], [(1.0,)], label="x"),
+                make_sample("b", [0.0], [(1.0,)]),
+            )
 
     def test_inconsistent_fixed_feature(self):
         ds = dataset_of(
@@ -139,14 +149,15 @@ class TestValidation:
         assert validate_dataset(never).ok
 
     def test_nonfinite_time_flagged(self):
-        ds = dataset_of(make_sample("inf", [math.inf], [(1.0,)]))
-        assert any(v.kind == "nonfinite-time" for v in validate_dataset(ds).violations)
+        for time in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample 'inf' has a non-finite time"):
+                dataset_of(make_sample("a", [0.0], [(1.0,)]), make_sample("inf", [0.0, time], [(1.0,), (2.0,)]))
 
     def test_nonfinite_value_flagged(self):
         # NaN is the null encoding, so only infinities are non-finite values
-        ds = dataset_of(make_sample("inf", [0.0, 1.0], [(1.0, math.inf), (math.nan, 2.0)]))
-        kinds = [v.kind for v in validate_dataset(ds).violations]
-        assert kinds == ["nonfinite-value"]
+        with pytest.raises(ValueError, match="sample 'inf' has an infinite value"):
+            dataset_of(make_sample("inf", [0.0, 1.0], [(1.0, math.inf), (math.nan, 2.0)]))
+        assert validate_dataset(dataset_of(make_sample("nan", [0.0, 1.0], [(1.0, math.nan), (math.nan, 2.0)]))).ok
 
     def test_value_out_of_range_flagged(self):
         ds = dataset_of(
@@ -159,6 +170,11 @@ class TestValidation:
         assert "feature 'x'" in violations[0].message
         # 1e307 over 4 values sums to a finite number
         assert validate_dataset(dataset_of(make_sample("c", [0.0, 1.0], [(1e307,), (-1e307,)]))).ok
+        # a slot may average all of a sample's rows once its nulls are replaced,
+        # and nanmedian adds a lone value to itself
+        for rows in ([(6e307, 1.0), (None, 1.0), (None, 1.0)], [(1e308, 1.0)]):
+            ds = dataset_of(make_sample("d", [0.0, 1.0, 2.0][: len(rows)], rows))
+            assert [v.kind for v in validate_dataset(ds).violations] == ["value-out-of-range"]
 
     def test_report_json(self):
         ds = dataset_of(make_sample("a", [0.0], [(1.0,)]))
@@ -240,6 +256,14 @@ class TestLongCsv:
         path.write_text(f"sample_id,time,x\na,1.0,4.0\na,2.0,{cell}\n")
         with pytest.raises(ValueError, match=f"ds.csv:3: non-finite value '{cell}'"):
             read_long_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
+    def test_nonfinite_time_rejected_with_line(self, tmp_path, cell):
+        # the README's library path: read_long_csv, then build_slice_grid
+        path = tmp_path / "ds.csv"
+        path.write_text(f"sample_id,time,x\na,0.0,4.0\na,1.0,5.0\nb,0.5,6.0\nb,{cell},7.0\n")
+        with pytest.raises(ValueError, match=f"ds.csv:5: non-finite time '{cell}'"):
+            build_slice_grid(read_long_csv(path), n_slices=2)
 
     @pytest.mark.parametrize("rows, error", [
         ("a,1,2,x\na,1,2,3,4\n", "ds.csv:2: unparseable value 'x'"),
@@ -332,6 +356,8 @@ class TestImputedTensor:
             ImputedTensor(("a",), np.array([0.0, 1.0]), np.full((1, 2, 1), np.nan))
         with pytest.raises(ValueError, match="must not contain nulls or infinite values"):
             ImputedTensor(("a",), np.array([0.0, 1.0]), np.full((1, 2, 1), np.inf))
+        with pytest.raises(ValueError, match="fixed_prefix_len 2 must lie between 0 and the 1 features"):
+            ImputedTensor(("a",), np.array([0.0, 1.0]), np.zeros((1, 2, 1)), fixed_prefix_len=2)
 
     def test_json_round_trip(self, tmp_path):
         t = ImputedTensor(

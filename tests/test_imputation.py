@@ -311,7 +311,7 @@ def reference_impute(dataset, grid, syn, imp, reshape):
     """
     a = assign_slices(dataset, grid)
     n_t = grid.n_slices
-    labels = dataset.class_labels() or [None]
+    labels = dataset.classes
 
     def cells():
         for c in range(len(labels) * n_t):

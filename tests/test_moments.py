@@ -101,7 +101,7 @@ class TestOneRowDataset:
         assert dataset.counts.tolist() == [1] * (2 * n_t * n)
         np.testing.assert_array_equal(dataset.values, values.reshape(-1, 2))
         assignment = assign_slices(dataset, build_slice_grid(dataset, n_t))
-        cells = dataset.class_positions()[dataset.row_sample] * n_t + assignment
+        cells = dataset.class_codes[dataset.row_sample] * n_t + assignment
         assert np.bincount(cells).tolist() == [n] * (2 * n_t)
         # samples are ordered by class, slice, then row
         np.testing.assert_array_equal(cells, np.repeat(np.arange(2 * n_t), n))
@@ -167,7 +167,7 @@ class TestVarianceLaws:
     def test_class_blind_slice_mean_fails_the_battery(self, monkeypatch):
         def pooled_over_classes(dataset, n_slices, assignment, method):
             stats = [np.nanmean(dataset.values[assignment == s], axis=0) for s in range(n_slices)]
-            return np.tile(stats, (len(dataset.class_labels()), 1))
+            return np.tile(stats, (len(dataset.classes), 1))
 
         monkeypatch.setattr(tsmote.imputation, "_slice_statistics", pooled_over_classes)
         failed = {c.name for c in _check_variance_laws(seed=0) if not c.passed}

@@ -18,20 +18,20 @@ from tsmote.oscillator import (
 
 class TestCurve:
     def test_origin_value(self):
-        cfg = OscillatorConfig(delta=0.7, noise_sigma=0.0)
+        cfg = OscillatorConfig(noise_sigma=0.0)
         v = curve_values(cfg, np.array([0.0]))[0]
         assert v[0] == 0.0
-        assert v[1] == pytest.approx(math.sin(0.7))
+        assert v[1] == 0.0
 
     def test_quarter_period(self):
-        cfg = OscillatorConfig(omega_x=1.0, omega_y=2.0, delta=0.0)
+        cfg = OscillatorConfig(omega_y=2.0)
         v = curve_values(cfg, np.array([math.pi / 2]))[0]
         assert v[0] == pytest.approx(1.0)
         assert v[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_period_from_slowest_frequency(self):
-        assert OscillatorConfig(omega_x=1.0, omega_y=2.0).t_max == pytest.approx(2 * math.pi)
-        assert OscillatorConfig(omega_x=0.5, omega_y=2.0).t_max == pytest.approx(4 * math.pi)
+        assert OscillatorConfig(omega_y=2.0).t_max == pytest.approx(2 * math.pi)
+        assert OscillatorConfig(omega_y=0.5).t_max == pytest.approx(4 * math.pi)
 
 
 class TestGenerate:

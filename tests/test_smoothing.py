@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from tsmote.data import ImputedTensor
+from tsmote.data import ImputedTensor, TimeSeriesDataset
+from tsmote.imputation import ImputationConfig, impute_dataset
+from tsmote.oscillator import generate_two_class_experiment
+from tsmote.slicing import build_slice_grid
 from tsmote.smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor, smoothing_matrix
 
 
@@ -129,10 +132,27 @@ class TestSmoothTensor:
         noisy = tensor.data.copy()
         noisy[:, :, 0] = 42.0  # a fixed feature: constant per sample
         noisy[:, :, 1] += rng.standard_normal(noisy[:, :, 1].shape)
-        tensor = ImputedTensor(tensor.sample_ids, tensor.grid_times, noisy)
-        out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5), fixed_prefix_len=1)
+        tensor = ImputedTensor(tensor.sample_ids, tensor.grid_times, noisy, fixed_prefix_len=1)
+        out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5))
+        assert out.fixed_prefix_len == 1
         np.testing.assert_array_equal(out.data[:, :, 0], noisy[:, :, 0])
         assert not np.array_equal(out.data[:, :, 1], noisy[:, :, 1])
+
+    def test_imputed_prefix_kept_bit_for_bit(self):
+        # an `age` column before x and y, one value per sample; filtering a constant
+        # series would change its last bits on this 200-slice grid
+        train = generate_two_class_experiment(0).train
+        ages = 20.0 + np.arange(train.n_samples) / 7.0
+        dataset = TimeSeriesDataset(
+            train.ids, train.offsets, train.times, np.column_stack((ages[train.row_sample], train.values)),
+            train.labels, ("age", "x", "y"), fixed_prefix_len=1,
+        )
+        tensor = impute_dataset(dataset, build_slice_grid(dataset, 200),
+                                imputation_config=ImputationConfig(method="slice_mean"))
+        assert tensor.fixed_prefix_len == 1
+        out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5))
+        np.testing.assert_array_equal(out.data[:, :, 0], tensor.data[:, :, 0])
+        assert not np.array_equal(out.data[:, :, 1:], tensor.data[:, :, 1:])
 
     @pytest.mark.parametrize("n_feat", [1, 2, 3])
     @pytest.mark.parametrize("fixed", [0, 1])
@@ -146,8 +166,8 @@ class TestSmoothTensor:
             config = SmoothingConfig(window=window, poly_order=int(rng.integers(0, window)))
             t = random_grid(rng, n_t)
             data = rng.standard_normal((int(rng.integers(1, 30)), n_t, n_feat)) * 10.0 ** rng.integers(-3, 4)
-            tensor = ImputedTensor(tuple(f"s{i}" for i in range(len(data))), t, data)
-            out = smooth_tensor(tensor, config, fixed_prefix_len=fixed).data
+            tensor = ImputedTensor(tuple(f"s{i}" for i in range(len(data))), t, data, fixed_prefix_len=fixed)
+            out = smooth_tensor(tensor, config).data
             S = smoothing_matrix(t, config.window, config.poly_order)
             np.testing.assert_array_equal(out[..., :fixed], data[..., :fixed])
             for f in range(fixed, n_feat):

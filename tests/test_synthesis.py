@@ -228,7 +228,7 @@ def two_class_dataset(n_per_class=50, n_obs=4, seed=0, with_null=False):
 def reference_pool(ds, n_slices, assignment, cells, config):
     """Oracle: each cell's vectors from ``synthesize_slice`` on the cell's own
     ``SeedSequence``, then served one request at a time."""
-    labels = ds.class_labels() or [None]
+    labels = ds.classes
     row_class = np.array(ds.labels, dtype=object)[ds.row_sample]
     sizes = np.bincount(cells, minlength=len(labels) * n_slices)
     pools = []
