@@ -17,7 +17,6 @@ written inside ``--output-dir``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -97,10 +96,8 @@ _GRID_TIMES = {MIDPOINT: MIDPOINT, "median": MEDIAN_OF_OBSERVATIONS}
 
 
 def _load_dataset(args, n_slices=None):
-    """Read and validate ``args.input`` (``--fixed`` applies first); ``n_slices`` sizes a warning."""
-    dataset = read_long_csv(args.input, class_column=args.class_column)
-    if args.fixed:
-        dataset = dataclasses.replace(dataset, fixed_prefix_len=args.fixed)
+    """Read (with ``--fixed``) and validate ``args.input``; ``n_slices`` sizes a warning."""
+    dataset = read_long_csv(args.input, class_column=args.class_column, fixed_prefix_len=args.fixed)
     report = validate_dataset(dataset, n_slices=n_slices)
     if not report.ok:
         _fail("dataset failed validation", report=report.to_dict())

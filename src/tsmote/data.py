@@ -28,6 +28,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -261,6 +262,11 @@ class DatasetStats:
     time_range: tuple[float, float]
 
 
+def _distinct(owners: np.ndarray) -> np.ndarray:
+    """The distinct entries of the sorted, non-negative ``owners`` (np.unique imports numpy.ma)."""
+    return owners[np.diff(owners, prepend=-1) != 0]
+
+
 def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None) -> ValidationReport:
     """Report, without raising, what a valid dataset can still get wrong.
 
@@ -275,7 +281,7 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
     row_sample = dataset.row_sample
 
     repeat = (times[1:] == times[:-1]) & (row_sample[1:] == row_sample[:-1])
-    for i in np.unique(row_sample[1:][repeat]):
+    for i in _distinct(row_sample[1:][repeat]):
         warnings.append(f"sample {ids[i]!r} has duplicate timestamps (degenerate observations)")
 
     nulls = np.isnan(values)
@@ -287,7 +293,7 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
     n_fix = dataset.fixed_prefix_len
     varies = (values[:, :n_fix] != dataset.fixed_values[row_sample]) & ~nulls[:, :n_fix]
     for k in range(n_fix):
-        for i in np.unique(row_sample[varies[:, k]]):
+        for i in _distinct(row_sample[varies[:, k]]):
             violations.append(Violation("inconsistent-fixed-feature", ids[i],
                                         f"fixed feature {k} varies across observations"))
 
@@ -341,7 +347,7 @@ def dataset_stats(dataset: TimeSeriesDataset) -> DatasetStats:
 # ---------------------------------------------------------------------------
 
 _QUOTED = re.compile('[,"\r\n]')
-_CHUNK_ROWS = 8192  # rows formatted at a time: bounds the strings held in memory
+_CHUNK_ROWS = 8192  # rows read or formatted at a time: bounds the strings held in memory
 _TENSOR_COLUMNS = ("sample_id", "class", "slice_index", "grid_time")  # imputed.csv's leading columns
 
 
@@ -374,7 +380,7 @@ def write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
+def read_long_csv(path, class_column: str = "class", fixed_prefix_len: int = 0) -> TimeSeriesDataset:
     """Parse long-format CSV: ``sample_id, time[, class], features...``.
 
     The header row is required. A column name may not repeat, and no feature
@@ -384,7 +390,9 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
     feature cell that is not a finite number (``nan``, ``inf``, ``1e400``) is
     rejected with its line.
     Rows are grouped by sample id (first-appearance order) and stable-sorted
-    by time within each sample.
+    by time within each sample; ``fixed_prefix_len`` goes to the dataset.
+    Records are parsed ``_CHUNK_ROWS`` at a time, so at most one block of
+    them is held as strings.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -409,62 +417,67 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
         first = 2 + has_class
         expected = first + len(feature_names)
 
-        rows: list[list[str]] = []
-        lines: list[int] = []
-        width_error = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != expected:
-                width_error = f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
-                break
-            rows.append(row)
-            lines.append(lineno)
+        codes: dict[str, int] = {}  # each sample id's position, in first-appearance order
+        pairs, blocks = set(), []  # the (code, class cell) of every row; each block's arrays
+        numbered = enumerate(reader, start=2)
+        for block in iter(lambda: list(islice(numbered, _CHUNK_ROWS)), []):
+            rows, lines, width_error = [], [], None
+            for lineno, row in block:
+                if not row:
+                    continue
+                if len(row) != expected:
+                    width_error = f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
+                    break
+                rows.append(row)
+                lines.append(lineno)
 
-    # parse whole columns; a rejected cell is then found row by row, so the
-    # error names the first bad line as a row-by-row parser would
-    columns = list(zip(*rows)) or [()] * expected
-    try:
-        times = np.fromiter(map(float, columns[1]), float, len(rows))
-        values = np.column_stack([
-            np.fromiter(map(float, [c or "nan" for c in columns[k]]), float, len(rows))
-            for k in range(first, expected)
-        ])
-        clean = np.isfinite(times).all() and all(
-            not rows[r][first + k] for r, k in np.argwhere(~np.isfinite(values)))
-    except ValueError:
-        clean = False
-    if not clean:
-        for row, lineno in zip(rows, lines):
+            # parse whole columns; a rejected cell is then found row by row, so the
+            # error names the first bad line as a row-by-row parser would
+            columns = list(zip(*rows)) or [()] * expected
             try:
-                t = float(row[1])
+                times = np.fromiter(map(float, columns[1]), float, len(rows))
+                values = np.column_stack([
+                    np.fromiter(map(float, [c or "nan" for c in columns[k]]), float, len(rows))
+                    for k in range(first, expected)
+                ])
+                clean = np.isfinite(times).all() and all(
+                    not rows[r][first + k] for r, k in np.argwhere(~np.isfinite(values)))
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable time {row[1]!r}") from None
-            if not math.isfinite(t):
-                raise ValueError(f"{path}:{lineno}: non-finite time {row[1]!r}")
-            for cell in row[first:]:
-                try:
-                    v = float(cell or 0)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: unparseable value {cell!r}") from None
-                if not math.isfinite(v):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
-    if width_error:
-        raise ValueError(width_error)
-    if not rows:
+                clean = False
+            if not clean:
+                for row, lineno in zip(rows, lines):
+                    try:
+                        t = float(row[1])
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: unparseable time {row[1]!r}") from None
+                    if not math.isfinite(t):
+                        raise ValueError(f"{path}:{lineno}: non-finite time {row[1]!r}")
+                    for cell in row[first:]:
+                        try:
+                            v = float(cell or 0)
+                        except ValueError:
+                            raise ValueError(f"{path}:{lineno}: unparseable value {cell!r}") from None
+                        if not math.isfinite(v):
+                            raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+            if width_error:
+                raise ValueError(width_error)
+            row_code = np.fromiter((codes.setdefault(s, len(codes)) for s in columns[0]), np.intp, len(rows))
+            if has_class:
+                pairs.update(zip(row_code.tolist(), columns[2]))
+            blocks.append((times, values, row_code))
+            del block, rows, lines, columns  # freed before the next block is read
+    if not codes:
         raise ValueError(f"{path}: no data rows")
 
-    codes: dict[str, int] = {}
-    row_code = np.fromiter((codes.setdefault(s, len(codes)) for s in columns[0]), np.intp, len(rows))
     labels: list[set[str]] = [set() for _ in codes]
-    if has_class:
-        for code, lab in set(zip(row_code.tolist(), columns[2])):
-            if lab:
-                labels[code].add(lab)
+    for code, lab in pairs:
+        if lab:
+            labels[code].add(lab)
     for sid, found in zip(codes, labels):
         if len(found) > 1:
             raise ValueError(f"{path}: sample {sid!r} carries conflicting class labels {sorted(found)}")
 
+    times, values, row_code = (np.concatenate(parts) for parts in zip(*blocks))
     order = np.lexsort((times, row_code))
     return TimeSeriesDataset(
         ids=tuple(codes),
@@ -473,6 +486,7 @@ def read_long_csv(path, class_column: str = "class") -> TimeSeriesDataset:
         values=values[order],
         labels=tuple(found.pop() if found else None for found in labels),
         feature_names=feature_names,
+        fixed_prefix_len=fixed_prefix_len,
     )
 
 

@@ -11,8 +11,9 @@ slice_median baselines with the cell's per-feature statistic.
 
 Real observations are never overwritten: a slot that had original data keeps
 it exactly (or its degenerate average). Time-independent prefix features are
-copied from the sample itself into every filled slot; a prefix feature that
-is null in every observation takes its value from the first replacement.
+copied from the sample itself into every slot, averaged or filled; a prefix
+feature that is null in every observation takes its value from the first
+replacement.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ def impute_dataset(
 
     nulls = np.isnan(values[null_rows])
     values[null_rows] = np.where(nulls, drawn[: len(null_rows)], values[null_rows])
-    values[:, :n_fix] = values[first_rows, :n_fix][owner]  # a null prefix took its first draw
 
     # a slot holds the running mean (row * c + x) / (c + 1) of its rows in row order;
     # it is not a sum / count, which can differ in the last bit
@@ -115,7 +115,8 @@ def impute_dataset(
         s = slots[at]
         data[s] = values[at] if r == 0 else (data[s] * r + values[at]) / (r + 1)
     data[empty] = drawn[len(null_rows) :]
-    data[empty, :n_fix] = values[first_rows, :n_fix][empty // n_t]
+    # every slot takes the sample's prefix as its first row holds it, a draw where never recorded
+    data.reshape(n_d, n_t, n_f)[:, :, :n_fix] = values[first_rows, None, :n_fix]
 
     return ImputedTensor(
         sample_ids=dataset.ids,

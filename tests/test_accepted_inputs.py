@@ -8,7 +8,8 @@ smoothing, in this process; tensors stay far below one writer chunk, so no
 worker process starts. A run passes when it exits 0 with a finite
 ``imputed.csv`` that, unsmoothed, gives back every value of a slot with one
 observation bit for bit, or when it exits 2 with a JSON error whose message
-is one of ``CAUSES``.
+is one of ``CAUSES``. Each file also reads, three records at a time, to the
+same dataset or error as in one block.
 """
 
 import contextlib
@@ -19,11 +20,13 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tsmote.data
 from tsmote import cli
 from tsmote.imputation import METHODS
 
@@ -82,6 +85,14 @@ def long_csvs(draw):
     return buf.getvalue(), options + ["--allow-null-imputation"] * draw(st.booleans())
 
 
+def read_or_error(path):
+    """The dataset ``read_long_csv`` reads from ``path``, or the message of its ``ValueError``."""
+    try:
+        return tsmote.data.read_long_csv(path)
+    except ValueError as e:
+        return str(e)
+
+
 def run_main(argv):
     """(exit code, stderr) of one in-process run; a numpy overflow or other
     RuntimeWarning raises instead of printing."""
@@ -122,6 +133,9 @@ def test_accepted_csv_is_imputed_or_rejected_with_cause(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "in.csv")
         path.write_text(text, newline="")
+        want = read_or_error(path)
+        with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 3):
+            assert read_or_error(path) == want
         for method in METHODS:
             for smooth in ([], ["--smooth", "--window", "3", "--order", "1"]):
                 out = Path(tmp, f"{method}{len(smooth)}")

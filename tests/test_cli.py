@@ -242,6 +242,16 @@ def test_in_process_impute_leaves_no_process(golden_runs, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["grid.json", "imputed.csv", "imputed.json"]
 
 
+def test_impute_does_not_import_numpy_ma(golden_runs, tmp_path, run_python):
+    # np.unique and np.median import numpy.ma, about 13 ms and 0.6 MB of every run
+    train = golden_runs / "demo-0" / "train.csv"
+    res = run_python(["-c", "import sys; from tsmote import cli; "
+                      f"code = cli.main(['impute', {str(train)!r}, '--method', 'tsmote', '-o', 'out']); "
+                      "print(code, 'numpy.ma' in sys.modules)"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+
+
 def fit_logistic_but_fail(X, y):
     raise ValueError("logistic regression did not converge in 100 Newton steps")
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import multiprocessing
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -203,6 +204,51 @@ class TestStats:
         assert stats.time_range == (2.0, 9.0)
 
 
+def read_or_error(path):
+    """The dataset ``read_long_csv`` reads from ``path``, or the message of its ``ValueError``."""
+    try:
+        return read_long_csv(path)
+    except ValueError as e:
+        return str(e)
+
+
+def rows_of(sid, times, label="u"):
+    return "".join(f"{sid},{t},{label},{t + 0.5},1.5\n" for t in times)
+
+
+# long CSV records after the header (record k is line k + 2), and what reading them
+# gives: an error after the file's path, or the (ids, times) of the dataset
+BLOCK_CASES = {
+    "bad value in a later block": (
+        rows_of("a", range(9)) + "b,0.5,u,2,zz\nb,t,u,2,3\n", ":11: unparseable value 'zz'"),
+    "width error in a later block": (
+        rows_of("a", range(9)) + "b,0.5,u,2\nb,0.5,u,2,zz\n", ":11: expected 5 columns, got 4"),
+    # records 12 and 13 share a block of 2, 3 and 7 records
+    "value error before a width error in one block": (
+        rows_of("a", range(12)) + "b,0.5,u,zz,1\nb,0.5,u\n", ":14: unparseable value 'zz'"),
+    "width error before a value error in one block": (
+        rows_of("a", range(12)) + "b,0.5,u\nb,0.5,u,zz,1\n", ":14: expected 5 columns, got 3"),
+    "blank records at block edges": (
+        "\n" + rows_of("a", [1]) + "\n\n" + rows_of("b", [2, 0]) + "\n\n" + rows_of("a", [0]) + "\n\n",
+        (("a", "b"), [0.0, 1.0, 0.0, 2.0])),
+    "blank records counted in the line": (
+        "\n" + rows_of("a", [1]) + "\n\n" + rows_of("b", [2, 0]) + "\n\n" + "c,1,u,2,inf\n",
+        ":10: non-finite value 'inf'"),
+    "quoted multi-line id": (
+        rows_of('"x\r\ny"', [2, 1, 0]) + rows_of('"x\ny"', [1]), (("x\r\ny", "x\ny"), [0.0, 1.0, 2.0, 1.0])),
+    "quoted multi-line ids counted as one line each": (
+        rows_of('"x\ny"', [2, 1, 0]) + "z,t,u,1,2\n", ":5: unparseable time 't'"),
+    "sample split across blocks": (
+        "".join(rows_of("a", [3 - k]) + rows_of(f"b{k}", [k, k]) for k in range(4)),
+        (("a", "b0", "b1", "b2", "b3"), [0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])),
+    "conflicting labels across blocks": (
+        rows_of("a", [0]) + rows_of("b", range(8)) + rows_of("a", [1], label="v"),
+        ": sample 'a' carries conflicting class labels ['u', 'v']"),
+    "header only": ("", ": no data rows"),
+    "blank records only": ("\n\n\n", ": no data rows"),
+}
+
+
 class TestLongCsv:
     def test_round_trip_identity(self, tmp_path):
         ds = dataset_of(
@@ -283,6 +329,38 @@ class TestLongCsv:
         path.write_text("sample_id,time,class,x\na,1.0,u,1.0\na,2.0,v,2.0\n")
         with pytest.raises(ValueError, match="conflicting class labels"):
             read_long_csv(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_change_nothing(self, tmp_path, monkeypatch, case, chunk):
+        # records are read _CHUNK_ROWS at a time; the dataset or the error must not depend on it
+        text, expected = BLOCK_CASES[case]
+        path = tmp_path / "ds.csv"
+        path.write_text("sample_id,time,class,x,y\n" + text, newline="")
+        want = read_or_error(path)
+        if isinstance(expected, str):
+            assert want == f"{path}{expected}"
+        else:
+            assert (want.ids, want.times.tolist()) == expected
+        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", chunk)
+        assert read_or_error(path) == want
+
+    def test_read_holds_one_block_of_strings(self, tmp_path):
+        # 24 576 rows of 5 cells: holding every row's strings at once peaked at 14.0 MB
+        # under tracemalloc, reading a block at a time at 5.6 MB
+        path = tmp_path / "ds.csv"
+        with open(path, "w") as fh:
+            fh.write("sample_id,time,class,x,y\n")
+            for r in range(24_576):
+                fh.write(f"s{r // 12},{r % 12 * 0.5137},{'ab'[r // 12 % 2]},{r * 0.731 % 1},{r * 0.377 % 1}\n")
+        tracemalloc.start()
+        try:
+            dataset = read_long_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.total_observations() == 24_576
+        assert peak < 9 * 2**20, peak
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -203,6 +203,21 @@ class TestImputeDataset:
             for pos in range(20):
                 assert np.all(t.data[pos, :, 0] == 40.0 + pos)
 
+    @pytest.mark.parametrize("n_slices", [50, 200])
+    def test_fixed_prefix_kept_in_averaged_slots(self, n_slices):
+        # ages that are not whole numbers: a running mean over a slot of three or
+        # more rows of one age can change its last bits, so no slot may average them
+        train = generate_two_class_experiment(0).train
+        ages = 20.0 + np.arange(train.n_samples) / 7.0
+        ds = TimeSeriesDataset(
+            train.ids, train.offsets, train.times, np.column_stack((ages[train.row_sample], train.values)),
+            train.labels, ("age", "x", "y"), fixed_prefix_len=1,
+        )
+        grid = build_slice_grid(ds, n_slices)
+        assert np.bincount(train.row_sample * n_slices + assign_slices(ds, grid)).max() >= 3
+        t = impute_dataset(ds, grid, imputation_config=ImputationConfig(method="slice_mean"))
+        np.testing.assert_array_equal(t.data[:, :, 0], np.repeat(ages[:, None], n_slices, axis=1))
+
     def test_mean_collapse_variance_law_exact(self):
         # N samples, one observation each, occupancy exactly N / n_slices:
         # after slice_mean imputation each slot's variance is sigma^2 / n_slices
@@ -359,7 +374,8 @@ def reference_impute(dataset, grid, syn, imp, reshape):
 
 
 def fill_per_sample(dataset, a, n_t, reshape, draw):
-    """Each sample's slot grid, with ``draw(label, slice)`` filling nulls, then empty slots."""
+    """Each sample's slot grid, with ``draw(label, slice)`` filling nulls, then empty slots;
+    every slot holds the sample's fixed prefix as pinned, not an average of it."""
     n_fix = dataset.fixed_prefix_len
 
     def pin(mat):
@@ -383,7 +399,7 @@ def fill_per_sample(dataset, a, n_t, reshape, draw):
         empty = np.flatnonzero(np.isnan(row).any(axis=1))
         for si in empty:
             row[si] = draw(lab, int(si))
-        row[np.ix_(empty, np.arange(n_fix))] = fixed
+        row[:, :n_fix] = fixed
         rows[i] = row
     return rows
 

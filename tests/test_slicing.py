@@ -73,6 +73,17 @@ class TestBuildGrid:
         grid = build_slice_grid(ds, 3, MEDIAN_OF_OBSERVATIONS)
         assert grid.grid_times == (0.5, 2.5, 4.5)
 
+    def test_median_grid_times_match_numpy_median(self):
+        # each slice's median is read off the sorted times, with np.median as the reference
+        rng = np.random.default_rng(3)
+        ds = dataset_from_times([sorted(rng.uniform(-5, 1e3, int(rng.integers(3, 9)))) for _ in range(20)])
+        for n_slices in (1, 4, 7, 13):
+            grid = build_slice_grid(ds, n_slices, MEDIAN_OF_OBSERVATIONS)
+            assert len(set(np.array(grid.occupancy) % 2)) == (1 if n_slices == 1 else 2)
+            elapsed = np.sort(ds.times) - grid.t_min
+            edges = np.cumsum((0, *grid.occupancy))
+            assert grid.grid_times == tuple(float(np.median(elapsed[a:b])) for a, b in zip(edges, edges[1:]))
+
     def test_grid_times_inside_slices(self):
         rng = np.random.default_rng(0)
         ds = dataset_from_times([sorted(rng.uniform(0, 10, 7)) for _ in range(8)])
