@@ -166,7 +166,8 @@ def cmd_demo_oscillator(args) -> int:
     # the vectors a tsmote impute of the training set draws, cell by cell in pool order
     *_, cells = request_table(train, exp.grid.n_slices, assignment)
     cells = np.sort(cells)
-    pool = generate_pool(train, exp.grid, assignment, cells, SynthesisConfig(seed=args.seed))
+    pool = np.empty((len(cells), train.n_features))
+    generate_pool(train, exp.grid, assignment, cells, np.arange(len(cells)), pool, SynthesisConfig(seed=args.seed))
     position, si = np.divmod(cells, exp.grid.n_slices)
     write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
               [np.array(train.classes, dtype=object)[position], si,

@@ -515,6 +515,11 @@ def _write_chunks(csv_path, json_path, data, prefixes, slots, entry, step, seam)
             seam = ", "
 
 
+def _write_saved_chunks(npy_path, csv_path, json_path, *args) -> None:
+    """``_write_chunks`` on the array saved at ``npy_path``, read through a memory map."""
+    _write_chunks(csv_path, json_path, np.load(npy_path, mmap_mode="r"), *args)
+
+
 def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict) -> None:
     """Write the tensor as wide per-slice CSV and as compact JSON, in one pass.
 
@@ -529,8 +534,9 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     into place once complete, so a failure part-way leaves whatever was there before;
     ``json_path`` must be on the same filesystem. With two chunks or more, one worker
     process, started by the platform's default method, formats the second half of the
-    chunks meanwhile; its files are appended in order, so the bytes do not depend on
-    the split. The worker is joined before this returns, on success or failure.
+    chunks meanwhile, reading its values from a ``.npy`` file in the temporary
+    directory; its files are appended in order, so the bytes do not depend on the
+    split. The worker is joined before this returns, on success or failure.
     """
     n_d, n_t, n_f = tensor.shape
     data = np.asarray(tensor.data, float)
@@ -556,7 +562,8 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     mid = step * ((n_chunks + 1) // 2)
     with tempfile.TemporaryDirectory(dir=Path(csv_path).parent) as tmp:
         # this process writes the "a" files; the worker writes the "b" files, appended to them
-        a_csv, a_json, b_csv, b_json = (Path(tmp, name) for name in ("a.csv", "a.json", "b.csv", "b.json"))
+        a_csv, a_json, b_csv, b_json, b_npy = (
+            Path(tmp, name) for name in ("a.csv", "a.json", "b.csv", "b.json", "b.npy"))
         with open(a_csv, "w", newline="") as csv_fh, open(a_json, "w") as json_fh:
             csv_fh.write(_csv_line([*_TENSOR_COLUMNS, *tensor.feature_names]))
             json_fh.write('{%s"data": [' % head)
@@ -565,8 +572,10 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
         else:
             from concurrent.futures import ProcessPoolExecutor
 
+            # the worker reads its half from a file: no array is pickled through the executor's pipe
+            np.save(b_npy, data[mid:])
             with ProcessPoolExecutor(1) as pool:
-                rest = pool.submit(_write_chunks, b_csv, b_json, data[mid:], prefixes[mid:], slots, entry, step, ", ")
+                rest = pool.submit(_write_saved_chunks, b_npy, b_csv, b_json, prefixes[mid:], slots, entry, step, ", ")
                 _write_chunks(a_csv, a_json, data[:mid], prefixes[:mid], slots, entry, step, "")
                 rest.result()
             for part, path in ((b_csv, a_csv), (b_json, a_json)):

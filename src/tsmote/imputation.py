@@ -2,12 +2,16 @@
 
 Every method runs the same steps on the dataset's value array: pin the
 time-independent prefix features, replace null components, average the
-observations that share a slot componentwise, and fill the empty slots. The
-draws form one request table, listed sample by sample (null-bearing rows in
-row order, then empty slots in slice order) and tagged with their (class,
-slice) cell. The method only decides how a cell serves its requests, with one
-gather: tsmote from the per-class synthetic pool, the slice_mean /
-slice_median baselines with the cell's per-feature statistic.
+observations that share a slot componentwise, and fill the empty slots. It
+works in one buffer: a row for every (sample, slice) slot, then one row for
+each null-bearing row. The draws form one request table, listed sample by
+sample (null-bearing rows in row order, then empty slots in slice order) and
+tagged with their buffer row and (class, slice) cell. The method only decides
+how a cell serves its requests, each written straight into its row: tsmote
+from the per-class synthetic pool, the slice_mean / slice_median baselines
+with the cell's per-feature statistic. The null components are then filled
+from the buffer's tail and the rows averaged into its head, which is the
+returned tensor.
 
 Real observations are never overwritten: a slot that had original data keeps
 it exactly (or its degenerate average). Time-independent prefix features are
@@ -31,6 +35,7 @@ TSMOTE = "tsmote"
 SLICE_MEAN = "slice_mean"
 SLICE_MEDIAN = "slice_median"
 METHODS = (TSMOTE, SLICE_MEAN, SLICE_MEDIAN)
+_BLOCK = 8192  # requests a baseline fills at a time
 
 
 @dataclass(frozen=True)
@@ -90,31 +95,29 @@ def impute_dataset(
             "from its marginal distribution, which destroys cross-feature correlations. "
             "Set allow_null_feature_imputation=True only if the features are independent."
         )
-    values, null_rows, empty, request_cells = request_table(dataset, n_t, assignment)
-    # serve the requests sample by sample: null-bearing rows, then empty slots
-    order = np.argsort(np.concatenate((owner[null_rows], empty // n_t)), kind="stable")
+    values, null_rows, rows, cells = request_table(dataset, n_t, assignment)
+    n_slots = n_d * n_t
+    buf = np.empty((n_slots + len(null_rows), n_f))
     if imp.method == TSMOTE:
-        served = generate_pool(dataset, grid, assignment, request_cells[order], syn)
+        generate_pool(dataset, grid, assignment, cells, rows, buf, syn)
     else:
-        served = _slice_statistics(dataset, n_t, assignment, imp.method)[request_cells[order]]
-    # allocated after the pool is freed, and the served copy freed before the fill: a lower peak RSS
-    drawn = np.empty_like(served)
-    drawn[order] = served
-    del served
+        stats = _slice_statistics(dataset, n_t, assignment, imp.method)
+        for lo in range(0, len(rows), _BLOCK):
+            buf[rows[lo : lo + _BLOCK]] = stats[cells[lo : lo + _BLOCK]]
+    del rows, cells  # request-length: freed before the fill's own arrays
 
     nulls = np.isnan(values[null_rows])
-    values[null_rows] = np.where(nulls, drawn[: len(null_rows)], values[null_rows])
+    values[null_rows] = np.where(nulls, buf[n_slots:], values[null_rows])
 
     # a slot holds the running mean (row * c + x) / (c + 1) of its rows in row order;
     # it is not a sum / count, which can differ in the last bit
-    data = np.full((n_d * n_t, n_f), np.nan)
+    data = buf[:n_slots]
     slots = owner * n_t + assignment  # flat (sample, slice) slot of each row
     rank = group_ranks(slots)
     for r in range(int(rank.max()) + 1):
         at = rank == r
         s = slots[at]
         data[s] = values[at] if r == 0 else (data[s] * r + values[at]) / (r + 1)
-    data[empty] = drawn[len(null_rows) :]
     # every slot takes the sample's prefix as its first row holds it, a draw where never recorded
     data.reshape(n_d, n_t, n_f)[:, :, :n_fix] = values[first_rows, None, :n_fix]
 
@@ -131,20 +134,27 @@ def impute_dataset(
 def request_table(
     dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The draws a fill makes, as ``(values, null_rows, empty, cells)``.
+    """The draws a fill makes, as ``(values, null_rows, rows, cells)``.
 
-    ``values`` is a copy of the dataset's values with the fixed prefix pinned.
-    The requests are the ``null_rows`` that still hold a null after pinning,
-    in row order, then the ``empty`` flat (sample, slice) slots that no row
-    falls in, in slot order; ``cells`` is each request's (class, slice) cell.
+    ``values`` is a copy of the dataset's values with the fixed prefix pinned,
+    and ``null_rows`` the rows that still hold a null after pinning. The fill's
+    buffer has a row for every flat (sample, slice) slot, then one for each
+    null-bearing row. The requests are listed in serving order, sample by
+    sample: its null-bearing rows in row order, then its empty slots in slice
+    order. ``rows`` is each request's buffer row and ``cells`` its (class,
+    slice) cell.
     """
     owner = dataset.row_sample
     values = dataset.values.copy()
     values[:, : dataset.fixed_prefix_len] = dataset.fixed_values[owner]
     null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
+    n_slots = dataset.n_samples * n_slices
     slots = owner * n_slices + assignment
-    empty = np.flatnonzero(np.bincount(slots, minlength=dataset.n_samples * n_slices) == 0)
-    cells = cell_index(dataset, np.concatenate((owner[null_rows], empty // n_slices)),
-                       np.concatenate((assignment[null_rows], empty % n_slices)), n_slices)
-    return values, null_rows, empty, cells
-
+    occupied = np.zeros(n_slots, dtype=bool)
+    occupied[slots] = True
+    empty = np.flatnonzero(~occupied)
+    # a sample's null-bearing rows go before its first empty slot
+    at = np.searchsorted(empty, owner[null_rows] * n_slices)
+    slot_cells = cell_index(dataset, np.arange(dataset.n_samples)[:, None], np.arange(n_slices), n_slices).ravel()
+    cells = slot_cells[np.insert(empty, at, slots[null_rows])]
+    return values, null_rows, np.insert(empty, at, n_slots + np.arange(len(null_rows))), cells

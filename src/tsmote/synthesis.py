@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .slicing import SliceGrid, cell_blocks, group_ranks
+from .slicing import SliceGrid, cell_blocks, cell_index
 
 logger = logging.getLogger(__name__)
 
@@ -195,18 +195,20 @@ def synthesize_slice(
     count: int,
     rng: np.random.Generator,
     label: str = "",
+    unread=(),
 ) -> np.ndarray:
     """Generate ``count`` synthetic feature vectors from one slice cell.
 
     ``slice_obs`` is an (n_obs, n_features) array with NaN marking nulls.
     Every generated component lies in the closed interval between its seed
-    and neighbor values, hence within the column's observed range.
+    and neighbor values, hence within the column's observed range. A column in
+    ``unread`` is left NaN but still draws its weights, keeping the others' values.
     """
     obs = np.asarray(slice_obs, dtype=float)
     if obs.ndim != 2:
         raise ValueError("slice_obs must be 2-dimensional")
     n_feat = obs.shape[1]
-    out = np.empty((count, n_feat), dtype=float)
+    out = np.full((count, n_feat), np.nan)
     if count == 0:
         return out
 
@@ -220,6 +222,9 @@ def synthesize_slice(
 
     j = np.arange(count)
     for f, idx in enumerate(col_valid):
+        lam = config.lambda_dist.sample(rng, count)
+        if f in unread:
+            continue
         col = obs[idx, f]
         where = f"feature {f} of {label}" if label else f"feature {f}"
         nn = _neighbor_table(col, config.k_neighbors, where)
@@ -227,7 +232,6 @@ def synthesize_slice(
         ranks = (j // col.size) % nn.shape[1]
         z = col[seeds]
         y = col[nn[seeds, ranks]]
-        lam = config.lambda_dist.sample(rng, count)
         out[:, f] = z + lam * (y - z)
     return out
 
@@ -237,35 +241,38 @@ def generate_pool(
     grid: SliceGrid,
     assignment: np.ndarray,
     cells: np.ndarray,
+    rows: np.ndarray,
+    out: np.ndarray,
     config: SynthesisConfig,
-) -> np.ndarray:
-    """One synthetic vector for each request, given the requests' (class, slice) cells in request order.
+) -> None:
+    """Write one synthetic vector for each request into ``out``, request i's into ``out[rows[i]]``.
 
-    ``assignment`` is the (N,) slice index of every row, from ``assign_slices``;
-    ``cells`` numbers cells as ``slicing.cell_index`` does. Each cell makes as
-    many vectors as it has requests; one with none needs no usable column.
-    A cell generates from its own RNG stream keyed by (seed, class, slice),
-    so its vectors do not depend on the other cells. Without replacement the
-    cell's vectors are put in a random order drawn from the same stream, and
-    a cell's n-th request takes its n-th vector, so every vector is taken
-    once. With replacement a request takes a uniformly drawn vector of its
-    cell, all from one ``integers`` call on ``default_rng(seed)`` (the same
-    values as one call per request). Neighbor search costs O(n log n) per
-    column of an n-row cell (see ``_neighbor_table``).
+    ``cells`` holds the requests' (class, slice) cells in serving order,
+    numbered as ``slicing.cell_index`` does; ``assignment`` is the (N,) slice
+    index of every row, from ``assign_slices``. Each cell makes as many vectors
+    as it has requests; one with none needs no usable column. A cell generates
+    from its own RNG stream keyed by (seed, class, slice), so its vectors do not
+    depend on the other cells. Without replacement the cell's vectors are put in
+    a random order drawn from the same stream, and a cell's n-th request takes
+    its n-th vector, so every vector is taken once. With replacement a request
+    takes a uniformly drawn vector of its cell, all from one ``integers`` call
+    on ``default_rng(seed)`` (the same values as one call per request). Neighbor
+    search costs O(n log n) per column of an n-row cell (see ``_neighbor_table``).
+    A fixed-prefix column is left NaN in a cell without a row of a sample that never
+    records it: only such a row's fill reads the pooled value.
     """
     n_t = grid.n_slices
     sizes = np.bincount(cells, minlength=len(dataset.classes) * n_t)
-    starts = np.cumsum(sizes) - sizes
-    vectors = np.empty((len(cells), dataset.n_features))
-    for c, name, rows in cell_blocks(dataset, n_t, assignment):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_t)))
-        pool = synthesize_slice(rows, config, sizes[c], rng, label=name)
-        if config.replacement_policy == "without":
-            # the same order and RNG state as rng.shuffle(pool, axis=0), far faster
-            pool = pool[rng.permutation(sizes[c])]
-        vectors[starts[c] : starts[c] + sizes[c]] = pool
+    ends = np.cumsum(sizes)
     if config.replacement_policy == "with":
         pick = np.random.default_rng(config.seed).integers(0, sizes[cells])
-    else:
-        pick = group_ranks(cells)
-    return vectors[starts[cells] + pick]
+    by_cell = np.argsort(cells, kind="stable")  # each cell's requests, in serving order
+    r, f = np.nonzero(np.isnan(dataset.fixed_values)[dataset.row_sample])
+    unrecorded = np.zeros((len(sizes), dataset.fixed_prefix_len), dtype=bool)
+    unrecorded[cell_index(dataset, dataset.row_sample[r], assignment[r], n_t), f] = True
+    for c, name, obs in cell_blocks(dataset, n_t, assignment):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_t)))
+        pool = synthesize_slice(obs, config, sizes[c], rng, label=name, unread=np.flatnonzero(~unrecorded[c]))
+        served = by_cell[ends[c] - sizes[c] : ends[c]]
+        # without replacement: the same order and RNG state as rng.shuffle(pool, axis=0), far faster
+        out[rows[served]] = pool[pick[served] if config.replacement_policy == "with" else rng.permutation(sizes[c])]

@@ -4,8 +4,10 @@ Random files lean on what the reader accepts: ids that need quoting, rows out
 of order, repeated times, empty cells, magnitudes from the smallest subnormal
 to the float64 limit, an optional constant ``age`` prefix, and few
 observations per slice. Each file runs under every method, with and without
-smoothing, in this process; tensors stay far below one writer chunk, so no
-worker process starts. A run passes when it exits 0 with a finite
+smoothing, in this process. Their tensors stay far below one writer chunk,
+so no worker process starts, except in a few examples marked ``multichunk``
+that write one sample per chunk, so that the writer's worker formats half of
+every tensor. A run passes when it exits 0 with a finite
 ``imputed.csv`` that, unsmoothed, gives back every value of a slot with one
 observation bit for bit, or when it exits 2 with a JSON error whose message
 is one of ``CAUSES``. Each file also reads, three records at a time, to the
@@ -23,6 +25,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -129,6 +132,18 @@ def single_observation_values(path: Path, grid: dict):
 @example(table=('sample_id,time,f0,f1,f2\r\n,0.0,,,0.0\r\n",",0.5,0.0,1.7e+308,\r\n',
                 ["--slices", "1", "--fixed", "0"]))
 def test_accepted_csv_is_imputed_or_rejected_with_cause(table):
+    check_imputed_or_rejected(table)
+
+
+@pytest.mark.multichunk
+@settings(max_examples=10, deadline=None)
+@given(table=long_csvs())
+def test_accepted_csv_across_writer_chunks(table):
+    with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 1):
+        check_imputed_or_rejected(table)
+
+
+def check_imputed_or_rejected(table):
     text, options = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "in.csv")

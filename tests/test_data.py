@@ -1,5 +1,6 @@
 """Tests for the core data model, validation, stats, and CSV round-trips."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -455,6 +456,7 @@ class TestImputedTensor:
 
 
 _WRITE_CHUNKS = tsmote.data._write_chunks
+PROCESS_POOL = concurrent.futures.ProcessPoolExecutor
 
 
 def write_chunks_but_fail_in_worker(*args):
@@ -541,6 +543,48 @@ class TestWriteTensor:
         # the worker's temporary files are gone, and so is the worker
         assert sorted(p.name for p in out.iterdir()) == ["imputed.csv", "imputed.json"]
         assert multiprocessing.active_children() == []
+
+    def test_worker_is_sent_no_array(self, tmp_path, monkeypatch):
+        submitted = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append((fn, *args, *kwargs.values()))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 2)  # one sample per chunk: 3 chunks
+        tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.arange(6.0).reshape(3, 2, 1))
+        write_tensor_csv(tensor, tmp_path / "imputed.csv", tmp_path / "imputed.json", {})
+        (call,) = submitted
+        sent = [x for arg in call for x in (arg if isinstance(arg, (list, tuple)) else [arg])]
+        assert not any(isinstance(x, np.ndarray) for x in sent), call
+        assert tensor_from_json((tmp_path / "imputed.json").read_text()).data.tolist() == tensor.data.tolist()
+
+    def test_split_write_under_spawn(self, tmp_path, monkeypatch):
+        # a spawned worker shares no memory with this process: everything it formats is sent or saved
+        started = []
+
+        def spawning(*args, **kwargs):
+            started.append(multiprocessing.get_context("spawn"))
+            return PROCESS_POOL(*args, mp_context=started[-1], **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 12)  # 3 samples of 4 slices per chunk: 4 chunks
+        n_d, n_t, n_f = 10, 4, 3
+        tensor = ImputedTensor(
+            sample_ids=tuple(f'id,{i}"' for i in range(n_d)),
+            grid_times=np.linspace(0.0, 6.0, n_t),
+            data=np.tan(np.arange(n_d * n_t * n_f)).reshape(n_d, n_t, n_f),
+            class_labels=tuple(("a,1", None)[i % 2] for i in range(n_d)),
+            feature_names=("x", "y", "%s"),
+        )
+        write_tensor_csv(tensor, tmp_path / "imputed.csv", tmp_path / "imputed.json", {"n_slices": n_t})
+        expected_json = old_tensor_writers(tensor, tmp_path / "old.csv", {"n_slices": n_t})
+        assert len(started) == 1
+        assert (tmp_path / "imputed.json").read_bytes() == expected_json.encode()
+        assert (tmp_path / "imputed.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["imputed.csv", "imputed.json", "old.csv"]
 
     def test_worker_failure_raises_and_cleans_up(self, tmp_path, monkeypatch):
         tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.zeros((3, 2, 1)))

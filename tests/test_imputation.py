@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,9 +291,9 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
         made.append(synthesize(*args, **kwargs))
         return made[-1]
 
-    def record_served(dataset, grid, assignment, cells, config):
-        served.append((cells, generate(dataset, grid, assignment, cells, config)))
-        return served[-1][1]
+    def record_served(dataset, grid, assignment, cells, rows, out, config):
+        generate(dataset, grid, assignment, cells, rows, out, config)
+        served.append((cells, out[rows]))
 
     monkeypatch.setattr(synthesis, "synthesize_slice", record_made)
     monkeypatch.setattr(imputation, "generate_pool", record_served)
@@ -312,7 +313,43 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
     assert len(cells) == len(drawn) == n_requests
     np.testing.assert_array_equal(np.bincount(cells, minlength=len(made)), [len(v) for v in made])
     if policy == "without":
-        assert sorted(map(tuple, drawn)) == sorted(map(tuple, np.concatenate(made)))
+        # every sample records its prefix, so the pool leaves that column NaN, which sorts last
+        def by_rows(v):
+            return v[np.lexsort(v.T[::-1])]
+
+        assert np.isnan(drawn[:, 0]).all()
+        np.testing.assert_array_equal(by_rows(drawn), by_rows(np.concatenate(made)))
+
+
+@pytest.mark.parametrize("method, policy", [("tsmote", "with"), ("tsmote", "without"), ("slice_median", "with")])
+def test_fill_holds_about_one_tensor(method, policy):
+    """The draws go straight into the tensor's buffer, with no request-length float copy.
+
+    1 000 samples of 6 rows in 100 slices, 2 classes, an age prefix and 20% of
+    rows with a null: 94% of the 100 000 slots are requests. Under tracemalloc
+    the peak was 3.8-4.0 times the tensor's 2.4 MB when the draws were gathered
+    into a request-ordered copy and scattered, and 1.9-2.5 times filled in place.
+    """
+    n, m = 1000, 6
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(n * m, 3))
+    values[:, 0] = np.repeat(rng.integers(20, 80, n), m)
+    values[rng.random(n * m) < 0.2, 1 + rng.integers(0, 2)] = np.nan
+    ds = TimeSeriesDataset(tuple(f"s{i}" for i in range(n)), np.arange(0, n * m + 1, m),
+                           np.sort(rng.uniform(0, 10, (n, m)), axis=1).ravel(), values,
+                           labels=tuple("ab"[i % 2] for i in range(n)), fixed_prefix_len=1)
+    grid = build_slice_grid(ds, 100)
+    syn = SynthesisConfig(replacement_policy=policy)
+    imp = ImputationConfig(method=method, allow_null_feature_imputation=True)
+    impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp)  # the dataset's cached arrays
+    tracemalloc.start()
+    try:
+        tensor = impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor.data.nbytes == 2_400_000
+    assert peak < 3 * tensor.data.nbytes, peak
 
 
 def reference_impute(dataset, grid, syn, imp, reshape):

@@ -251,11 +251,19 @@ def reference_pool(ds, n_slices, assignment, cells, config):
     return np.array(out).reshape(len(cells), ds.n_features)
 
 
+def served(ds, grid, a, cells, config, rows=None):
+    """The vector ``generate_pool`` serves each request, written to ``rows`` (default: in request order)."""
+    rows = np.arange(len(cells)) if rows is None else rows
+    out = np.full((len(cells), ds.n_features), np.inf)
+    generate_pool(ds, grid, a, cells, rows, out, config)
+    return out[rows]
+
+
 def pool_for(ds, grid, config):
     """The requests' cells in a tsmote impute, and the vectors the pool serves them."""
     a = assign_slices(ds, grid)
     *_, cells = request_table(ds, grid.n_slices, a)
-    return cells, generate_pool(ds, grid, a, cells, config)
+    return cells, served(ds, grid, a, cells, config)
 
 
 class TestGeneratePool:
@@ -327,12 +335,15 @@ class TestGeneratePool:
     requests=st.lists(st.integers(0, 5), max_size=40),
     policy=st.sampled_from(["with", "without"]),
     seed=st.integers(0, 2**32 - 1),
+    shuffle=st.booleans(),
 )
-def test_serve_matches_one_request_at_a_time(requests, policy, seed):
-    """Batched serving gives the vectors of one-by-one draws, in any request order."""
+def test_serve_matches_one_request_at_a_time(requests, policy, seed, shuffle):
+    """Batched serving gives the vectors of one-by-one draws, in any request order,
+    each written to its request's row of the output."""
     ds = two_class_dataset(n_per_class=8)
     grid = build_slice_grid(ds, 3)
     a = assign_slices(ds, grid)
     cells = np.array(requests, dtype=np.intp)
     config = SynthesisConfig(k_neighbors=2, seed=seed, replacement_policy=policy)
-    np.testing.assert_array_equal(generate_pool(ds, grid, a, cells, config), reference_pool(ds, 3, a, cells, config))
+    rows = np.random.default_rng(seed).permutation(len(cells)) if shuffle else None
+    np.testing.assert_array_equal(served(ds, grid, a, cells, config, rows), reference_pool(ds, 3, a, cells, config))
