@@ -207,6 +207,10 @@ class ImputedTensor:
             raise ValueError("sample_ids must match data rows")
         if len(self.grid_times) != n_t:
             raise ValueError("grid_times must match data slices")
+        if self.class_labels is not None and len(self.class_labels) != n_d:
+            raise ValueError("class_labels must hold one entry per sample")
+        if self.feature_names and len(self.feature_names) != n_f:
+            raise ValueError("feature_names length must equal n_features")
         if np.any(np.diff(self.grid_times) <= 0):
             raise ValueError("grid_times must be strictly increasing")
         if not np.isfinite(self.data).all():

@@ -12,10 +12,12 @@ neighbor ranks, cycling when more vectors are requested than the enumeration
 holds. When a slice cell is null-free every column has the same entries, so
 all components of one synthetic vector use the same seed observation (each
 feature keeping its own 1-D neighbor list): the vector is assembled from
-values of one small neighborhood and cross-feature correlations survive.
-With nulls present the columns' enumerations drift apart, which samples each
-feature from its marginal distribution — valid only for (approximately)
-independent features.
+values of one small neighborhood and cross-feature correlations survive at
+small k (x0.99-1.00 at the default k = 5, see ``moments``). Neighbor lists
+that span the cell pair each seed with unrelated neighbors per feature, and
+the correlation roughly halves. With nulls present the columns' enumerations
+drift apart, which samples each feature from its marginal distribution —
+valid only for (approximately) independent features.
 """
 
 from __future__ import annotations
@@ -43,20 +45,26 @@ class LambdaSpec:
     a: float = 0.0
     b: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("uniform01", "beta", "point_mass"):
+            raise ValueError(f"lambda kind must be uniform01, beta or point_mass, not {self.kind!r}")
+        if self.kind == "beta" and not (0 < self.a < np.inf and 0 < self.b < np.inf):
+            raise ValueError(f"beta parameters must be positive and finite, not a={self.a!r}, b={self.b!r}")
+        if self.kind == "point_mass" and not (0.0 <= self.a <= 1.0 and self.b == 0.0):
+            raise ValueError(f"point mass must lie in [0, 1], not {self.a!r}")
+        if self.kind == "uniform01" and (self.a, self.b) != (0.0, 0.0):
+            raise ValueError("uniform01 takes no parameters")
+
     @classmethod
     def uniform(cls) -> "LambdaSpec":
         return cls("uniform01")
 
     @classmethod
     def beta(cls, a: float, b: float) -> "LambdaSpec":
-        if not (0 < a < np.inf and 0 < b < np.inf):
-            raise ValueError(f"beta parameters must be positive and finite, not a={a!r}, b={b!r}")
         return cls("beta", a, b)
 
     @classmethod
     def point_mass(cls, c: float) -> "LambdaSpec":
-        if not 0.0 <= c <= 1.0:
-            raise ValueError("point mass must lie in [0, 1]")
         return cls("point_mass", c)
 
     @property

@@ -127,8 +127,9 @@ def test_criterion_4_covariance_factor():
     checks = _check_covariance_factor(seed=0)
     elapsed = time.perf_counter() - t0
     bad = [c.name for c in checks if not c.passed]
-    verdict(4, "covariance factor", not bad,
-            "uniform->2/3, beta/point->formula, copy identities exact"
+    verdict(4, "covariance factor", len(checks) == 6 and not bad,
+            "synthesize_slice: variance factor_n for uniform/beta/point, correlation kept at k=5, "
+            "copy identities exact"
             + (f"; failed: {bad}" if bad else ""), elapsed, 60.0)
 
 

@@ -3,15 +3,15 @@
 Random files lean on what the reader accepts: ids that need quoting, rows out
 of order, repeated times, empty cells, magnitudes from the smallest subnormal
 to the float64 limit, an optional constant ``age`` prefix, and few
-observations per slice. Each file runs under every method, with and without
-smoothing, in this process. Their tensors stay far below one writer chunk,
-so no worker process starts, except in a few examples marked ``multichunk``
-that write one sample per chunk, so that the writer's worker formats half of
-every tensor. A run passes when it exits 0 with a finite
-``imputed.csv`` that, unsmoothed, gives back every value of a slot with one
-observation bit for bit, or when it exits 2 with a JSON error whose message
-is one of ``CAUSES``. Each file also reads, three records at a time, to the
-same dataset or error as in one block.
+observations per slice, under any neighbor count from 1 to 6 and four weight
+laws. Each file runs under every method, with and without smoothing, in this
+process. Their tensors stay far below one writer chunk, so no worker process
+starts, except in a few examples marked ``multichunk`` that write one sample
+per chunk, so that the writer's worker formats half of every tensor. A run
+passes when it exits 0 with a finite ``imputed.csv`` that, unsmoothed, gives
+back every value of a slot with one observation bit for bit, or when it exits
+2 with a JSON error whose message is one of ``CAUSES``. Each file also reads,
+three records at a time, to the same dataset or error as in one block.
 """
 
 import contextlib
@@ -53,11 +53,13 @@ IDS = st.lists(st.sampled_from([",", '"', "\r\n", "\n", " ", "a", "b", "é"]), m
 TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, -1.0, 1e-300, 5e-324]) | st.floats(-10.0, 10.0)
 EXTREME_TIMES = TIMES | st.sampled_from([1e300, 1.7e308, -1.7e308])
 EXTREME_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 8e307, 1.7e308, -1.7e308])
+LAMBDAS = st.sampled_from(["uniform", "beta:0.5,0.5", "point:0", "point:1"])
 
 
 @st.composite
 def long_csvs(draw):
-    """(csv text, impute options): 2 to 6 samples of 1 to 5 rows, in shuffled row order.
+    """(csv text, impute options): 2 to 6 samples of 1 to 5 rows, in shuffled row order,
+    with a slice count, a neighbor count and a weight law.
 
     Nulls, extreme values and times, and a sample without a label are rare, so
     that many files are imputed."""
@@ -84,7 +86,8 @@ def long_csvs(draw):
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows([header, *(["" if c is None else repr(c) if isinstance(c, float) else c
                                           for c in row] for row in draw(st.permutations(rows)))])
-    options = ["--slices", str(draw(st.integers(1, 5))), "--fixed", str(int(has_age))]
+    options = ["--slices", str(draw(st.integers(1, 5))), "--fixed", str(int(has_age)),
+               "--k", str(draw(st.integers(1, 6))), "--lambda", draw(LAMBDAS)]
     return buf.getvalue(), options + ["--allow-null-imputation"] * draw(st.booleans())
 
 

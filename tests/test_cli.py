@@ -422,7 +422,8 @@ class TestVerifyAndCompare:
         assert "[PASS]" in res.stdout
         # the checks that run the neighbor table, the slice kernel and the fill
         names = {check["name"] for check in report["checks"]}
-        assert {"neighbor-table-edge-counts", "kernel-copy-identity[point(0)]",
+        assert {"neighbor-table-edge-counts", "covariance-factor[uniform]", "covariance-factor[beta(2,5)]",
+                "covariance-factor[point(0.3)]", "correlation-kept[k=5]", "kernel-copy-identity[point(0)]",
                 "kernel-copy-identity[point(1)]", "impute-mean-collapse[hand]",
                 "impute-mean-collapse[random]", "impute-tsmote-variance[uniform]"} <= names
 

@@ -438,6 +438,18 @@ class TestImputedTensor:
         with pytest.raises(ValueError, match="fixed_prefix_len 2 must lie between 0 and the 1 features"):
             ImputedTensor(("a",), np.array([0.0, 1.0]), np.zeros((1, 2, 1)), fixed_prefix_len=2)
 
+    def test_names_and_labels_match_the_data(self):
+        # a short header over wider rows, or labels for other samples, would reach the writers
+        data = np.zeros((2, 1, 2))
+        with pytest.raises(ValueError, match="feature_names length must equal n_features"):
+            ImputedTensor(("a", "b"), np.array([0.0]), data, feature_names=("x",))
+        for labels in (("u",), ("u", "v", "w")):
+            with pytest.raises(ValueError, match="class_labels must hold one entry per sample"):
+                ImputedTensor(("a", "b"), np.array([0.0]), data, class_labels=labels)
+        tensor = ImputedTensor(("a", "b"), np.array([0.0]), data, class_labels=("u", None),
+                               feature_names=("x", "y"))
+        assert tensor.feature_names == ("x", "y")
+
     def test_json_round_trip(self, tmp_path):
         t = ImputedTensor(
             sample_ids=("a", "b"),

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsmote.imputation
+import tsmote.moments
 from tsmote.moments import (
+    _check_covariance_factor,
     _check_variance_laws,
     _imputed_variance_ratios,
     _one_row_dataset,
     empirical_moments,
     population_cov,
     predicted_variance_ratio,
-    reference_interpolation_sample,
     theoretical_cov_factor,
 )
 from tsmote.slicing import assign_slices, build_slice_grid
@@ -174,27 +175,18 @@ class TestVarianceLaws:
         assert failed == {"impute-mean-collapse[hand]", "impute-mean-collapse[random]"}
 
 
-class TestReferenceSampler:
-    def test_rows_between_parents(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(-3, 3, (20, 2))
-        Y = reference_interpolation_sample(X, LambdaSpec.uniform(), 500, rng)
-        assert Y[:, 0].min() >= X[:, 0].min() - 1e-12
-        assert Y[:, 0].max() <= X[:, 0].max() + 1e-12
+def test_independent_seed_kernel_fails_correlation_kept(monkeypatch):
+    # each column's rows permuted on their own: every feature draws its seeds
+    # independently, as the columns of a cell with nulls do
+    kernel = tsmote.moments.synthesize_slice
 
-    def test_uniform_factor_matches(self):
-        rng = np.random.default_rng(7)
-        reps, d = 10, 1500
-        ratios = []
-        for _ in range(reps):
-            X = rng.standard_normal((d, 2))
-            Y = reference_interpolation_sample(X, LambdaSpec.uniform(), 50_000, rng)
-            ratios.append(np.diag(population_cov(Y) / population_cov(X)))
-        ratios = np.array(ratios)
-        m = ratios.mean(axis=0)
-        se = ratios.std(axis=0, ddof=1) / np.sqrt(reps)
-        assert np.all(np.abs(m - 2 / 3) <= 3 * se)
+    def independent_seeds(X, config, count, rng):
+        Y = kernel(X, config, count, rng)
+        return np.stack([rng.permutation(col) for col in Y.T], axis=1)
 
+    monkeypatch.setattr(tsmote.moments, "synthesize_slice", independent_seeds)
+    failed = {c.name for c in _check_covariance_factor(seed=0) if not c.passed}
+    assert failed == {"correlation-kept[k=5]", "kernel-copy-identity[point(0)]"}
 
 
 class TestKernelEnumeration:

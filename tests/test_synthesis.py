@@ -1,5 +1,6 @@
 """Tests for nearest-neighbor search, slice synthesis, and pool generation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,18 @@ class TestLambdaSpec:
     def test_point_mass_bounds(self):
         with pytest.raises(ValueError):
             LambdaSpec.point_mass(1.5)
+
+    @pytest.mark.parametrize("args, cause", [
+        (("Uniform",), "lambda kind must be uniform01, beta or point_mass, not 'Uniform'"),
+        (("uniform01", 0.5), "uniform01 takes no parameters"),
+        (("point_mass", 2.0), "point mass must lie in"),
+        (("point_mass", 0.3, 1.0), "point mass must lie in"),
+        (("beta", 0, 0), "beta parameters must be positive and finite"),
+    ], ids=["unknown-kind", "uniform-with-parameter", "point-above-1", "point-with-b", "beta-zero"])
+    def test_direct_construction_is_checked(self, args, cause):
+        # a spec that gets past construction would sample outside [0, 1] or only at sampling time
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            LambdaSpec(*args)
 
     def test_parse(self):
         assert LambdaSpec.parse("uniform") == LambdaSpec.uniform()
