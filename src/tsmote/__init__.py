@@ -25,7 +25,6 @@ from .slicing import (
     SliceGridError,
     assign_slices,
     build_slice_grid,
-    compute_time_bounds,
 )
 from .synthesis import (
     LambdaSpec,
@@ -72,7 +71,7 @@ __all__ = [
     "read_long_csv", "write_long_csv", "write_tensor_csv",
     # slicing
     "SliceGrid", "SliceGridError",
-    "compute_time_bounds", "build_slice_grid", "assign_slices",
+    "build_slice_grid", "assign_slices",
     # synthesis
     "LambdaSpec", "SynthesisConfig",
     "SynthesisError",

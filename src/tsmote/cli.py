@@ -171,7 +171,7 @@ def cmd_demo_oscillator(args) -> int:
     position, si = np.divmod(cells, exp.grid.n_slices)
     write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
               [np.array(train.classes, dtype=object)[position], si,
-               np.asarray(exp.grid.grid_times, dtype=float)[si], *pool.T])
+               exp.grid.data_grid_times()[si], *pool.T])
     print(f"wrote train ({exp.train.n_samples} samples), test ({exp.test.n_samples} samples), "
           f"grid, slices.csv, pool.csv")
     return 0

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ImputedTensor, TimeSeriesDataset
-from .slicing import SliceGrid, assign_slices, cell_blocks, cell_index, group_ranks
+from .slicing import SliceGrid, assign_slices, cell_blocks, cell_index
 from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
@@ -74,10 +74,10 @@ def impute_dataset(
     """Produce one complete trajectory per sample on the slice grid.
 
     ``assignment`` is the (N,) slice index of every row, as ``assign_slices``
-    returns it; it is computed when omitted. ``synthesis_config.seed`` seeds
-    both the pool and, under ``replacement_policy="with"``, the draws from it.
-    The returned tensor's grid times are in original units
-    (``grid.t_min + elapsed grid time``).
+    returns it; it is computed when omitted, and may not go down within a
+    sample, as no slice grid's does. ``synthesis_config.seed`` seeds both the
+    pool and, under ``replacement_policy="with"``, the draws from it. The
+    returned tensor's grid times are ``grid.data_grid_times()``.
     """
     imp = imputation_config or ImputationConfig()
     syn = synthesis_config or SynthesisConfig()
@@ -113,7 +113,9 @@ def impute_dataset(
     # it is not a sum / count, which can differ in the last bit
     data = buf[:n_slots]
     slots = owner * n_t + assignment  # flat (sample, slice) slot of each row
-    rank = group_ranks(slots)
+    if (np.diff(slots) < 0).any():
+        raise ValueError("assignment goes down within a sample, whose rows are in time order")
+    rank = np.arange(len(slots)) - np.searchsorted(slots, slots)  # row's place in its slot
     for r in range(int(rank.max()) + 1):
         at = rank == r
         s = slots[at]
@@ -123,7 +125,7 @@ def impute_dataset(
 
     return ImputedTensor(
         sample_ids=dataset.ids,
-        grid_times=grid.t_min + np.asarray(grid.grid_times, dtype=float),
+        grid_times=grid.data_grid_times(),
         data=data.reshape(n_d, n_t, n_f),
         class_labels=dataset.labels if dataset.has_labels else None,
         feature_names=dataset.feature_names,

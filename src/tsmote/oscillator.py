@@ -140,7 +140,7 @@ def generate_two_class_experiment(
     )
 
     grid = build_slice_grid(train, config.n_slices, MEDIAN_OF_OBSERVATIONS)
-    grid_times = grid.t_min + np.asarray(grid.grid_times)
+    grid_times = grid.data_grid_times()
 
     ids, labels, values = [], [], []
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10_000,)))

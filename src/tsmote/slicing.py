@@ -35,7 +35,10 @@ class SliceGridError(ValueError):
 
 @dataclass(frozen=True)
 class SliceGrid:
-    """Slice boundaries in elapsed time, plus representative grid times.
+    """Slice boundaries and representative grid times, in elapsed time.
+
+    Elapsed time is data time minus ``t_min``; ``data_grid_times()`` is the
+    one conversion of the grid times back to data units.
 
     ``boundaries`` has ``n_slices + 1`` strictly increasing entries with
     ``boundaries[0] == 0`` and ``boundaries[-1] == t_max - t_min``.
@@ -70,13 +73,9 @@ class SliceGrid:
         if self.grid_time_policy not in _POLICIES:
             raise ValueError(f"unknown grid_time_policy {self.grid_time_policy!r}; use one of {_POLICIES}")
 
-    @property
-    def slice_widths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries))
-
-    @property
-    def span(self) -> float:
-        return self.boundaries[-1]
+    def data_grid_times(self) -> np.ndarray:
+        """The grid times in data units, ``t_min + grid_times``, as a float array."""
+        return self.t_min + np.asarray(self.grid_times, dtype=float)
 
     @property
     def occupancy_spread(self) -> int:
@@ -152,34 +151,6 @@ def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarra
         yield c, f"class={lab!r} slice={si}", rows
 
 
-def group_ranks(keys: np.ndarray) -> np.ndarray:
-    """Rank of every entry among the entries with the same non-negative integer key."""
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys)
-    ranks = np.empty(keys.size, dtype=np.intp)
-    ranks[order] = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys[order]]
-    return ranks
-
-
-def compute_time_bounds(
-    dataset: TimeSeriesDataset,
-    t_min: Optional[float] = None,
-    t_max: Optional[float] = None,
-) -> tuple[float, float]:
-    """Overall time bounds, optionally overridden by the caller.
-
-    An override below the observed maximum clamps later observations into the
-    final slice downstream. Picking a *larger* ``t_max`` than observed leaves
-    empty slices beyond the data and is allowed but rarely useful.
-    """
-    times = dataset.times
-    lo = float(times.min()) if t_min is None else float(t_min)
-    hi = float(times.max()) if t_max is None else float(t_max)
-    if hi <= lo:
-        raise SliceGridError(f"t_max ({hi}) must exceed t_min ({lo})")
-    return lo, hi
-
-
 def build_slice_grid(
     dataset: TimeSeriesDataset,
     n_slices: int,
@@ -193,13 +164,21 @@ def build_slice_grid(
     split shifts forward so equal timestamps stay together (boundaries must
     be strictly increasing); the resulting occupancy imbalance is recorded in
     ``occupancy`` and logged rather than silently violated.
+
+    ``bounds`` overrides ``(t_min, t_max)``, each defaulting to the data's
+    range when ``None``. A ``t_max`` below the observed maximum clamps later
+    observations into the final slice; a larger one widens it.
     """
     if n_slices < 1:
         raise SliceGridError("n_slices must be at least 1")
     if grid_time_policy not in _POLICIES:
         raise SliceGridError(f"unknown grid_time_policy {grid_time_policy!r}; use one of {_POLICIES}")
 
-    t_lo, t_hi = compute_time_bounds(dataset, *(bounds or (None, None)))
+    lo, hi = bounds or (None, None)
+    t_lo = float(dataset.times.min()) if lo is None else float(lo)
+    t_hi = float(dataset.times.max()) if hi is None else float(hi)
+    if t_hi <= t_lo:
+        raise SliceGridError(f"t_max ({t_hi}) must exceed t_min ({t_lo})")
     span = t_hi - t_lo
     # boundaries and median grid times add two elapsed times
     if not np.isfinite(2.0 * span):
@@ -254,11 +233,9 @@ def build_slice_grid(
 
     group_edges = [0, *splits, total]
     occupancy = tuple(b - a for a, b in zip(group_edges, group_edges[1:]))
-    if max(occupancy) - min(occupancy) > 1:
-        logger.warning(
-            "slice occupancy spread %d exceeds 1 due to duplicate timestamps",
-            max(occupancy) - min(occupancy),
-        )
+    spread = max(occupancy) - min(occupancy)
+    if spread > 1:
+        logger.warning("slice occupancy spread %d exceeds 1 due to duplicate timestamps", spread)
 
     if grid_time_policy == MIDPOINT:
         grid_times = tuple(

@@ -79,6 +79,15 @@ class TestReshape:
         data = slice_mean(with_background(x))
         np.testing.assert_array_equal(data[0], [[k, -k] for k in range(5)])
 
+    def test_rejects_assignment_going_down_within_a_sample(self):
+        # rows are time-sorted within a sample, so no slice grid assigns them a lower slice later
+        ds = with_background(("x", [(0.5, (1.0, 2.0)), (3.5, (3.0, 4.0))]))
+        assignment = assign_slices(ds, GRID5)
+        assignment[[0, 1]] = assignment[[1, 0]]
+        for method in METHODS:
+            with pytest.raises(ValueError, match="assignment goes down within a sample"):
+                impute_dataset(ds, GRID5, assignment, imputation_config=ImputationConfig(method=method))
+
     def test_rejects_lingering_nulls(self):
         # a null component that no source can replace is an error, never a NaN in the tensor
         ds = dataset_of([

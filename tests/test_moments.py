@@ -1,5 +1,7 @@
 """Tests for the moment-law verification machinery."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,14 @@ def test_independent_seed_kernel_fails_correlation_kept(monkeypatch):
     monkeypatch.setattr(tsmote.moments, "synthesize_slice", independent_seeds)
     failed = {c.name for c in _check_covariance_factor(seed=0) if not c.passed}
     assert failed == {"correlation-kept[k=5]", "kernel-copy-identity[point(0)]"}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_copy_identity_reports_a_bounded_correlation_change(seed):
+    # a change of correlation lies in [0, 2]; a ratio over near-zero cross-covariances does not
+    (check,) = [c for c in _check_covariance_factor(seed) if c.name == "kernel-copy-identity[point(1)]"]
+    assert check.passed
+    assert 0.0 <= float(re.search(r"by (?:up to )?([\d.]+)", check.detail).group(1)) <= 2.0
 
 
 class TestKernelEnumeration:

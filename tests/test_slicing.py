@@ -13,7 +13,6 @@ from tsmote.slicing import (
     SliceGridError,
     assign_slices,
     build_slice_grid,
-    compute_time_bounds,
 )
 
 
@@ -29,21 +28,23 @@ def dataset_from_times(times_per_sample, labels=()):
 class TestTimeBounds:
     def test_min_max(self):
         ds = dataset_from_times([[0, 5], [2, 9]])
-        assert compute_time_bounds(ds) == (0.0, 9.0)
+        grid = build_slice_grid(ds, 2)
+        assert (grid.t_min, grid.t_max) == (0.0, 9.0)
 
     def test_override_t_max(self):
         ds = dataset_from_times([[0, 5], [2, 9]])
-        assert compute_time_bounds(ds, t_max=7.0) == (0.0, 7.0)
+        grid = build_slice_grid(ds, 2, bounds=(None, 7.0))
+        assert (grid.t_min, grid.t_max) == (0.0, 7.0)
 
     def test_degenerate_bounds_rejected(self):
         ds = dataset_from_times([[3, 3, 3]])
         with pytest.raises(SliceGridError, match="must exceed"):
-            compute_time_bounds(ds)
+            build_slice_grid(ds, 1)
 
     def test_inverted_override_rejected(self):
         ds = dataset_from_times([[0, 5]])
-        with pytest.raises(SliceGridError):
-            compute_time_bounds(ds, t_min=4.0, t_max=1.0)
+        with pytest.raises(SliceGridError, match="must exceed"):
+            build_slice_grid(ds, 1, bounds=(4.0, 1.0))
 
 
 class TestBuildGrid:
@@ -260,6 +261,6 @@ def test_equal_count_and_coverage_property(times_lists, n_slices):
     if len(set(flat)) == len(flat):  # no duplicate timestamps: balance is tight
         assert counts.max() - counts.min() <= 1
     # slices tile the span without gaps
-    widths = grid.slice_widths
+    widths = np.diff(grid.boundaries)
     assert np.all(widths > 0)
-    assert np.isclose(widths.sum(), grid.span)
+    assert np.isclose(widths.sum(), grid.boundaries[-1])
