@@ -10,11 +10,12 @@ bit-for-bit reproducible, whatever the BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .data import ImputedTensor
+from .data import ImputedTensor, run_beside
 from .imputation import METHODS, ImputationConfig, impute_dataset
 from .oscillator import ExperimentConfig, generate_two_class_experiment
 from .slicing import assign_slices
@@ -65,9 +66,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     y = np.asarray(y, dtype=float)
     if np.isnan(X).any():
         raise ValueError("features contain NaN")
-    classes = np.unique(y)
-    if not np.array_equal(classes, [0.0, 1.0]):
-        raise ValueError(f"labels must be binary 0/1 with both classes present, got {classes}")
+    if not (((y == 0) | (y == 1)).all() and 0 < y.sum() < len(y)):  # np.unique imports numpy.ma
+        raise ValueError(f"labels must be binary 0/1 with both classes present, got {sorted(set(y.tolist()))}")
 
     n = len(y)
     A = np.column_stack((X, np.ones(n)))  # the bias is the last coefficient
@@ -194,6 +194,38 @@ def _binary_labels(tensor: ImputedTensor) -> np.ndarray:
     return np.array([labels.index(c) for c in tensor.class_labels], dtype=float)
 
 
+def repetition_scores(rep_seed: int, config: ComparisonConfig) -> list[tuple[float, float]]:
+    """One repetition of the comparison: the ``(accuracy, AUC)`` of each method in ``METHODS``.
+
+    The experiment and the tsmote pool are both seeded with ``rep_seed``.
+    """
+    exp = generate_two_class_experiment(rep_seed, config.experiment)
+    assignment = assign_slices(exp.train, exp.grid)
+    test_tensor = impute_dataset(exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean"))
+    if config.smoothing is not None and config.smooth_test:
+        test_tensor = smooth_tensor(test_tensor, config.smoothing)
+    X_test_raw = _features(test_tensor, config.feature_mode)
+    y_test = _binary_labels(test_tensor)
+
+    scores = []
+    for method in METHODS:
+        train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
+                                      ImputationConfig(method=method))
+        if config.smoothing is not None:
+            train_tensor = smooth_tensor(train_tensor, config.smoothing)
+        X_train = _features(train_tensor, config.feature_mode)
+        y_train = _binary_labels(train_tensor)
+
+        norm = Normalizer.fit(X_train)
+        model = fit_logistic(norm.transform(X_train), y_train)
+        scores.append(evaluate(model, norm.transform(X_test_raw), y_test))
+    return scores
+
+
+def _scores_of(rep_seeds: range, config: ComparisonConfig) -> list[list[tuple[float, float]]]:
+    return [repetition_scores(s, config) for s in rep_seeds]
+
+
 def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfig()) -> list[ImputerResult]:
     """Train-on-imputed / test-on-grid comparison of the three imputers.
 
@@ -204,32 +236,17 @@ def run_imputer_comparison(seed: int, config: ComparisonConfig = ComparisonConfi
     test set is already complete, so imputers differ only through the
     training data they produce. Repetition ``rep`` depends only on
     ``seed + rep`` and ``config``, so fewer repetitions give a prefix of the
-    scores of more.
+    scores of more, and the split does not move them: this process runs the
+    first half of the repetitions while one worker process runs the rest
+    (:func:`~tsmote.data.run_beside`). One repetition starts no process.
     """
-    results = [ImputerResult(m, [], []) for m in METHODS]
-    for rep in range(config.n_repetitions):
-        rep_seed = seed + rep
-        exp = generate_two_class_experiment(rep_seed, config.experiment)
-        assignment = assign_slices(exp.train, exp.grid)
-        test_tensor = impute_dataset(
-            exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean")
-        )
-        if config.smoothing is not None and config.smooth_test:
-            test_tensor = smooth_tensor(test_tensor, config.smoothing)
-        X_test_raw = _features(test_tensor, config.feature_mode)
-        y_test = _binary_labels(test_tensor)
-
-        for result in results:
-            train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
-                                          ImputationConfig(method=result.method))
-            if config.smoothing is not None:
-                train_tensor = smooth_tensor(train_tensor, config.smoothing)
-            X_train = _features(train_tensor, config.feature_mode)
-            y_train = _binary_labels(train_tensor)
-
-            norm = Normalizer.fit(X_train)
-            model = fit_logistic(norm.transform(X_train), y_train)
-            acc, auc = evaluate(model, norm.transform(X_test_raw), y_test)
-            result.accuracies.append(acc)
-            result.aucs.append(auc)
-    return results
+    rep_seeds = range(seed, seed + config.n_repetitions)
+    if len(rep_seeds) == 1:
+        scores = _scores_of(rep_seeds, config)
+    else:
+        half = (len(rep_seeds) + 1) // 2
+        rest, scores = run_beside(partial(_scores_of, rep_seeds[half:], config),
+                                  partial(_scores_of, rep_seeds[:half], config))
+        scores += rest
+    return [ImputerResult(m, [rep[k][0] for rep in scores], [rep[k][1] for rep in scores])
+            for k, m in enumerate(METHODS)]

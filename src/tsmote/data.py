@@ -27,7 +27,7 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from pathlib import Path
 from typing import Optional
@@ -524,6 +524,21 @@ def _write_saved_chunks(npy_path, csv_path, json_path, *args) -> None:
     _write_chunks(csv_path, json_path, np.load(npy_path, mmap_mode="r"), *args)
 
 
+def run_beside(there, here) -> tuple:
+    """``(there(), here())``, with ``there`` run in one worker process while ``here`` runs in this one.
+
+    The worker starts by the platform's default method, so ``there`` must pickle:
+    a module-level function, or a ``functools.partial`` of one. It is joined before
+    this returns, on success or failure, and its exception is raised here.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(1) as pool:
+        future = pool.submit(there)
+        mine = here()
+        return future.result(), mine
+
+
 def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict) -> None:
     """Write the tensor as wide per-slice CSV and as compact JSON, in one pass.
 
@@ -536,11 +551,10 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
 
     Both files are written in a temporary directory beside ``csv_path`` and renamed
     into place once complete, so a failure part-way leaves whatever was there before;
-    ``json_path`` must be on the same filesystem. With two chunks or more, one worker
-    process, started by the platform's default method, formats the second half of the
-    chunks meanwhile, reading its values from a ``.npy`` file in the temporary
-    directory; its files are appended in order, so the bytes do not depend on the
-    split. The worker is joined before this returns, on success or failure.
+    ``json_path`` must be on the same filesystem. With two chunks or more, a worker
+    process (:func:`run_beside`) formats the second half of the chunks meanwhile,
+    reading its values from a ``.npy`` file in the temporary directory; its files are
+    appended in order, so the bytes do not depend on the split.
     """
     n_d, n_t, n_f = tensor.shape
     data = np.asarray(tensor.data, float)
@@ -574,14 +588,10 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
         if n_chunks == 1:
             _write_chunks(a_csv, a_json, data, prefixes, slots, entry, step, "")
         else:
-            from concurrent.futures import ProcessPoolExecutor
-
             # the worker reads its half from a file: no array is pickled through the executor's pipe
             np.save(b_npy, data[mid:])
-            with ProcessPoolExecutor(1) as pool:
-                rest = pool.submit(_write_saved_chunks, b_npy, b_csv, b_json, prefixes[mid:], slots, entry, step, ", ")
-                _write_chunks(a_csv, a_json, data[:mid], prefixes[:mid], slots, entry, step, "")
-                rest.result()
+            run_beside(partial(_write_saved_chunks, b_npy, b_csv, b_json, prefixes[mid:], slots, entry, step, ", "),
+                       partial(_write_chunks, a_csv, a_json, data[:mid], prefixes[:mid], slots, entry, step, ""))
             for part, path in ((b_csv, a_csv), (b_json, a_json)):
                 with open(part, "rb") as src, open(path, "ab") as dst:
                     shutil.copyfileobj(src, dst)

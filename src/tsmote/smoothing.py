@@ -48,14 +48,16 @@ def smoothing_matrix(times: np.ndarray, window: int, poly_order: int) -> np.ndar
     half = window // 2
     powers = np.arange(poly_order + 1)
     S = np.zeros((n, n))
-    for i in range(n):
-        # the window centered on row i, or the nearest full one for rows near an end;
-        # its fit is evaluated at t[i], which for a centered window is coefficient 0
-        start = min(max(i - half, 0), n - window)
+    for start in range(n - window + 1):
+        # the rows that use this window: its centre row, and at either end the rows
+        # nearer the end, which have no full window centred on them
+        rows = range(0 if start == 0 else start + half, n if start == n - window else start + half + 1)
         center = t[start + half]
         scale = max(t[start + window - 1] - center, center - t[start])
         pinv = np.linalg.pinv(((t[start : start + window] - center) / scale)[:, None] ** powers)
-        S[i, start : start + window] = ((t[i] - center) / scale) ** powers @ pinv
+        for i in rows:
+            # the fit evaluated at t[i], which for the centre row is coefficient 0
+            S[i, start : start + window] = ((t[i] - center) / scale) ** powers @ pinv
     return S
 
 

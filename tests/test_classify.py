@@ -1,7 +1,9 @@
 """Tests for the from-scratch logistic regression and metrics."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,10 @@ from tsmote.classify import (
     evaluate,
     fit_logistic,
     predict_proba,
+    repetition_scores,
     run_imputer_comparison,
 )
+from tsmote.imputation import METHODS
 from tsmote.oscillator import ExperimentConfig
 from tsmote.smoothing import SmoothingConfig
 
@@ -225,9 +229,16 @@ class TestAuc:
             assert auc_score(scores, labels) == pytest.approx(brute_force_auc(scores, labels))
 
 
+PROCESS_POOL = concurrent.futures.ProcessPoolExecutor
+
 # noisy enough that every repetition scores differently, so a reordered or repeated one shows
 NOISY_EXPERIMENT = ExperimentConfig(noise_sigma=1.0, n_train_a=40, n_train_b=30, n_test_a=8, n_test_b=6,
                                     n_slices=10)
+
+
+def by_method(scores):
+    """``{method: (accuracies, aucs)}`` of per-repetition scores, as the results read."""
+    return {m: ([rep[k][0] for rep in scores], [rep[k][1] for rep in scores]) for k, m in enumerate(METHODS)}
 
 
 class TestComparison:
@@ -237,16 +248,42 @@ class TestComparison:
         ("flattened", None),
     ])
     def test_fewer_repetitions_give_a_prefix(self, feature_mode, smoothing):
-        """Repetition r depends only on seed + r, so ``n`` repetitions score as the first
-        ``n`` of three do."""
-        config = ComparisonConfig(experiment=NOISY_EXPERIMENT, smoothing=smoothing, n_repetitions=3,
+        """Repetition r depends only on seed + r, so ``n`` repetitions, split between this
+        process and a worker, score as the first ``n`` serial calls of ``repetition_scores``."""
+        config = ComparisonConfig(experiment=NOISY_EXPERIMENT, smoothing=smoothing, n_repetitions=4,
                                   feature_mode=feature_mode)
-        expected = {r.method: (r.accuracies, r.aucs) for r in run_imputer_comparison(7, config)}
-        assert len(set(expected["tsmote"][1])) == 3
-        for n in (1, 2):
+        expected = by_method([repetition_scores(7 + r, config) for r in range(4)])
+        assert len(set(expected["tsmote"][1])) == 4
+        for n in (1, 2, 3, 4):
             results = run_imputer_comparison(7, dataclasses.replace(config, n_repetitions=n))
+            assert multiprocessing.active_children() == []
             assert {r.method: (r.accuracies, r.aucs) for r in results} == {
                 m: (accs[:n], aucs[:n]) for m, (accs, aucs) in expected.items()}
+
+    def test_split_under_spawn(self, monkeypatch):
+        # a spawned worker shares no memory with this process: the repetitions it runs are sent by name
+        started = []
+
+        def spawning(*args, **kwargs):
+            started.append(multiprocessing.get_context("spawn"))
+            return PROCESS_POOL(*args, mp_context=started[-1], **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+        config = ComparisonConfig(experiment=NOISY_EXPERIMENT, smoothing=SmoothingConfig(window=5, poly_order=2),
+                                  n_repetitions=3, feature_mode="endpoint")
+        results = run_imputer_comparison(7, config)
+        assert len(started) == 1
+        assert {r.method: (r.accuracies, r.aucs) for r in results} == by_method(
+            [repetition_scores(7 + r, config) for r in range(3)])
+
+    def test_one_repetition_starts_no_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("one repetition started a process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+        config = ComparisonConfig(experiment=NOISY_EXPERIMENT, smoothing=None, n_repetitions=1)
+        assert {r.method: (r.accuracies, r.aucs) for r in run_imputer_comparison(7, config)} == by_method(
+            [repetition_scores(7, config)])
 
     def test_emits_three_methods_with_metrics(self):
         config = ComparisonConfig(

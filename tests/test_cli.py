@@ -249,18 +249,45 @@ def test_in_process_impute_leaves_no_process(golden_runs, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["grid.json", "imputed.csv", "imputed.json"]
 
 
-def test_impute_does_not_import_numpy_ma(golden_runs, tmp_path, run_python):
-    # np.unique and np.median import numpy.ma, about 13 ms and 0.6 MB of every run
-    train = golden_runs / "demo-0" / "train.csv"
+@pytest.mark.parametrize("args", [
+    *(["impute", "TRAIN", "--method", method] for method in ("tsmote", "slice_mean", "slice_median")),
+    ["compare-imputers", "--reps", "1"],
+], ids=["tsmote", "slice_mean", "slice_median", "compare-imputers"])
+def test_impute_does_not_import_numpy_ma(golden_runs, tmp_path, run_python, args):
+    # np.unique, np.median and np.nanmedian import numpy.ma, about 13 ms and 0.6 MB of every run
+    argv = [str(golden_runs / "demo-0" / "train.csv") if a == "TRAIN" else a for a in args] + ["-o", "out"]
     res = run_python(["-c", "import sys; from tsmote import cli; "
-                      f"code = cli.main(['impute', {str(train)!r}, '--method', 'tsmote', '-o', 'out']); "
-                      "print(code, 'numpy.ma' in sys.modules)"], tmp_path)
+                      f"code = cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 False"
 
 
 def fit_logistic_but_fail(X, y):
     raise ValueError("logistic regression did not converge in 100 Newton steps")
+
+
+_FIT_LOGISTIC = tsmote.classify.fit_logistic
+
+
+def fit_logistic_but_fail_in_worker(X, y):
+    """``fit_logistic`` in this process, an error in the comparison's worker process."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError("planted failure in the worker")
+    return _FIT_LOGISTIC(X, y)
+
+
+def test_comparison_worker_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """A repetition that fails in the worker exits 2 with the JSON error; the worker is joined
+    and nothing is written."""
+    monkeypatch.setattr(tsmote.classify, "fit_logistic", fit_logistic_but_fail_in_worker)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        tsmote.cli.main(["compare-imputers", "--reps", "2", "--slices", "10", "--window", "5", "--order", "2",
+                         "-o", str(out)])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "planted failure in the worker"}
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_comparison_failure_exits_2(tmp_path, monkeypatch, capsys):

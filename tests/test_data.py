@@ -1,6 +1,7 @@
 """Tests for the core data model, validation, stats, and CSV round-trips."""
 
 import concurrent.futures
+import functools
 import csv
 import io
 import json
@@ -561,7 +562,9 @@ class TestWriteTensor:
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
-                submitted.append((fn, *args, *kwargs.values()))
+                # run_beside sends a partial: its own arguments are sent too
+                parts = (fn.func, *fn.args, *fn.keywords.values()) if isinstance(fn, functools.partial) else (fn,)
+                submitted.append((*parts, *args, *kwargs.values()))
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)

@@ -13,7 +13,7 @@ from tsmote import imputation, synthesis
 from tsmote.data import TimeSeriesDataset, write_tensor_csv
 from tsmote.imputation import METHODS, ImputationConfig, impute_dataset, request_table
 from tsmote.oscillator import generate_two_class_experiment
-from tsmote.slicing import MIDPOINT, SliceGrid, SliceGridError, assign_slices, build_slice_grid
+from tsmote.slicing import MIDPOINT, SliceGrid, SliceGridError, assign_slices, build_slice_grid, cell_blocks
 from tsmote.synthesis import SynthesisConfig, SynthesisError, synthesize_slice
 
 # five unit slices over [0, 5): an observation at time t lands in slice floor(t)
@@ -87,6 +87,16 @@ class TestReshape:
         for method in METHODS:
             with pytest.raises(ValueError, match="assignment goes down within a sample"):
                 impute_dataset(ds, GRID5, assignment, imputation_config=ImputationConfig(method=method))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("row, value", [(1, 5), (0, -1)])
+    def test_rejects_assignment_outside_the_grid(self, method, row, value):
+        # still non-decreasing within the sample: slice 5 would be the next sample's slot 0
+        ds = with_background(("x", [(0.5, (1.0, 2.0)), (3.5, (3.0, 4.0))]))
+        assignment = assign_slices(ds, GRID5)
+        assignment[row] = value
+        with pytest.raises(ValueError, match=rf"assignment {value} at row {row} is outside \[0, 5\)"):
+            impute_dataset(ds, GRID5, assignment, imputation_config=ImputationConfig(method=method))
 
     def test_rejects_lingering_nulls(self):
         # a null component that no source can replace is an error, never a NaN in the tensor
@@ -448,6 +458,25 @@ def fill_per_sample(dataset, a, n_t, reshape, draw):
         row[:, :n_fix] = fixed
         rows[i] = row
     return rows
+
+
+@pytest.mark.parametrize("n_samples, n_slices, null_rate", [(301, 2, 0.0), (2000, 200, 0.1), (2000, 40, 0.1)])
+def test_cell_medians_match_nanmedian(n_samples, n_slices, null_rate):
+    """Each cell's median has np.nanmedian's bits, on its paths for cells under and over 600 rows."""
+    rng = np.random.default_rng(n_slices)
+    m = 11
+    values = rng.integers(-10**6, 10**6, (n_samples * m, 2)) / 4.0  # no -0.0, whose place among zeros would show
+    nulls = np.flatnonzero(rng.random(n_samples * m) < null_rate)
+    values[nulls, rng.integers(0, 2, nulls.size)] = np.nan
+    ds = TimeSeriesDataset(tuple(f"s{i}" for i in range(n_samples)), np.arange(0, n_samples * m + 1, m),
+                           np.sort(rng.uniform(0, 10, (n_samples, m)), axis=1).ravel(), values,
+                           labels=tuple("ab"[i % 2] for i in range(n_samples)))
+    grid = build_slice_grid(ds, n_slices)
+    a = assign_slices(ds, grid)
+    expected = np.array([np.nanmedian(rows, axis=0) for _, _, rows in cell_blocks(ds, n_slices, a)])
+    sizes = [len(rows) for _, _, rows in cell_blocks(ds, n_slices, a)]
+    assert {n % 2 for n in sizes} == {0, 1} and (min(sizes) >= 600) == (n_slices == 2)
+    assert imputation._slice_statistics(ds, n_slices, a, "slice_median").tobytes() == expected.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

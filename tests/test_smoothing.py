@@ -99,6 +99,31 @@ class TestSavgol:
             S = smoothing_matrix(t, window, order)
             assert np.abs(S).sum(axis=1).max() <= np.sqrt(window) * (1 + 1e-9)
 
+    def test_one_pinv_per_window_matches_one_per_row(self, monkeypatch):
+        """The rows near either end share their end's window and its pseudo-inverse; the
+        operator has the bits of the per-row loop, which solved a window for every row."""
+        def per_row(t, window, order):
+            n, half, powers = len(t), window // 2, np.arange(order + 1)
+            S = np.zeros((n, n))
+            for i in range(n):
+                start = min(max(i - half, 0), n - window)
+                center = t[start + half]
+                scale = max(t[start + window - 1] - center, center - t[start])
+                pinv = np.linalg.pinv(((t[start : start + window] - center) / scale)[:, None] ** powers)
+                S[i, start : start + window] = ((t[i] - center) / scale) ** powers @ pinv
+            return S
+
+        rng = np.random.default_rng(24)
+        solved = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: solved.append(a.shape) or pinv(a))
+        for n, window, order in [(50, 25, 5), (25, 25, 5), (26, 25, 3), (9, 3, 0), (12, 5, 2), (7, 7, 6)]:
+            t = np.cumsum(rng.exponential(1.0, n))
+            solved.clear()
+            S = smoothing_matrix(t, window, order)
+            assert len(solved) == n - window + 1
+            assert S.tobytes() == per_row(t, window, order).tobytes()
+
     def test_nonmonotone_times_rejected(self):
         t = np.array([0.0, 1.0, 1.0, 2.0] + list(np.arange(3, 30.0)))
         with pytest.raises(ValueError, match="strictly increasing"):
