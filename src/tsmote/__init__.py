@@ -10,11 +10,9 @@ verification suite.
 __version__ = "0.1.0"
 
 from .data import (
-    DatasetStats,
     ImputedTensor,
     TimeSeriesDataset,
     ValidationReport,
-    dataset_stats,
     read_long_csv,
     validate_dataset,
     write_long_csv,
@@ -31,17 +29,14 @@ from .synthesis import (
     SynthesisConfig,
     SynthesisError,
     generate_pool,
-    knn_1d,
     synthesize_slice,
 )
 from .imputation import (
     ImputationConfig,
     impute_dataset,
 )
-from .smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor
+from .smoothing import SmoothingConfig, smooth_tensor
 from .moments import (
-    MomentReport,
-    empirical_moments,
     predicted_variance_ratio,
     run_moment_verification,
     theoretical_cov_factor,
@@ -67,7 +62,7 @@ __all__ = [
     "__version__",
     # data
     "TimeSeriesDataset", "ImputedTensor",
-    "ValidationReport", "DatasetStats", "validate_dataset", "dataset_stats",
+    "ValidationReport", "validate_dataset",
     "read_long_csv", "write_long_csv", "write_tensor_csv",
     # slicing
     "SliceGrid", "SliceGridError",
@@ -75,14 +70,13 @@ __all__ = [
     # synthesis
     "LambdaSpec", "SynthesisConfig",
     "SynthesisError",
-    "knn_1d", "synthesize_slice", "generate_pool",
+    "synthesize_slice", "generate_pool",
     # imputation
     "ImputationConfig", "impute_dataset",
     # smoothing
-    "SmoothingConfig", "savgol_nonuniform", "smooth_tensor",
+    "SmoothingConfig", "smooth_tensor",
     # moments
-    "MomentReport", "theoretical_cov_factor", "predicted_variance_ratio",
-    "empirical_moments", "run_moment_verification",
+    "theoretical_cov_factor", "predicted_variance_ratio", "run_moment_verification",
     # oscillator
     "OscillatorConfig", "ExperimentConfig", "TwoClassExperiment",
     "generate_oscillator_dataset", "generate_two_class_experiment",

@@ -143,7 +143,6 @@ class ComparisonConfig:
     smoothing: Optional[SmoothingConfig] = field(default_factory=SmoothingConfig)  # None: no smoothing
     n_repetitions: int = 10
     feature_mode: str = FLATTENED  # or ENDPOINT: classify on the last slot only
-    smooth_test: bool = True  # apply the identical filter to the test tensor
 
     def __post_init__(self):
         if self.feature_mode not in (FLATTENED, ENDPOINT):
@@ -202,7 +201,7 @@ def repetition_scores(rep_seed: int, config: ComparisonConfig) -> list[tuple[flo
     exp = generate_two_class_experiment(rep_seed, config.experiment)
     assignment = assign_slices(exp.train, exp.grid)
     test_tensor = impute_dataset(exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean"))
-    if config.smoothing is not None and config.smooth_test:
+    if config.smoothing is not None:
         test_tensor = smooth_tensor(test_tensor, config.smoothing)
     X_test_raw = _features(test_tensor, config.feature_mode)
     y_test = _binary_labels(test_tensor)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -55,6 +56,11 @@ def _fail(message: str, **extra) -> NoReturn:
 
 class _Parser(argparse.ArgumentParser):
     """An argparse usage error exits 2 with the JSON error too; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -.5 for negative numbers, so -1e-3 or -inf read as a flag
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
     def error(self, message: str) -> NoReturn:
         _fail(message)

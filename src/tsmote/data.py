@@ -256,16 +256,6 @@ class ValidationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    n_samples: int
-    n_features: int
-    observation_counts: tuple[int, ...]
-    total_observations: int
-    null_fraction: tuple[float, ...]
-    time_range: tuple[float, float]
-
-
 def _distinct(owners: np.ndarray) -> np.ndarray:
     """The distinct entries of the sorted, non-negative ``owners`` (np.unique imports numpy.ma)."""
     return owners[np.diff(owners, prepend=-1) != 0]
@@ -330,20 +320,6 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
             )
 
     return ValidationReport(tuple(violations), tuple(warnings))
-
-
-def dataset_stats(dataset: TimeSeriesDataset) -> DatasetStats:
-    """Exact counts: sizes, per-feature null fraction, overall time range."""
-    total = dataset.total_observations()
-    nulls = np.isnan(dataset.values).sum(axis=0)
-    return DatasetStats(
-        n_samples=dataset.n_samples,
-        n_features=dataset.n_features,
-        observation_counts=tuple(dataset.counts.tolist()),
-        total_observations=total,
-        null_fraction=tuple(float(n) / total for n in nulls),
-        time_range=(float(dataset.times.min()), float(dataset.times.max())),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +575,3 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
             json_fh.write('], "grid": %s}' % json.dumps(grid_meta))
         os.replace(a_csv, csv_path)
         os.replace(a_json, json_path)
-
-
-def tensor_from_json(text: str) -> ImputedTensor:
-    payload = json.loads(text)
-    return ImputedTensor(
-        sample_ids=tuple(payload["sample_ids"]),
-        grid_times=np.array(payload["grid_times"], dtype=float),
-        data=np.array(payload["data"], dtype=float),
-        class_labels=tuple(payload["class_labels"]) if payload.get("class_labels") else None,
-        feature_names=tuple(payload["feature_names"]),
-    )

@@ -177,6 +177,9 @@ def build_slice_grid(
     lo, hi = bounds or (None, None)
     t_lo = float(dataset.times.min()) if lo is None else float(lo)
     t_hi = float(dataset.times.max()) if hi is None else float(hi)
+    for name, t in (("t_min", t_lo), ("t_max", t_hi)):
+        if not np.isfinite(t):
+            raise SliceGridError(f"{name} must be a finite number, not {t!r}")
     if t_hi <= t_lo:
         raise SliceGridError(f"t_max ({t_hi}) must exceed t_min ({t_lo})")
     span = t_hi - t_lo

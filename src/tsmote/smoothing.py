@@ -61,12 +61,6 @@ def smoothing_matrix(times: np.ndarray, window: int, poly_order: int) -> np.ndar
     return S
 
 
-def savgol_nonuniform(times: np.ndarray, values: np.ndarray, config: SmoothingConfig) -> np.ndarray:
-    """Smooth one series; see module docstring for boundary handling."""
-    S = smoothing_matrix(times, config.window, config.poly_order)
-    return S @ np.asarray(values, dtype=float)
-
-
 def smooth_tensor(tensor: ImputedTensor, config: SmoothingConfig) -> ImputedTensor:
     """Apply the filter to every sample and feature as one batched ``matmul``.
 

@@ -127,24 +127,6 @@ class SynthesisConfig:
             raise ValueError("replacement_policy must be 'with' or 'without'")
 
 
-def knn_1d(values: np.ndarray, query_index: int, k: int) -> np.ndarray:
-    """Indices of the k values nearest to ``values[query_index]``, self excluded.
-
-    Ties break toward the smaller index. If ``k`` exceeds the number of other
-    values it is reduced with a warning (the slice is too sparse for the
-    requested neighborhood). A ``k`` below 1 or a ``query_index`` outside
-    ``[0, n)`` raises ``ValueError``.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise SynthesisError("need at least 2 values for nearest-neighbor search")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, not {k}")
-    if not 0 <= query_index < values.size:
-        raise ValueError(f"query_index {query_index} is outside [0, {values.size})")
-    return _neighbor_table(values, k)[query_index]
-
-
 def _neighbor_table(values: np.ndarray, k: int, label: str = "") -> np.ndarray:
     """(n, min(k, n - 1)) neighbor indices per entry, nearest first.
 

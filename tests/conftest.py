@@ -1,4 +1,5 @@
-"""Shared fixtures: the subprocess runner for the CLI tests and the reference reshape.
+"""Shared fixtures: the subprocess runner for the CLI tests, the reference reshape
+and a reader of the imputed tensor's JSON file.
 
 The child runs with ``cwd`` set to a temporary directory, so a relative
 ``PYTHONPATH`` (``PYTHONPATH=src``) would not resolve there. The runner
@@ -7,6 +8,7 @@ so the child always runs the same copy of the code as the in-process tests,
 whether it comes from ``src/`` or from an installed package.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -89,3 +91,21 @@ def observed_grid(reshape_reference):
         ])
 
     return grid
+
+
+@pytest.fixture(scope="session")
+def tensor_from_json():
+    """``tensor_from_json(text)``: the ``ImputedTensor`` that ``write_tensor_csv`` wrote as JSON ``text``."""
+    from tsmote.data import ImputedTensor
+
+    def read(text):
+        payload = json.loads(text)
+        return ImputedTensor(
+            sample_ids=tuple(payload["sample_ids"]),
+            grid_times=np.array(payload["grid_times"], dtype=float),
+            data=np.array(payload["data"], dtype=float),
+            class_labels=tuple(payload["class_labels"]) if payload.get("class_labels") else None,
+            feature_names=tuple(payload["feature_names"]),
+        )
+
+    return read

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tsmote.data import read_long_csv, tensor_from_json
+from tsmote.data import read_long_csv
 from tsmote.moments import (
     _check_covariance_factor,
     _check_edge_counts,
@@ -21,8 +21,8 @@ from tsmote.classify import ComparisonConfig, run_imputer_comparison
 from tsmote.data import TimeSeriesDataset
 from tsmote.oscillator import ExperimentConfig, generate_two_class_experiment
 from tsmote.slicing import SliceGrid, assign_slices, build_slice_grid
-from tsmote.smoothing import SmoothingConfig, savgol_nonuniform
-from tsmote.synthesis import knn_1d
+from tsmote.smoothing import SmoothingConfig, smoothing_matrix
+from tsmote.synthesis import _neighbor_table
 
 
 def verdict(number: int, name: str, passed: bool, detail: str, elapsed: float, budget: float):
@@ -93,7 +93,7 @@ def demo(tmp_path_factory, run_cli):
     return root, timings
 
 
-def test_criterion_2_completeness(demo, observed_grid):
+def test_criterion_2_completeness(demo, observed_grid, tensor_from_json):
     root, timings = demo
     t0 = time.perf_counter()
     tensor = tensor_from_json((root / "run1" / "imputed.json").read_text())
@@ -149,6 +149,11 @@ def test_criterion_6_variance_laws():
             "; ".join(c.detail for c in checks), elapsed, 10.0)
 
 
+def savgol(t, y, config):
+    """One series through the filter's matrix, the operator ``smooth_tensor`` applies."""
+    return smoothing_matrix(t, config.window, config.poly_order) @ y
+
+
 def test_criterion_7_savgol_exactness():
     rng = np.random.default_rng(7)
     config = SmoothingConfig(window=25, poly_order=5)
@@ -161,7 +166,7 @@ def test_criterion_7_savgol_exactness():
             t = np.sort(rng.uniform(0, 20, n))
         coeffs = rng.uniform(-3, 3, 6)
         y = np.polynomial.polynomial.polyval(t - t.mean(), coeffs)
-        out = savgol_nonuniform(t, y, config)
+        out = savgol(t, y, config)
         scale = max(1.0, np.abs(y).max())
         max_rel = max(max_rel, float(np.abs(out - y).max() / scale))
     # linearity on a fresh grid
@@ -169,8 +174,8 @@ def test_criterion_7_savgol_exactness():
     x, y = rng.standard_normal(60), rng.standard_normal(60)
     lin_dev = float(
         np.abs(
-            savgol_nonuniform(t, 2 * x - 3 * y, config)
-            - (2 * savgol_nonuniform(t, x, config) - 3 * savgol_nonuniform(t, y, config))
+            savgol(t, 2 * x - 3 * y, config)
+            - (2 * savgol(t, x, config) - 3 * savgol(t, y, config))
         ).max()
     )
     elapsed = time.perf_counter() - t0
@@ -189,7 +194,7 @@ def test_criterion_8_knn_oracle():
             values = rng.normal(0, 10, n)
         q = int(rng.integers(n))
         k = int(rng.integers(1, min(10, n - 1) + 1))
-        got = knn_1d(values, q, k).tolist()
+        got = _neighbor_table(values, k)[q].tolist()
         oracle = sorted(
             (i for i in range(n) if i != q),
             key=lambda i: (abs(values[i] - values[q]), i),
@@ -217,7 +222,7 @@ def test_criterion_9_imputer_comparison():
     )
 
 
-def test_criterion_10_determinism(demo, observed_grid):
+def test_criterion_10_determinism(demo, observed_grid, tensor_from_json):
     root, timings = demo
     t0 = time.perf_counter()
     run1 = (root / "run1" / "imputed.csv").read_bytes()

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import multiprocessing
 from pathlib import Path
 
@@ -82,6 +83,21 @@ def test_benchmark_span_names_are_exported():
     missing = [f"{module}.{span.split('.')[1]}" for span, modules in targets.items() for module in modules
                if not hasattr(importlib.import_module(module), span.split(".")[1])]
     assert missing == ["tsmote.cli.tensor_to_json"]
+
+
+def test_every_export_has_a_caller_in_the_package():
+    """Each name in ``tsmote.__all__`` is read somewhere in the package's modules other
+    than ``__init__.py``, outside the name's own definition. An export that nothing in
+    the package uses fails here."""
+    used = set()
+    for path in Path(tsmote.__file__).resolve().parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text()).body:
+            loaded = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(statement)
+                      if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+            used |= loaded - {getattr(statement, "name", None)}  # a def or class does not use itself
+    assert sorted(set(tsmote.__all__) - {"__version__"} - used) == []
 
 
 class TestSlice:
@@ -452,6 +468,7 @@ class TestVerifyAndCompare:
         res = run_cli(["verify-moments", "--seed", "0", "-o", str(out)], tmp_path)
         assert res.returncode == 0, res.stdout + res.stderr
         report = json.loads((out / "moments_report.json").read_text())
+        assert set(report) == {"passed", "checks"}
         assert report["passed"] is True
         assert "[PASS]" in res.stdout
         # the checks that run the neighbor table, the slice kernel and the fill
@@ -601,6 +618,33 @@ class TestRejectedInput:
         assert json.loads(capsys.readouterr().err) == {
             "error": f"--grid excludes {option}: the grid file sets the slices and their times"}
         assert not out.exists()
+
+    # a negative bound written with an exponent is a value, not a flag
+    @pytest.mark.parametrize("command", ["slice", "impute"])
+    def test_negative_exponent_t_max_reaches_the_grid(self, toy_csv, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            tsmote.cli.main([command, str(toy_csv), "--t-max", "-1e-3", "-o", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "t_max (-0.001) must exceed t_min (0.0)"}
+
+    def test_negative_exponent_t_min_is_accepted(self, toy_csv, tmp_path):
+        out = tmp_path / "out"
+        assert tsmote.cli.main(["slice", str(toy_csv), "--slices", "3", "--t-min", "-1e-3", "-o", str(out)]) == 0
+        assert json.loads((out / "grid.json").read_text())["t_min"] == -1e-3
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("bound", ["t_min", "t_max"])
+    def test_nonfinite_bound_named_exits_2(self, toy_csv, tmp_path, capsys, bound, value, form):
+        given = ["--" + bound.replace("_", "-"), repr(value)]
+        if form == "config":
+            given = ["--config", str(tmp_path / "cfg.json")]
+            (tmp_path / "cfg.json").write_text(json.dumps({bound: value}))
+        with pytest.raises(SystemExit) as exc:
+            tsmote.cli.main(["slice", str(toy_csv), "--slices", "3", "-o", str(tmp_path / "out"), *given])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": f"{bound} must be a finite number, not {value!r}"}
+        assert not (tmp_path / "out" / "grid.json").exists()
 
     # 4 samples, each observed at every time; twice the span is not a finite float
     @pytest.mark.parametrize("times, slices", [

@@ -1,4 +1,4 @@
-"""Tests for the core data model, validation, stats, and CSV round-trips."""
+"""Tests for the core data model, validation, and CSV round-trips."""
 
 import concurrent.futures
 import functools
@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 import tsmote.data
 from tsmote.data import (
     TimeSeriesDataset,
-    dataset_stats,
     read_long_csv,
-    tensor_from_json,
     validate_dataset,
     write_csv,
     write_long_csv,
@@ -183,27 +181,6 @@ class TestValidation:
         ds = dataset_of(make_sample("a", [0.0], [(1.0,)]))
         d = validate_dataset(ds).to_dict()
         assert d["ok"] is True and d["violations"] == []
-
-
-class TestStats:
-    def test_no_nulls(self):
-        ds = dataset_of(*(make_sample(f"s{i}", [0.0, 1, 2, 3, 4], [(1.0,)] * 5) for i in range(3)))
-        stats = dataset_stats(ds)
-        assert stats.n_samples == 3
-        assert stats.total_observations == 15
-        assert stats.null_fraction == (0.0,)
-
-    def test_single_null_fraction(self):
-        # 2 samples x 2 obs x 2 features, one null in feature 0
-        stats = dataset_stats(dataset_of(
-            make_sample("a", [0.0, 1.0], [(None, 1.0), (2.0, 3.0)]),
-            make_sample("b", [0.0, 1.0], [(4.0, 5.0), (6.0, 7.0)]),
-        ))
-        assert stats.null_fraction == (0.25, 0.0)
-
-    def test_single_sample_time_range(self):
-        stats = dataset_stats(dataset_of(make_sample("a", [2.0, 5.0, 9.0], [(1.0,)] * 3)))
-        assert stats.time_range == (2.0, 9.0)
 
 
 def read_or_error(path):
@@ -451,7 +428,7 @@ class TestImputedTensor:
                                feature_names=("x", "y"))
         assert tensor.feature_names == ("x", "y")
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self, tmp_path, tensor_from_json):
         t = ImputedTensor(
             sample_ids=("a", "b"),
             grid_times=np.array([0.0, 1.0, 2.5]),
@@ -557,7 +534,7 @@ class TestWriteTensor:
         assert sorted(p.name for p in out.iterdir()) == ["imputed.csv", "imputed.json"]
         assert multiprocessing.active_children() == []
 
-    def test_worker_is_sent_no_array(self, tmp_path, monkeypatch):
+    def test_worker_is_sent_no_array(self, tmp_path, monkeypatch, tensor_from_json):
         submitted = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -611,7 +588,7 @@ class TestWriteTensor:
         assert list(tmp_path.iterdir()) == []
         assert multiprocessing.active_children() == []
 
-    def test_failed_rewrite_keeps_earlier_outputs(self, tmp_path, monkeypatch):
+    def test_failed_rewrite_keeps_earlier_outputs(self, tmp_path, monkeypatch, tensor_from_json):
         tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.zeros((3, 2, 1)))
         csv_path, json_path = tmp_path / "imputed.csv", tmp_path / "imputed.json"
         write_tensor_csv(tensor, csv_path, json_path, {})

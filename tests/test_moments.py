@@ -14,7 +14,6 @@ from tsmote.moments import (
     _check_variance_laws,
     _imputed_variance_ratios,
     _one_row_dataset,
-    empirical_moments,
     population_cov,
     predicted_variance_ratio,
     theoretical_cov_factor,
@@ -45,28 +44,6 @@ class TestTheoreticalFactor:
     def test_factor_in_unit_interval(self, a, b):
         f = theoretical_cov_factor(LambdaSpec.beta(a, b))
         assert 0.0 < f <= 1.0
-
-
-class TestEmpiricalMoments:
-    def test_identical_inputs_zero_error(self):
-        X = np.random.default_rng(0).standard_normal((50, 3))
-        report = empirical_moments(X, X)
-        np.testing.assert_allclose(report.mean_error_term, 0.0, atol=1e-15)
-        np.testing.assert_allclose(report.cov_synthetic, report.cov_original)
-
-    def test_covariances_symmetric_and_ses_positive(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((100, 3))
-        Y = rng.standard_normal((200, 3))
-        report = empirical_moments(X, Y, lam=LambdaSpec.uniform())
-        np.testing.assert_array_equal(report.cov_synthetic, report.cov_synthetic.T)
-        assert np.all(report.mean_se > 0)
-        assert np.all(report.cov_se > 0)
-        assert report.theoretical_factor == pytest.approx(2 / 3)
-
-    def test_requires_two_rows(self):
-        with pytest.raises(ValueError, match="at least 2 rows"):
-            empirical_moments(np.ones((1, 2)), np.ones((5, 2)))
 
 
 def in_degrees(table: np.ndarray) -> np.ndarray:

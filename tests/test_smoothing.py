@@ -7,7 +7,7 @@ from tsmote.data import ImputedTensor, TimeSeriesDataset
 from tsmote.imputation import ImputationConfig, impute_dataset
 from tsmote.oscillator import generate_two_class_experiment
 from tsmote.slicing import build_slice_grid
-from tsmote.smoothing import SmoothingConfig, savgol_nonuniform, smooth_tensor, smoothing_matrix
+from tsmote.smoothing import SmoothingConfig, smooth_tensor, smoothing_matrix
 
 
 def random_grid(rng, n, lo=0.0, hi=10.0):
@@ -15,6 +15,11 @@ def random_grid(rng, n, lo=0.0, hi=10.0):
     while np.any(np.diff(t) <= 0):
         t = np.sort(rng.uniform(lo, hi, n))
     return t
+
+
+def savgol(t, y, config):
+    """One series through the filter's matrix, the operator ``smooth_tensor`` applies."""
+    return smoothing_matrix(t, config.window, config.poly_order) @ y
 
 
 class TestConfig:
@@ -35,27 +40,27 @@ class TestSavgol:
             t = random_grid(rng, 60)
             coeffs = rng.uniform(-2, 2, 6)
             y = np.polynomial.polynomial.polyval(t - t.mean(), coeffs)
-            out = savgol_nonuniform(t, y, config)
+            out = savgol(t, y, config)
             np.testing.assert_allclose(out, y, rtol=1e-8, atol=1e-8 * max(1, np.abs(y).max()))
 
     def test_specific_quadratic(self):
         rng = np.random.default_rng(1)
         t = random_grid(rng, 40)
         y = 2 * t**2 - t + 3
-        out = savgol_nonuniform(t, y, SmoothingConfig(window=11, poly_order=2))
+        out = savgol(t, y, SmoothingConfig(window=11, poly_order=2))
         np.testing.assert_allclose(out, y, rtol=1e-8)
 
     def test_constant_series_unchanged(self):
         rng = np.random.default_rng(2)
         t = random_grid(rng, 30)
         y = np.full(30, 7.25)
-        out = savgol_nonuniform(t, y, SmoothingConfig(window=7, poly_order=3))
+        out = savgol(t, y, SmoothingConfig(window=7, poly_order=3))
         np.testing.assert_allclose(out, y, rtol=1e-12)
 
     def test_series_shorter_than_window(self):
         t = np.arange(10.0)
         with pytest.raises(ValueError, match="smaller window"):
-            savgol_nonuniform(t, t, SmoothingConfig(window=25, poly_order=5))
+            savgol(t, t, SmoothingConfig(window=25, poly_order=5))
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -64,8 +69,8 @@ class TestSavgol:
         y = rng.standard_normal(50)
         a, b = 2.5, -1.25
         config = SmoothingConfig(window=13, poly_order=4)
-        lhs = savgol_nonuniform(t, a * x + b * y, config)
-        rhs = a * savgol_nonuniform(t, x, config) + b * savgol_nonuniform(t, y, config)
+        lhs = savgol(t, a * x + b * y, config)
+        rhs = a * savgol(t, x, config) + b * savgol(t, y, config)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
 
     def test_white_noise_variance_reduced(self):
@@ -74,7 +79,7 @@ class TestSavgol:
         reductions = []
         for _ in range(20):
             y = rng.standard_normal(200)
-            out = savgol_nonuniform(t, y, SmoothingConfig(window=25, poly_order=5))
+            out = savgol(t, y, SmoothingConfig(window=25, poly_order=5))
             reductions.append(np.var(out) / np.var(y))
         assert np.mean(reductions) < 1.0
         assert max(reductions) < 1.0
@@ -127,7 +132,7 @@ class TestSavgol:
     def test_nonmonotone_times_rejected(self):
         t = np.array([0.0, 1.0, 1.0, 2.0] + list(np.arange(3, 30.0)))
         with pytest.raises(ValueError, match="strictly increasing"):
-            savgol_nonuniform(t, np.zeros_like(t), SmoothingConfig(window=5, poly_order=2))
+            savgol(t, np.zeros_like(t), SmoothingConfig(window=5, poly_order=2))
 
 
 def poly_tensor(rng, n_samples=4, n_t=50, n_feat=2, degree=5):

@@ -17,7 +17,6 @@ from tsmote.synthesis import (
     SynthesisError,
     _neighbor_table,
     generate_pool,
-    knn_1d,
     synthesize_slice,
 )
 
@@ -35,30 +34,22 @@ def brute_force_knn(values, query, k):
 
 
 class TestKnn1d:
+    """One value's neighbors: row ``q`` of ``_neighbor_table``."""
+
     def test_basic(self):
-        idx = knn_1d(np.array([1.0, 2.0, 5.0, 9.0]), 1, 2)
+        idx = _neighbor_table(np.array([1.0, 2.0, 5.0, 9.0]), 2)[1]
         assert sorted(idx.tolist()) == [0, 2]  # values 1 and 5
 
     def test_two_element_slice(self):
-        assert knn_1d(np.array([4.0, 7.0]), 0, 1).tolist() == [1]
+        assert _neighbor_table(np.array([4.0, 7.0]), 1)[0].tolist() == [1]
 
     def test_tie_breaks_to_smaller_index(self):
-        idx = knn_1d(np.array([0.0, 1.0, 1.0, 3.0]), 0, 1)
+        idx = _neighbor_table(np.array([0.0, 1.0, 1.0, 3.0]), 1)[0]
         assert idx.tolist() == [1]
-
-    @pytest.mark.parametrize("query, k, error", [
-        (0, 0, "k must be at least 1, not 0"),
-        (0, -2, "k must be at least 1, not -2"),
-        (-1, 2, r"query_index -1 is outside \[0, 4\)"),
-        (4, 2, r"query_index 4 is outside \[0, 4\)"),
-    ])
-    def test_bad_arguments_rejected(self, query, k, error):
-        with pytest.raises(ValueError, match=error):
-            knn_1d(np.array([1.0, 2.0, 5.0, 9.0]), query, k)
 
     def test_k_reduced_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
-            idx = knn_1d(np.array([1.0, 2.0, 3.0]), 0, 10)
+            idx = _neighbor_table(np.array([1.0, 2.0, 3.0]), 10)[0]
         assert len(idx) == 2
         assert any("reducing" in r.message for r in caplog.records)
 
@@ -92,9 +83,8 @@ class TestKnn1d:
     def test_matches_oracle(self, values, q, k):
         q = q % len(values)
         k = min(k, len(values) - 1)
-        got = knn_1d(np.array(values), q, k).tolist()
-        assert got == brute_force_knn(values, q, k)
         table = _neighbor_table(np.array(values), k)
+        assert table[q].tolist() == brute_force_knn(values, q, k)
         assert table.tolist() == [brute_force_knn(values, i, k) for i in range(len(values))]
 
     def test_table_memory_is_linear(self):
