@@ -103,7 +103,7 @@ _GRID_TIMES = {MIDPOINT: MIDPOINT, "median": MEDIAN_OF_OBSERVATIONS}
 
 def _load_dataset(args, n_slices=None):
     """Read (with ``--fixed``) and validate ``args.input``; ``n_slices`` sizes a warning."""
-    dataset = read_long_csv(args.input, class_column=args.class_column, fixed_prefix_len=args.fixed)
+    dataset = read_long_csv(args.input, fixed_prefix_len=args.fixed)
     report = validate_dataset(dataset, n_slices=n_slices)
     if not report.ok:
         _fail("dataset failed validation", report=report.to_dict())
@@ -170,11 +170,12 @@ def cmd_demo_oscillator(args) -> int:
                train.times, train.times - exp.grid.t_min, assignment, *train.values.T])
 
     # the vectors a tsmote impute of the training set draws, cell by cell in pool order
-    *_, cells = request_table(train, exp.grid.n_slices, assignment)
+    n_slices = exp.grid.n_slices
+    *_, cells = request_table(train, n_slices, assignment)
     cells = np.sort(cells)
     pool = np.empty((len(cells), train.n_features))
-    generate_pool(train, exp.grid, assignment, cells, np.arange(len(cells)), pool, SynthesisConfig(seed=args.seed))
-    position, si = np.divmod(cells, exp.grid.n_slices)
+    generate_pool(train, n_slices, assignment, cells, np.arange(len(cells)), pool, SynthesisConfig(seed=args.seed))
+    position, si = np.divmod(cells, n_slices)
     write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
               [np.array(train.classes, dtype=object)[position], si,
                exp.grid.data_grid_times()[si], *pool.T])
@@ -233,7 +234,6 @@ _OPTIONS = {
     "allow_null_imputation": (["--allow-null-imputation"], dict(
         action="store_true", help="permit per-feature null replacement (features must be independent)")),
     "fixed": (["--fixed"], dict(type=int, default=0, help="number of leading time-independent features")),
-    "class_column": (["--class-column"], dict(default="class")),
     "t_min": (["--t-min"], dict(type=float, default=None)),
     "t_max": (["--t-max"], dict(type=float, default=None)),
     "smooth": (["--smooth"], dict(action="store_true", help="apply Savitzky-Golay smoothing")),
@@ -248,10 +248,10 @@ _OPTIONS = {
 # each subcommand: its command, its help, and the options the command reads
 _COMMANDS = {
     "slice": (cmd_slice, "build a slice grid from a long CSV",
-              "input config output_dir slices grid_time fixed class_column t_min t_max"),
+              "input config output_dir slices grid_time fixed t_min t_max"),
     "impute": (cmd_impute, "impute a long CSV onto the slice grid",
                "input grid config output_dir seed slices grid_time k lambda_dist replacement method "
-               "allow_null_imputation fixed class_column t_min t_max smooth window order"),
+               "allow_null_imputation fixed t_min t_max smooth window order"),
     "demo-oscillator": (cmd_demo_oscillator, "write the two-class oscillator experiment",
                         "config output_dir seed slices time_dist"),
     "verify-moments": (cmd_verify_moments, "run the moment-law verification battery", "config output_dir seed"),

@@ -360,7 +360,7 @@ def write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def read_long_csv(path, class_column: str = "class", fixed_prefix_len: int = 0) -> TimeSeriesDataset:
+def read_long_csv(path, fixed_prefix_len: int = 0) -> TimeSeriesDataset:
     """Parse long-format CSV: ``sample_id, time[, class], features...``.
 
     The header row is required. A column name may not repeat, and no feature
@@ -382,9 +382,9 @@ def read_long_csv(path, class_column: str = "class", fixed_prefix_len: int = 0) 
             raise ValueError(f"{path}: empty file, missing header") from None
         if len(header) < 3 or header[0] != "sample_id" or header[1] != "time":
             raise ValueError(
-                f"{path}: missing header; expected 'sample_id,time[,{class_column}],<features>'"
+                f"{path}: missing header; expected 'sample_id,time[,class],<features>'"
             )
-        has_class = header[2] == class_column
+        has_class = header[2] == "class"
         feature_names = tuple(header[3:] if has_class else header[2:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns found")

@@ -48,14 +48,6 @@ class ImputationConfig:
             raise ValueError(f"method must be one of {METHODS}")
 
 
-def _observed_cells(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
-    """``cell_blocks``' rows of each cell in cell order, rejecting a cell that never observes a feature."""
-    for _, name, rows in cell_blocks(dataset, n_slices, assignment):
-        if np.isnan(rows).all(axis=0).any():
-            raise ValueError(f"{name} has a feature with no observed values")
-        yield rows
-
-
 def _slice_statistics(
     dataset: TimeSeriesDataset,
     n_slices: int,
@@ -67,24 +59,19 @@ def _slice_statistics(
     An empty cell, or one that never observes a feature, raises ``ValueError``; the
     first such cell in cell order is the one named.
     """
-    if method == SLICE_MEAN:
-        return np.array([np.nanmean(rows, axis=0) for rows in _observed_cells(dataset, n_slices, assignment)])
-    # the midpoint of each cell's sorted run of observed values, one lexsort per feature:
-    # np.nanmedian gives the same bits but imports numpy.ma
-    cells = cell_index(dataset, dataset.row_sample, assignment, n_slices)
-    n_cells = len(dataset.classes) * n_slices
-    medians = np.empty((n_cells, dataset.n_features))
-    for f, column in enumerate(dataset.values.T):
-        seen = ~np.isnan(column)
-        c, x = cells[seen], column[seen]
-        x = x[np.lexsort((x, c))]
-        counts = np.bincount(c, minlength=n_cells)
-        if not counts.all():
-            for _ in _observed_cells(dataset, n_slices, assignment):  # raises at the first such cell
-                pass
-        start = np.cumsum(counts) - counts
-        medians[:, f] = (x[start + (counts - 1) // 2] + x[start + counts // 2]) / 2
-    return medians
+    stats = []
+    for _, name, rows in cell_blocks(dataset, n_slices, assignment):
+        seen = (~np.isnan(rows)).sum(axis=0)
+        if not seen.all():
+            raise ValueError(f"{name} has a feature with no observed values")
+        if method == SLICE_MEAN:
+            stats.append(np.nanmean(rows, axis=0))
+            continue
+        # the midpoint of each column's middle pair of observed values (NaN sorts last): np.nanmedian's
+        # bits without importing numpy.ma; stable, so equal values such as 0.0 and -0.0 keep dataset order
+        x, f = np.sort(rows, axis=0, kind="stable"), np.arange(rows.shape[1])
+        stats.append((x[(seen - 1) // 2, f] + x[seen // 2, f]) / 2)
+    return np.array(stats)
 
 
 def impute_dataset(
@@ -112,8 +99,10 @@ def impute_dataset(
     if outside.size:
         raise ValueError(f"assignment {assignment[outside[0]]} at row {outside[0]} is outside [0, {n_t}), "
                          "the grid's slices")
+    slots = dataset.row_sample * n_t + assignment  # flat (sample, slice) slot of each row
+    if (np.diff(slots) < 0).any():
+        raise ValueError("assignment goes down within a sample, whose rows are in time order")
     n_fix = dataset.fixed_prefix_len
-    owner = dataset.row_sample
     first_rows = dataset.offsets[:-1]
 
     if imp.method == TSMOTE and np.isnan(dataset.values).any() and not imp.allow_null_feature_imputation:
@@ -126,7 +115,7 @@ def impute_dataset(
     n_slots = n_d * n_t
     buf = np.empty((n_slots + len(null_rows), n_f))
     if imp.method == TSMOTE:
-        generate_pool(dataset, grid, assignment, cells, rows, buf, syn)
+        generate_pool(dataset, n_t, assignment, cells, rows, buf, syn)
     else:
         stats = _slice_statistics(dataset, n_t, assignment, imp.method)
         for lo in range(0, len(rows), _BLOCK):
@@ -139,9 +128,6 @@ def impute_dataset(
     # a slot holds the running mean (row * c + x) / (c + 1) of its rows in row order;
     # it is not a sum / count, which can differ in the last bit
     data = buf[:n_slots]
-    slots = owner * n_t + assignment  # flat (sample, slice) slot of each row
-    if (np.diff(slots) < 0).any():
-        raise ValueError("assignment goes down within a sample, whose rows are in time order")
     rank = np.arange(len(slots)) - np.searchsorted(slots, slots)  # row's place in its slot
     for r in range(int(rank.max()) + 1):
         at = rank == r

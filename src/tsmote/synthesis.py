@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .slicing import SliceGrid, cell_blocks, cell_index
+from .slicing import cell_blocks, cell_index
 
 logger = logging.getLogger(__name__)
 
@@ -228,7 +228,7 @@ def synthesize_slice(
 
 def generate_pool(
     dataset: TimeSeriesDataset,
-    grid: SliceGrid,
+    n_slices: int,
     assignment: np.ndarray,
     cells: np.ndarray,
     rows: np.ndarray,
@@ -251,17 +251,16 @@ def generate_pool(
     A fixed-prefix column is left NaN in a cell without a row of a sample that never
     records it: only such a row's fill reads the pooled value.
     """
-    n_t = grid.n_slices
-    sizes = np.bincount(cells, minlength=len(dataset.classes) * n_t)
+    sizes = np.bincount(cells, minlength=len(dataset.classes) * n_slices)
     ends = np.cumsum(sizes)
     if config.replacement_policy == "with":
         pick = np.random.default_rng(config.seed).integers(0, sizes[cells])
     by_cell = np.argsort(cells, kind="stable")  # each cell's requests, in serving order
     r, f = np.nonzero(np.isnan(dataset.fixed_values)[dataset.row_sample])
     unrecorded = np.zeros((len(sizes), dataset.fixed_prefix_len), dtype=bool)
-    unrecorded[cell_index(dataset, dataset.row_sample[r], assignment[r], n_t), f] = True
-    for c, name, obs in cell_blocks(dataset, n_t, assignment):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_t)))
+    unrecorded[cell_index(dataset, dataset.row_sample[r], assignment[r], n_slices), f] = True
+    for c, name, obs in cell_blocks(dataset, n_slices, assignment):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_slices)))
         pool = synthesize_slice(obs, config, sizes[c], rng, label=name, unread=np.flatnonzero(~unrecorded[c]))
         served = by_cell[ends[c] - sizes[c] : ends[c]]
         # without replacement: the same order and RNG state as rng.shuffle(pool, axis=0), far faster

@@ -400,7 +400,7 @@ class TestConfigFile:
         ("slices", 3.0, "an integer"),
         ("t_max", True, "a number"),
         ("smooth", 1, "true or false"),
-        ("class_column", 0, "a string"),
+        ("lambda_dist", 0, "a string"),
         ("grid_time", "weekly", "one of ['midpoint', 'median']"),
     ])
     def test_value_of_wrong_type_exits_2(self, toy_csv, tmp_path, run_cli, key, value, what):

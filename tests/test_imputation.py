@@ -79,8 +79,14 @@ class TestReshape:
         data = slice_mean(with_background(x))
         np.testing.assert_array_equal(data[0], [[k, -k] for k in range(5)])
 
-    def test_rejects_assignment_going_down_within_a_sample(self):
-        # rows are time-sorted within a sample, so no slice grid assigns them a lower slice later
+    def test_rejects_assignment_going_down_within_a_sample(self, monkeypatch):
+        # rows are time-sorted within a sample, so no slice grid assigns them a lower slice later;
+        # the check comes before any fill work
+        def fill(*args):
+            pytest.fail("the fill ran before the assignment was checked")
+
+        monkeypatch.setattr(imputation, "generate_pool", fill)
+        monkeypatch.setattr(imputation, "_slice_statistics", fill)
         ds = with_background(("x", [(0.5, (1.0, 2.0)), (3.5, (3.0, 4.0))]))
         assignment = assign_slices(ds, GRID5)
         assignment[[0, 1]] = assignment[[1, 0]]
@@ -98,17 +104,21 @@ class TestReshape:
         with pytest.raises(ValueError, match=rf"assignment {value} at row {row} is outside \[0, 5\)"):
             impute_dataset(ds, GRID5, assignment, imputation_config=ImputationConfig(method=method))
 
-    def test_rejects_lingering_nulls(self):
-        # a null component that no source can replace is an error, never a NaN in the tensor
+    @pytest.mark.parametrize("method, error, message", [
+        ("slice_mean", ValueError, "slice=0 has a feature with no observed values"),
+        ("slice_median", ValueError, "slice=0 has a feature with no observed values"),
+        ("tsmote", SynthesisError, "feature 0 in class='c' slice=0 has 0 non-null values"),
+    ])
+    def test_rejects_lingering_nulls(self, method, error, message):
+        # a null component that no source can replace is an error, never a NaN in the tensor;
+        # both slices lack feature 0, and the first in cell order is named
         ds = dataset_of([
             ("a", [(0.5, (None, 1.0)), (1.5, (None, 2.0))]),
             ("b", [(0.6, (None, 3.0)), (1.6, (None, 4.0))]),
         ])
         grid = build_slice_grid(ds, 2)
-        with pytest.raises(ValueError, match="slice=0 has a feature with no observed values"):
-            impute_dataset(ds, grid, imputation_config=ImputationConfig(method="slice_mean"))
-        with pytest.raises(SynthesisError, match="feature 0 in class='c' slice=0 has 0 non-null values"):
-            impute_dataset(ds, grid, imputation_config=ImputationConfig(allow_null_feature_imputation=True))
+        with pytest.raises(error, match=message):
+            impute_dataset(ds, grid, imputation_config=ImputationConfig(method, allow_null_feature_imputation=True))
 
 
 class TestFillMissing:
@@ -310,8 +320,8 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
         made.append(synthesize(*args, **kwargs))
         return made[-1]
 
-    def record_served(dataset, grid, assignment, cells, rows, out, config):
-        generate(dataset, grid, assignment, cells, rows, out, config)
+    def record_served(dataset, n_slices, assignment, cells, rows, out, config):
+        generate(dataset, n_slices, assignment, cells, rows, out, config)
         served.append((cells, out[rows]))
 
     monkeypatch.setattr(synthesis, "synthesize_slice", record_made)
@@ -477,6 +487,20 @@ def test_cell_medians_match_nanmedian(n_samples, n_slices, null_rate):
     sizes = [len(rows) for _, _, rows in cell_blocks(ds, n_slices, a)]
     assert {n % 2 for n in sizes} == {0, 1} and (min(sizes) >= 600) == (n_slices == 2)
     assert imputation._slice_statistics(ds, n_slices, a, "slice_median").tobytes() == expected.tobytes()
+
+
+def test_cell_median_of_signed_zeros_keeps_dataset_order():
+    """Equal values keep dataset order, so an odd run of mixed 0.0 and -0.0 takes its middle row's sign.
+
+    The run is longer than 16 rows, past the sort's insertion-sort range, where
+    an unstable sort reorders equal keys.
+    """
+    n = 247
+    for seed in range(10):
+        zeros = np.where(np.random.default_rng(seed).random(n) < 0.5, 0.0, -0.0)
+        ds = TimeSeriesDataset(("s",), np.array([0, n]), np.arange(n, dtype=float), zeros[:, None], labels=("c",))
+        median = imputation._slice_statistics(ds, 1, np.zeros(n, dtype=int), "slice_median")
+        assert median.shape == (1, 1) and np.signbit(median[0, 0]) == np.signbit(zeros[n // 2])
 
 
 @settings(max_examples=300, deadline=None)

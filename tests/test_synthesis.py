@@ -258,7 +258,7 @@ def served(ds, grid, a, cells, config, rows=None):
     """The vector ``generate_pool`` serves each request, written to ``rows`` (default: in request order)."""
     rows = np.arange(len(cells)) if rows is None else rows
     out = np.full((len(cells), ds.n_features), np.inf)
-    generate_pool(ds, grid, a, cells, rows, out, config)
+    generate_pool(ds, grid.n_slices, a, cells, rows, out, config)
     return out[rows]
 
 
