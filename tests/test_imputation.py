@@ -108,7 +108,7 @@ class TestReshape:
         ("slice_mean", ValueError, "slice=0 has a feature with no observed values"),
         ("slice_median", ValueError, "slice=0 has a feature with no observed values"),
         ("tsmote", SynthesisError, "feature 0 in class='c' slice=0 has 0 non-null values"),
-    ])
+    ], ids=["slice_mean", "slice_median", "tsmote"])
     def test_rejects_lingering_nulls(self, method, error, message):
         # a null component that no source can replace is an error, never a NaN in the tensor;
         # both slices lack feature 0, and the first in cell order is named
