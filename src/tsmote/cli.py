@@ -34,12 +34,13 @@ from .data import (
     write_long_csv,
     write_tensor_csv,
 )
-from .imputation import METHODS, TSMOTE, ImputationConfig, impute_dataset, request_table
+from .imputation import METHODS, TSMOTE, ImputationConfig, impute_dataset
 from .moments import run_moment_verification
 from .oscillator import EXPONENTIAL, UNIFORM, ExperimentConfig, generate_two_class_experiment
 from .slicing import (
     MEDIAN_OF_OBSERVATIONS,
     MIDPOINT,
+    Requests,
     SliceGrid,
     assign_slices,
     build_slice_grid,
@@ -171,11 +172,12 @@ def cmd_demo_oscillator(args) -> int:
 
     # the vectors a tsmote impute of the training set draws, cell by cell in pool order
     n_slices = exp.grid.n_slices
-    *_, cells = request_table(train, n_slices, assignment)
-    cells = np.sort(cells)
-    pool = np.empty((len(cells), train.n_features))
-    generate_pool(train, n_slices, assignment, cells, np.arange(len(cells)), pool, SynthesisConfig(seed=args.seed))
-    position, si = np.divmod(cells, n_slices)
+    requests = Requests(train, n_slices, assignment)
+    buf = np.empty((requests.n_rows, train.n_features))
+    generate_pool(train, n_slices, assignment, requests, buf, SynthesisConfig(seed=args.seed))
+    cells = np.arange(len(requests.sizes))
+    pool = buf[np.concatenate([requests.rows(c) for c in cells])]
+    position, si = np.divmod(np.repeat(cells, requests.sizes), n_slices)
     write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
               [np.array(train.classes, dtype=object)[position], si,
                exp.grid.data_grid_times()[si], *pool.T])

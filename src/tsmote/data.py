@@ -213,7 +213,8 @@ class ImputedTensor:
             raise ValueError("feature_names length must equal n_features")
         if np.any(np.diff(self.grid_times) <= 0):
             raise ValueError("grid_times must be strictly increasing")
-        if not np.isfinite(self.data).all():
+        # NaN propagates through both, so no tensor-sized mask is needed
+        if not (np.isfinite(self.data.min(initial=0.0)) and np.isfinite(self.data.max(initial=0.0))):
             raise ValueError("imputed tensor must not contain nulls or infinite values")
         _check_fixed_prefix(self.fixed_prefix_len, n_f)
         if not self.feature_names:
@@ -328,6 +329,7 @@ def validate_dataset(dataset: TimeSeriesDataset, n_slices: Optional[int] = None)
 
 _QUOTED = re.compile('[,"\r\n]')
 _CHUNK_ROWS = 8192  # rows read or formatted at a time: bounds the strings held in memory
+_WRITE_ROWS = 4096  # write_tensor_csv's chunk: one of 8192 rows holds about 4 MB of strings at 3 features
 _TENSOR_COLUMNS = ("sample_id", "class", "slice_index", "grid_time")  # imputed.csv's leading columns
 
 
@@ -522,8 +524,8 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     row per (sample, slice), as :func:`write_csv` writes it. ``json_path`` gets
     ``sample_ids``, ``class_labels``, ``feature_names``, ``grid_times``, ``data`` (the
     nested ``(sample, slice, feature)`` lists) and ``grid_meta`` under ``grid``, as
-    :func:`json.dumps` writes it. The values are formatted once, a chunk of samples at
-    a time, into per-sample ``%`` templates of both files.
+    :func:`json.dumps` writes it. The values are formatted once, a chunk of samples (about
+    ``_WRITE_ROWS`` rows) at a time, into per-sample ``%`` templates of both files.
 
     Both files are written in a temporary directory beside ``csv_path`` and renamed
     into place once complete, so a failure part-way leaves whatever was there before;
@@ -551,7 +553,7 @@ def write_tensor_csv(tensor: ImputedTensor, csv_path, json_path, grid_meta: dict
     }
     head = "".join(f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in members.items())
 
-    step = max(1, _CHUNK_ROWS // n_t)
+    step = max(1, _WRITE_ROWS // n_t)
     n_chunks = -(-n_d // step)
     mid = step * ((n_chunks + 1) // 2)
     with tempfile.TemporaryDirectory(dir=Path(csv_path).parent) as tmp:

@@ -4,14 +4,14 @@ Every method runs the same steps on the dataset's value array: pin the
 time-independent prefix features, replace null components, average the
 observations that share a slot componentwise, and fill the empty slots. It
 works in one buffer: a row for every (sample, slice) slot, then one row for
-each null-bearing row. The draws form one request table, listed sample by
-sample (null-bearing rows in row order, then empty slots in slice order) and
-tagged with their buffer row and (class, slice) cell. The method only decides
-how a cell serves its requests, each written straight into its row: tsmote
-from the per-class synthetic pool, the slice_mean / slice_median baselines
-with the cell's per-feature statistic. The null components are then filled
-from the buffer's tail and the rows averaged into its head, which is the
-returned tensor.
+each null-bearing row. The draws are served sample by sample (null-bearing
+rows in row order, then empty slots in slice order), but no table of them is
+kept: ``slicing.Requests`` lists each (class, slice) cell's buffer rows from a
+slot mask when the cell is filled. The method only decides how a cell serves
+its requests, each written straight into its row: tsmote from the per-class
+synthetic pool, the slice_mean / slice_median baselines with the cell's
+per-feature statistic. The null components are then filled from the buffer's
+tail and the rows averaged into its head, which is the returned tensor.
 
 Real observations are never overwritten: a slot that had original data keeps
 it exactly (or its degenerate average). Time-independent prefix features are
@@ -28,14 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .data import ImputedTensor, TimeSeriesDataset
-from .slicing import SliceGrid, assign_slices, cell_blocks, cell_index
+from .slicing import Requests, SliceGrid, assign_slices, cell_blocks
 from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
 SLICE_MEAN = "slice_mean"
 SLICE_MEDIAN = "slice_median"
 METHODS = (TSMOTE, SLICE_MEAN, SLICE_MEDIAN)
-_BLOCK = 8192  # requests a baseline fills at a time
 
 
 @dataclass(frozen=True)
@@ -111,16 +110,18 @@ def impute_dataset(
             "from its marginal distribution, which destroys cross-feature correlations. "
             "Set allow_null_feature_imputation=True only if the features are independent."
         )
-    values, null_rows, rows, cells = request_table(dataset, n_t, assignment)
+    requests = Requests(dataset, n_t, assignment)
+    null_rows = requests.null_rows
     n_slots = n_d * n_t
-    buf = np.empty((n_slots + len(null_rows), n_f))
+    buf = np.empty((requests.n_rows, n_f))
     if imp.method == TSMOTE:
-        generate_pool(dataset, n_t, assignment, cells, rows, buf, syn)
+        generate_pool(dataset, n_t, assignment, requests, buf, syn)
     else:
-        stats = _slice_statistics(dataset, n_t, assignment, imp.method)
-        for lo in range(0, len(rows), _BLOCK):
-            buf[rows[lo : lo + _BLOCK]] = stats[cells[lo : lo + _BLOCK]]
-    del rows, cells  # request-length: freed before the fill's own arrays
+        for c, stat in enumerate(_slice_statistics(dataset, n_t, assignment, imp.method)):
+            buf[requests.rows(c)] = stat
+    del requests
+    values = dataset.values.copy()  # each sample's fixed prefix pinned to its value
+    values[:, :n_fix] = dataset.fixed_values[dataset.row_sample]
 
     nulls = np.isnan(values[null_rows])
     values[null_rows] = np.where(nulls, buf[n_slots:], values[null_rows])
@@ -144,32 +145,3 @@ def impute_dataset(
         feature_names=dataset.feature_names,
         fixed_prefix_len=n_fix,
     )
-
-
-def request_table(
-    dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The draws a fill makes, as ``(values, null_rows, rows, cells)``.
-
-    ``values`` is a copy of the dataset's values with the fixed prefix pinned,
-    and ``null_rows`` the rows that still hold a null after pinning. The fill's
-    buffer has a row for every flat (sample, slice) slot, then one for each
-    null-bearing row. The requests are listed in serving order, sample by
-    sample: its null-bearing rows in row order, then its empty slots in slice
-    order. ``rows`` is each request's buffer row and ``cells`` its (class,
-    slice) cell.
-    """
-    owner = dataset.row_sample
-    values = dataset.values.copy()
-    values[:, : dataset.fixed_prefix_len] = dataset.fixed_values[owner]
-    null_rows = np.flatnonzero(np.isnan(values).any(axis=1))
-    n_slots = dataset.n_samples * n_slices
-    slots = owner * n_slices + assignment
-    occupied = np.zeros(n_slots, dtype=bool)
-    occupied[slots] = True
-    empty = np.flatnonzero(~occupied)
-    # a sample's null-bearing rows go before its first empty slot
-    at = np.searchsorted(empty, owner[null_rows] * n_slices)
-    slot_cells = cell_index(dataset, np.arange(dataset.n_samples)[:, None], np.arange(n_slices), n_slices).ravel()
-    cells = slot_cells[np.insert(empty, at, slots[null_rows])]
-    return values, null_rows, np.insert(empty, at, n_slots + np.arange(len(null_rows))), cells

@@ -151,6 +151,60 @@ def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarra
         yield c, f"class={lab!r} slice={si}", rows
 
 
+_BLOCK = 8192  # slots whose requests ``Requests.blocks`` lists at a time
+
+
+class Requests:
+    """The draws a fill makes: one for each null-bearing row and each empty (sample, slice) slot.
+
+    The fill writes into one buffer: a row for every flat (sample, slice) slot,
+    then one for each of ``null_rows``, the rows that still hold a null once the
+    fixed prefix is pinned to the sample's value. Requests are served sample by
+    sample: its null-bearing rows in row order, then its empty slots in slice
+    order. No request table is kept: ``rows`` lists one cell's buffer rows and
+    ``blocks`` a few samples' requests at a time, from the ``occupied`` slot mask.
+    ``sizes`` counts each (class, slice) cell's requests, numbered as ``cell_index``.
+    """
+
+    def __init__(self, dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
+        owner, fix = dataset.row_sample, dataset.fixed_prefix_len
+        self.dataset, self.n_slices, self.n_slots = dataset, n_slices, dataset.n_samples * n_slices
+        self.occupied = np.zeros((dataset.n_samples, n_slices), dtype=bool)
+        self.occupied[owner, assignment] = True
+        self.null_rows = np.flatnonzero(
+            np.isnan(dataset.values[:, fix:]).any(axis=1) | np.isnan(dataset.fixed_values).any(axis=1)[owner])
+        self.n_rows = self.n_slots + len(self.null_rows)  # rows in the fill's buffer
+        self.null_owner = owner[self.null_rows]
+        self.null_cells = cell_index(dataset, self.null_owner, assignment[self.null_rows], n_slices)
+        self.members = [np.flatnonzero(dataset.class_codes == k) for k in range(len(dataset.classes))]
+        n_nulls = np.bincount(self.null_cells, minlength=len(self.members) * n_slices)
+        self.sizes = np.concatenate([len(m) - self.occupied[m].sum(axis=0) for m in self.members]) + n_nulls
+        self.null_ends = np.cumsum(n_nulls)
+        self.by_cell = np.argsort(self.null_cells, kind="stable")  # each cell's null-bearing rows, in row order
+
+    def rows(self, c: int) -> np.ndarray:
+        """Cell ``c``'s buffer rows in serving order, which is sample order: a sample asks
+        the cell for its null-bearing rows in that slice, or else for its empty slot."""
+        members, s = self.members[c // self.n_slices], c % self.n_slices
+        empty = members[~self.occupied[members, s]]
+        if len(empty) == self.sizes[c]:  # no null-bearing rows
+            return empty * self.n_slices + s
+        nulls = self.by_cell[self.null_ends[c] - (self.sizes[c] - len(empty)) : self.null_ends[c]]
+        rows = np.concatenate((self.n_slots + nulls, empty * self.n_slices + s))
+        return rows[np.argsort(np.concatenate((self.null_owner[nulls], empty)), kind="stable")]
+
+    def blocks(self):
+        """Yield ``(rows, cells)``, the buffer rows and cells of a few samples' requests, in serving order."""
+        n_t = self.n_slices
+        step = max(1, _BLOCK // n_t)
+        for lo in range(0, len(self.occupied), step):
+            empty = lo * n_t + np.flatnonzero(~self.occupied[lo : lo + step])
+            a, b = np.searchsorted(self.null_owner, (lo, lo + step))
+            at = np.searchsorted(empty, self.null_owner[a:b] * n_t)  # before the sample's first empty slot
+            yield (np.insert(empty, at, self.n_slots + np.arange(a, b)),
+                   np.insert(cell_index(self.dataset, *np.divmod(empty, n_t), n_t), at, self.null_cells[a:b]))
+
+
 def build_slice_grid(
     dataset: TimeSeriesDataset,
     n_slices: int,

@@ -9,7 +9,8 @@ matches the input and endpoints stay defined.
 Fits use times centered on the evaluation window and scaled to [-1, 1];
 a raw Vandermonde basis in absolute time is badly conditioned for large t.
 The whole filter is a linear operator in the values: one (n x n) matrix per
-time grid, applied to a whole tensor as one batched ``matmul``.
+time grid, applied to a tensor in place, one batched ``matmul`` per block of
+samples.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ImputedTensor
+
+_BLOCK = 8192  # slots smoothed at a time
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,16 @@ def smoothing_matrix(times: np.ndarray, window: int, poly_order: int) -> np.ndar
 
 
 def smooth_tensor(tensor: ImputedTensor, config: SmoothingConfig) -> ImputedTensor:
-    """Apply the filter to every sample and feature as one batched ``matmul``.
+    """Apply the filter to every sample and feature in place, overwriting ``tensor.data``.
 
-    The tensor's fixed-prefix features pass through unmodified. Grid times
-    are never changed.
+    The samples go through one batched ``matmul`` (one matrix product per sample)
+    about ``_BLOCK`` slots at a time, so beside the tensor only one block's
+    product is held. The tensor's fixed-prefix features pass through unmodified.
+    Grid times are never changed.
     """
     S = smoothing_matrix(tensor.grid_times, config.window, config.poly_order)
-    smoothed = np.matmul(S, tensor.data)
-    smoothed[:, :, : tensor.fixed_prefix_len] = tensor.data[:, :, : tensor.fixed_prefix_len]
-    return replace(tensor, data=smoothed)
+    data, fix = tensor.data, tensor.fixed_prefix_len
+    step = max(1, _BLOCK // len(S))
+    for lo in range(0, len(data), step):
+        data[lo : lo + step, :, fix:] = np.matmul(S, data[lo : lo + step])[..., fix:]
+    return replace(tensor, data=data)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .slicing import cell_blocks, cell_index
+from .slicing import Requests, cell_blocks, cell_index
 
 logger = logging.getLogger(__name__)
 
@@ -230,38 +230,39 @@ def generate_pool(
     dataset: TimeSeriesDataset,
     n_slices: int,
     assignment: np.ndarray,
-    cells: np.ndarray,
-    rows: np.ndarray,
+    requests: Requests,
     out: np.ndarray,
     config: SynthesisConfig,
 ) -> None:
-    """Write one synthetic vector for each request into ``out``, request i's into ``out[rows[i]]``.
+    """Write one synthetic vector for each of ``requests`` into its row of ``out``.
 
-    ``cells`` holds the requests' (class, slice) cells in serving order,
-    numbered as ``slicing.cell_index`` does; ``assignment`` is the (N,) slice
-    index of every row, from ``assign_slices``. Each cell makes as many vectors
-    as it has requests; one with none needs no usable column. A cell generates
-    from its own RNG stream keyed by (seed, class, slice), so its vectors do not
-    depend on the other cells. Without replacement the cell's vectors are put in
-    a random order drawn from the same stream, and a cell's n-th request takes
-    its n-th vector, so every vector is taken once. With replacement a request
-    takes a uniformly drawn vector of its cell, all from one ``integers`` call
-    on ``default_rng(seed)`` (the same values as one call per request). Neighbor
-    search costs O(n log n) per column of an n-row cell (see ``_neighbor_table``).
-    A fixed-prefix column is left NaN in a cell without a row of a sample that never
-    records it: only such a row's fill reads the pooled value.
+    ``assignment`` is the (N,) slice index of every row, from ``assign_slices``,
+    and ``requests`` the ``slicing.Requests`` it gives. Each (class, slice) cell
+    makes as many vectors as it has requests; one with none needs no usable
+    column. A cell generates from its own RNG stream keyed by (seed, class,
+    slice), so its vectors do not depend on the other cells. Without replacement
+    the cell's vectors are put in a random order drawn from the same stream, and
+    a cell's n-th request takes its n-th vector, so every vector is taken once.
+    With replacement a request takes a uniformly drawn vector of its cell, from
+    one ``integers`` stream on ``default_rng(seed)`` in serving order, drawn a few
+    samples at a time (the same values as one call per request); each pick waits
+    in column 0 of its request's row, which float64 holds exactly, until its cell
+    is filled. Neighbor search costs O(n log n) per column of an n-row cell (see
+    ``_neighbor_table``). A fixed-prefix column is left NaN in a cell without a
+    row of a sample that never records it: only such a row's fill reads the
+    pooled value.
     """
-    sizes = np.bincount(cells, minlength=len(dataset.classes) * n_slices)
-    ends = np.cumsum(sizes)
-    if config.replacement_policy == "with":
-        pick = np.random.default_rng(config.seed).integers(0, sizes[cells])
-    by_cell = np.argsort(cells, kind="stable")  # each cell's requests, in serving order
+    sizes, with_replacement = requests.sizes, config.replacement_policy == "with"
+    if with_replacement:
+        rng = np.random.default_rng(config.seed)
+        for rows, cells in requests.blocks():
+            out[rows, 0] = rng.integers(0, sizes[cells])
     r, f = np.nonzero(np.isnan(dataset.fixed_values)[dataset.row_sample])
     unrecorded = np.zeros((len(sizes), dataset.fixed_prefix_len), dtype=bool)
     unrecorded[cell_index(dataset, dataset.row_sample[r], assignment[r], n_slices), f] = True
     for c, name, obs in cell_blocks(dataset, n_slices, assignment):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_slices)))
         pool = synthesize_slice(obs, config, sizes[c], rng, label=name, unread=np.flatnonzero(~unrecorded[c]))
-        served = by_cell[ends[c] - sizes[c] : ends[c]]
+        rows = requests.rows(c)
         # without replacement: the same order and RNG state as rng.shuffle(pool, axis=0), far faster
-        out[rows[served]] = pool[pick[served] if config.replacement_policy == "with" else rng.permutation(sizes[c])]
+        out[rows] = pool[out[rows, 0].astype(np.intp) if with_replacement else rng.permutation(sizes[c])]

@@ -142,7 +142,7 @@ def test_accepted_csv_is_imputed_or_rejected_with_cause(table):
 @settings(max_examples=10, deadline=None)
 @given(table=long_csvs())
 def test_accepted_csv_across_writer_chunks(table):
-    with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 1):
+    with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 1), mock.patch.object(tsmote.data, "_WRITE_ROWS", 1):
         check_imputed_or_rejected(table)
 
 

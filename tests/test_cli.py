@@ -270,12 +270,15 @@ def test_in_process_impute_leaves_no_process(golden_runs, tmp_path):
     ["compare-imputers", "--reps", "1"],
 ], ids=["tsmote", "slice_mean", "slice_median", "compare-imputers"])
 def test_impute_does_not_import_numpy_ma(golden_runs, tmp_path, run_python, args):
-    # np.unique, np.median and np.nanmedian import numpy.ma, about 13 ms and 0.6 MB of every run
+    # np.unique, np.median and np.nanmedian import numpy.ma, about 13 ms and 0.6 MB of every run;
+    # a baseline draws nothing, and numpy.random costs 5.5 MB of RSS (secrets -> hashlib -> libcrypto)
     argv = [str(golden_runs / "demo-0" / "train.csv") if a == "TRAIN" else a for a in args] + ["-o", "out"]
     res = run_python(["-c", "import sys; from tsmote import cli; "
-                      f"code = cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)"], tmp_path)
+                      f"code = cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules, "
+                      "'numpy.random' in sys.modules)"], tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "0 False"
+    draws = args[0] == "compare-imputers" or args[-1] == "tsmote"
+    assert res.stdout.splitlines()[-1] == f"0 False {draws}"
 
 
 def fit_logistic_but_fail(X, y):

@@ -416,6 +416,18 @@ class TestImputedTensor:
         with pytest.raises(ValueError, match="fixed_prefix_len 2 must lie between 0 and the 1 features"):
             ImputedTensor(("a",), np.array([0.0, 1.0]), np.zeros((1, 2, 1)), fixed_prefix_len=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 7, 23])
+    def test_one_nonfinite_value_is_rejected(self, bad, at):
+        # the check reads only the extremes, through which NaN propagates
+        data = np.linspace(-5.0, 5.0, 24)
+        data[at] = bad
+        with pytest.raises(ValueError, match="must not contain nulls or infinite values"):
+            ImputedTensor(("a", "b"), np.arange(3.0), data.reshape(2, 3, 4))
+
+    def test_empty_tensor_accepted(self):
+        assert ImputedTensor((), np.array([0.0, 1.0]), np.zeros((0, 2, 3))).shape == (0, 2, 3)
+
     def test_names_and_labels_match_the_data(self):
         # a short header over wider rows, or labels for other samples, would reach the writers
         data = np.zeros((2, 1, 2))
@@ -507,16 +519,16 @@ class TestWriteTensor:
     def test_bytes_match_old_writers(self, tmp_path_factory, tensor, grid_meta):
         root = tmp_path_factory.mktemp("tensor")
         # 5 rows per chunk: 1 to 5 samples each, so samples cross chunk seams
-        with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 5):
+        with mock.patch.object(tsmote.data, "_CHUNK_ROWS", 5), mock.patch.object(tsmote.data, "_WRITE_ROWS", 5):
             expected_json = old_tensor_writers(tensor, root / "old.csv", grid_meta)
             write_tensor_csv(tensor, root / "new.csv", root / "new.json", grid_meta)
         assert (root / "new.json").read_bytes() == expected_json.encode()
         assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
 
     def test_split_write_matches_old_writers(self, tmp_path):
-        # 4 chunks of 128 samples at the real chunk size; ids and labels need quoting
+        # 8 chunks of 64 samples at the real chunk size; ids and labels need quoting
         n_d, n_t, n_f = 500, 64, 2
-        assert -(-n_d // (tsmote.data._CHUNK_ROWS // n_t)) == 4
+        assert -(-n_d // (tsmote.data._WRITE_ROWS // n_t)) == 8
         tensor = ImputedTensor(
             sample_ids=tuple(f'id,{i}"' for i in range(n_d)),
             grid_times=np.linspace(0.0, 6.0, n_t),
@@ -545,7 +557,7 @@ class TestWriteTensor:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 2)  # one sample per chunk: 3 chunks
+        monkeypatch.setattr(tsmote.data, "_WRITE_ROWS", 2)  # one sample per chunk: 3 chunks
         tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.arange(6.0).reshape(3, 2, 1))
         write_tensor_csv(tensor, tmp_path / "imputed.csv", tmp_path / "imputed.json", {})
         (call,) = submitted
@@ -562,7 +574,7 @@ class TestWriteTensor:
             return PROCESS_POOL(*args, mp_context=started[-1], **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
-        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 12)  # 3 samples of 4 slices per chunk: 4 chunks
+        monkeypatch.setattr(tsmote.data, "_WRITE_ROWS", 12)  # 3 samples of 4 slices per chunk: 4 chunks
         n_d, n_t, n_f = 10, 4, 3
         tensor = ImputedTensor(
             sample_ids=tuple(f'id,{i}"' for i in range(n_d)),
@@ -580,7 +592,7 @@ class TestWriteTensor:
 
     def test_worker_failure_raises_and_cleans_up(self, tmp_path, monkeypatch):
         tensor = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.zeros((3, 2, 1)))
-        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 2)  # one sample per chunk: 3 chunks
+        monkeypatch.setattr(tsmote.data, "_WRITE_ROWS", 2)  # one sample per chunk: 3 chunks
         monkeypatch.setattr(tsmote.data, "_write_chunks", write_chunks_but_fail_in_worker)
         with pytest.raises(OSError, match="planted failure in the worker"):
             write_tensor_csv(tensor, tmp_path / "imputed.csv", tmp_path / "imputed.json", {})
@@ -593,7 +605,7 @@ class TestWriteTensor:
         csv_path, json_path = tmp_path / "imputed.csv", tmp_path / "imputed.json"
         write_tensor_csv(tensor, csv_path, json_path, {})
         before = csv_path.read_bytes(), json_path.read_bytes()
-        monkeypatch.setattr(tsmote.data, "_CHUNK_ROWS", 2)
+        monkeypatch.setattr(tsmote.data, "_WRITE_ROWS", 2)
         monkeypatch.setattr(tsmote.data, "_write_chunks", write_chunks_but_fail_in_worker)
         changed = ImputedTensor(("a", "b", "c"), np.array([0.0, 1.0]), np.ones((3, 2, 1)))
         with pytest.raises(OSError, match="planted failure in the worker"):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from tsmote import imputation, synthesis
 from tsmote.data import TimeSeriesDataset, write_tensor_csv
-from tsmote.imputation import METHODS, ImputationConfig, impute_dataset, request_table
+from tsmote.imputation import METHODS, ImputationConfig, impute_dataset
 from tsmote.oscillator import generate_two_class_experiment
-from tsmote.slicing import MIDPOINT, SliceGrid, SliceGridError, assign_slices, build_slice_grid, cell_blocks
+from tsmote.slicing import (
+    MIDPOINT, Requests, SliceGrid, SliceGridError, assign_slices, build_slice_grid, cell_blocks,
+)
 from tsmote.synthesis import SynthesisConfig, SynthesisError, synthesize_slice
 
 # five unit slices over [0, 5): an observation at time t lands in slice floor(t)
@@ -140,8 +142,7 @@ class TestFillMissing:
         for policy in ("with", "without"):
             syn = SynthesisConfig(replacement_policy=policy)
             # nothing is requested, so the pool is built empty
-            *_, cells = request_table(ds, GRID5.n_slices, assign_slices(ds, GRID5))
-            assert cells.size == 0
+            assert Requests(ds, GRID5.n_slices, assign_slices(ds, GRID5)).sizes.sum() == 0
             t = impute_dataset(ds, GRID5, synthesis_config=syn)
             np.testing.assert_array_equal(t.data, ds.values.reshape(3, 5, 2))
 
@@ -320,8 +321,9 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
         made.append(synthesize(*args, **kwargs))
         return made[-1]
 
-    def record_served(dataset, n_slices, assignment, cells, rows, out, config):
-        generate(dataset, n_slices, assignment, cells, rows, out, config)
+    def record_served(dataset, n_slices, assignment, requests, out, config):
+        generate(dataset, n_slices, assignment, requests, out, config)
+        rows, cells = map(np.concatenate, zip(*requests.blocks()))
         served.append((cells, out[rows]))
 
     monkeypatch.setattr(synthesis, "synthesize_slice", record_made)
@@ -350,24 +352,8 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
         np.testing.assert_array_equal(by_rows(drawn), by_rows(np.concatenate(made)))
 
 
-@pytest.mark.parametrize("method, policy", [("tsmote", "with"), ("tsmote", "without"), ("slice_median", "with")])
-def test_fill_holds_about_one_tensor(method, policy):
-    """The draws go straight into the tensor's buffer, with no request-length float copy.
-
-    1 000 samples of 6 rows in 100 slices, 2 classes, an age prefix and 20% of
-    rows with a null: 94% of the 100 000 slots are requests. Under tracemalloc
-    the peak was 3.8-4.0 times the tensor's 2.4 MB when the draws were gathered
-    into a request-ordered copy and scattered, and 1.9-2.5 times filled in place.
-    """
-    n, m = 1000, 6
-    rng = np.random.default_rng(0)
-    values = rng.normal(size=(n * m, 3))
-    values[:, 0] = np.repeat(rng.integers(20, 80, n), m)
-    values[rng.random(n * m) < 0.2, 1 + rng.integers(0, 2)] = np.nan
-    ds = TimeSeriesDataset(tuple(f"s{i}" for i in range(n)), np.arange(0, n * m + 1, m),
-                           np.sort(rng.uniform(0, 10, (n, m)), axis=1).ravel(), values,
-                           labels=tuple("ab"[i % 2] for i in range(n)), fixed_prefix_len=1)
-    grid = build_slice_grid(ds, 100)
+def fill_peak(ds, grid, method, policy):
+    """The tracemalloc peak of one ``impute_dataset`` call, and the tensor it returns."""
     syn = SynthesisConfig(replacement_policy=policy)
     imp = ImputationConfig(method=method, allow_null_feature_imputation=True)
     impute_dataset(ds, grid, synthesis_config=syn, imputation_config=imp)  # the dataset's cached arrays
@@ -377,8 +363,52 @@ def test_fill_holds_about_one_tensor(method, policy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, tensor
+
+
+FILL_CASES = [("tsmote", "with"), ("tsmote", "without"), ("slice_median", "with")]
+
+
+@pytest.mark.parametrize("method, policy", FILL_CASES)
+def test_fill_holds_about_one_tensor(method, policy):
+    """The draws go straight into the tensor's buffer, and no request-length table is kept.
+
+    1 000 samples of 6 rows in 100 slices, 2 classes, an age prefix and 20% of
+    rows with a null: 94% of the 100 000 slots are requests. Under tracemalloc
+    the peak was 3.8-4.0 times the tensor's 2.4 MB when the draws were gathered
+    into a request-ordered copy and scattered, 1.9-2.5 times with a request
+    table beside the buffer, and 1.2-1.4 times with each cell's rows listed
+    from the slot mask.
+    """
+    n, m = 1000, 6
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(n * m, 3))
+    values[:, 0] = np.repeat(rng.integers(20, 80, n), m)
+    values[rng.random(n * m) < 0.2, 1 + rng.integers(0, 2)] = np.nan
+    ds = TimeSeriesDataset(tuple(f"s{i}" for i in range(n)), np.arange(0, n * m + 1, m),
+                           np.sort(rng.uniform(0, 10, (n, m)), axis=1).ravel(), values,
+                           labels=tuple("ab"[i % 2] for i in range(n)), fixed_prefix_len=1)
+    peak, tensor = fill_peak(ds, build_slice_grid(ds, 100), method, policy)
     assert tensor.data.nbytes == 2_400_000
-    assert peak < 3 * tensor.data.nbytes, peak
+    assert peak < 1.6 * tensor.data.nbytes, peak
+
+
+@pytest.mark.parametrize("method, policy", FILL_CASES)
+def test_dense_fill_holds_about_two_tensors(method, policy):
+    """The tsmote-dense benchmark's shape: 5 000 samples of 5 to 20 rows in 50 slices, 2 features.
+
+    The dataset's values are a quarter of the tensor's 4 MB. Under tracemalloc
+    the peak was 2.8-3.6 times the tensor with a request table beside the
+    buffer, and 2.1 times without.
+    """
+    rng = np.random.default_rng(1)
+    m = rng.integers(5, 21, 5000)
+    ds = TimeSeriesDataset(tuple(f"s{i}" for i in range(5000)), np.concatenate(([0], np.cumsum(m))),
+                           np.concatenate([np.sort(rng.uniform(0, 2 * np.pi, k)) for k in m]),
+                           rng.normal(size=(m.sum(), 2)), labels=tuple(("w2", "w4")[i % 2] for i in range(5000)))
+    peak, tensor = fill_peak(ds, build_slice_grid(ds, 50), method, policy)
+    assert tensor.data.nbytes == 4_000_000
+    assert peak < 2.5 * tensor.data.nbytes, peak
 
 
 def reference_impute(dataset, grid, syn, imp, reshape):

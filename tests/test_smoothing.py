@@ -1,5 +1,8 @@
 """Tests for nonuniform Savitzky-Golay smoothing."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from tsmote.data import ImputedTensor, TimeSeriesDataset
 from tsmote.imputation import ImputationConfig, impute_dataset
 from tsmote.oscillator import generate_two_class_experiment
 from tsmote.slicing import build_slice_grid
+from tsmote import smoothing
 from tsmote.smoothing import SmoothingConfig, smooth_tensor, smoothing_matrix
 
 
@@ -20,6 +24,11 @@ def random_grid(rng, n, lo=0.0, hi=10.0):
 def savgol(t, y, config):
     """One series through the filter's matrix, the operator ``smooth_tensor`` applies."""
     return smoothing_matrix(t, config.window, config.poly_order) @ y
+
+
+def smooth_copy(tensor, config):
+    """``smooth_tensor`` on a copy of ``tensor``, which it would overwrite."""
+    return smooth_tensor(dataclasses.replace(tensor, data=tensor.data.copy()), config)
 
 
 class TestConfig:
@@ -152,7 +161,7 @@ def poly_tensor(rng, n_samples=4, n_t=50, n_feat=2, degree=5):
 class TestSmoothTensor:
     def test_polynomial_tensor_reproduced(self):
         tensor = poly_tensor(np.random.default_rng(6))
-        out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5))
+        out = smooth_copy(tensor, SmoothingConfig(window=25, poly_order=5))
         np.testing.assert_allclose(out.data, tensor.data, rtol=1e-8, atol=1e-8)
         np.testing.assert_array_equal(out.grid_times, tensor.grid_times)
 
@@ -163,7 +172,7 @@ class TestSmoothTensor:
         noisy[:, :, 0] = 42.0  # a fixed feature: constant per sample
         noisy[:, :, 1] += rng.standard_normal(noisy[:, :, 1].shape)
         tensor = ImputedTensor(tensor.sample_ids, tensor.grid_times, noisy, fixed_prefix_len=1)
-        out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5))
+        out = smooth_copy(tensor, SmoothingConfig(window=25, poly_order=5))
         assert out.fixed_prefix_len == 1
         np.testing.assert_array_equal(out.data[:, :, 0], noisy[:, :, 0])
         assert not np.array_equal(out.data[:, :, 1], noisy[:, :, 1])
@@ -180,7 +189,7 @@ class TestSmoothTensor:
         tensor = impute_dataset(dataset, build_slice_grid(dataset, 200),
                                 imputation_config=ImputationConfig(method="slice_mean"))
         assert tensor.fixed_prefix_len == 1
-        out = smooth_tensor(tensor, SmoothingConfig(window=25, poly_order=5))
+        out = smooth_copy(tensor, SmoothingConfig(window=25, poly_order=5))
         np.testing.assert_array_equal(out.data[:, :, 0], tensor.data[:, :, 0])
         assert not np.array_equal(out.data[:, :, 1:], tensor.data[:, :, 1:])
 
@@ -197,9 +206,43 @@ class TestSmoothTensor:
             t = random_grid(rng, n_t)
             data = rng.standard_normal((int(rng.integers(1, 30)), n_t, n_feat)) * 10.0 ** rng.integers(-3, 4)
             tensor = ImputedTensor(tuple(f"s{i}" for i in range(len(data))), t, data, fixed_prefix_len=fixed)
-            out = smooth_tensor(tensor, config).data
+            out = smooth_copy(tensor, config).data
             S = smoothing_matrix(t, config.window, config.poly_order)
             np.testing.assert_array_equal(out[..., :fixed], data[..., :fixed])
             for f in range(fixed, n_feat):
                 reference = np.einsum("ts,ns->nt", S, data[..., f])
                 np.testing.assert_allclose(out[..., f], reference, rtol=0, atol=1e-12 * np.abs(data).max())
+
+    def test_blockwise_equals_one_matmul(self, monkeypatch):
+        # 700 samples of 50 slices: 4 blocks of 163 samples and one of 48
+        rng = np.random.default_rng(11)
+        t = random_grid(rng, 50)
+        data = rng.standard_normal((700, 50, 3)) * 10.0 ** rng.integers(-3, 4, (700, 1, 3))
+        assert -(-700 // (smoothing._BLOCK // 50)) == 5
+        tensor = ImputedTensor(tuple(f"s{i}" for i in range(700)), t, data.copy(), fixed_prefix_len=1)
+        config = SmoothingConfig(window=25, poly_order=5)
+        whole = np.matmul(smoothing_matrix(t, config.window, config.poly_order), data)
+        whole[..., :1] = data[..., :1]
+        out = smooth_tensor(tensor, config)
+        assert out.data is tensor.data  # overwritten in place
+        assert out.data.tobytes() == whole.tobytes()
+        monkeypatch.setattr(smoothing, "_BLOCK", 1)  # a sample per block
+        assert smooth_copy(ImputedTensor(tensor.sample_ids, t, data.copy(), fixed_prefix_len=1),
+                           config).data.tobytes() == whole.tobytes()
+
+    def test_holds_a_block_beside_the_tensor(self):
+        # 2 000 samples of 200 slices and 3 features, the sparse-nulls benchmark's tensor:
+        # a whole-tensor matmul held a second 9.6 MB tensor and a finiteness mask
+        rng = np.random.default_rng(12)
+        t = random_grid(rng, 200)
+        tensor = ImputedTensor(tuple(f"s{i}" for i in range(2000)), t, rng.standard_normal((2000, 200, 3)),
+                               fixed_prefix_len=1)
+        config = SmoothingConfig(window=25, poly_order=5)
+        smoothing_matrix(t, config.window, config.poly_order)  # warm up numpy.linalg
+        tracemalloc.start()
+        try:
+            smooth_tensor(tensor, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * tensor.data.nbytes, peak

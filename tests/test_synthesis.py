@@ -1,16 +1,18 @@
 """Tests for nearest-neighbor search, slice synthesis, and pool generation."""
 
+import dataclasses
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tsmote import slicing
 from tsmote.data import TimeSeriesDataset
-from tsmote.imputation import request_table
-from tsmote.slicing import assign_slices, build_slice_grid
+from tsmote.slicing import Requests, assign_slices, build_slice_grid
 from tsmote.synthesis import (
     LambdaSpec,
     SynthesisConfig,
@@ -254,19 +256,42 @@ def reference_pool(ds, n_slices, assignment, cells, config):
     return np.array(out).reshape(len(cells), ds.n_features)
 
 
-def served(ds, grid, a, cells, config, rows=None):
-    """The vector ``generate_pool`` serves each request, written to ``rows`` (default: in request order)."""
-    rows = np.arange(len(cells)) if rows is None else rows
-    out = np.full((len(cells), ds.n_features), np.inf)
-    generate_pool(ds, grid.n_slices, a, cells, rows, out, config)
-    return out[rows]
+def serving_order(ds, n_slices, a):
+    """Oracle: each request's buffer row and (class, slice) cell, sample by sample: the rows
+    that hold a null once the prefix is pinned, in row order, then the empty slots in slice order."""
+    n_slots, rows, cells = ds.n_samples * n_slices, [], []
+    pinned = ds.values.copy()
+    pinned[:, : ds.fixed_prefix_len] = ds.fixed_values[ds.row_sample]
+    null_rows = list(np.flatnonzero(np.isnan(pinned).any(axis=1)))
+    for i in range(ds.n_samples):
+        cell = ds.class_codes[i] * n_slices
+        for r in range(ds.offsets[i], ds.offsets[i + 1]):
+            if r in null_rows:
+                rows.append(n_slots + null_rows.index(r))
+                cells.append(cell + a[r])
+        for si in sorted(set(range(n_slices)) - set(a[ds.offsets[i] : ds.offsets[i + 1]])):
+            rows.append(i * n_slices + si)
+            cells.append(cell + si)
+    return np.array(rows, dtype=np.intp), np.array(cells, dtype=np.intp)
 
 
 def pool_for(ds, grid, config):
-    """The requests' cells in a tsmote impute, and the vectors the pool serves them."""
+    """The requests' cells in a tsmote impute, and the vectors the pool serves them, in serving order."""
     a = assign_slices(ds, grid)
-    *_, cells = request_table(ds, grid.n_slices, a)
-    return cells, served(ds, grid, a, cells, config)
+    requests = Requests(ds, grid.n_slices, a)
+    out = np.full((requests.n_rows, ds.n_features), np.inf)
+    generate_pool(ds, grid.n_slices, a, requests, out, config)
+    rows, cells = serving_order(ds, grid.n_slices, a)
+    return cells, out[rows]
+
+
+def with_nulls(ds, rate, seed):
+    """``ds`` with each row's x or y (never both) left null with probability ``rate``."""
+    rng = np.random.default_rng(seed)
+    values = ds.values.copy()
+    hit = np.flatnonzero(rng.random(len(values)) < rate)
+    values[hit, rng.integers(0, 2, hit.size)] = np.nan
+    return dataclasses.replace(ds, values=values)
 
 
 class TestGeneratePool:
@@ -335,18 +360,45 @@ class TestGeneratePool:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    requests=st.lists(st.integers(0, 5), max_size=40),
+    n_obs=st.integers(2, 4),
+    null_rate=st.sampled_from([0.0, 0.2]),
     policy=st.sampled_from(["with", "without"]),
     seed=st.integers(0, 2**32 - 1),
-    shuffle=st.booleans(),
+    one_sample_blocks=st.booleans(),
 )
-def test_serve_matches_one_request_at_a_time(requests, policy, seed, shuffle):
-    """Batched serving gives the vectors of one-by-one draws, in any request order,
-    each written to its request's row of the output."""
-    ds = two_class_dataset(n_per_class=8)
+def test_serve_matches_one_request_at_a_time(n_obs, null_rate, policy, seed, one_sample_blocks):
+    """Serving a cell at a time gives the vectors of one-by-one draws in serving order, however
+    many samples' with-replacement draws are made at once."""
+    ds = with_nulls(two_class_dataset(n_per_class=8, n_obs=n_obs, seed=seed % 5), null_rate, seed)
     grid = build_slice_grid(ds, 3)
-    a = assign_slices(ds, grid)
-    cells = np.array(requests, dtype=np.intp)
     config = SynthesisConfig(k_neighbors=2, seed=seed, replacement_policy=policy)
-    rows = np.random.default_rng(seed).permutation(len(cells)) if shuffle else None
-    np.testing.assert_array_equal(served(ds, grid, a, cells, config, rows), reference_pool(ds, 3, a, cells, config))
+    try:
+        with mock.patch.object(slicing, "_BLOCK", 1 if one_sample_blocks else slicing._BLOCK):
+            cells, got = pool_for(ds, grid, config)
+        want = reference_pool(ds, 3, assign_slices(ds, grid), cells, config)
+    except SynthesisError:
+        assume(False)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 40, slicing._BLOCK])
+def test_requests_list_the_serving_order(monkeypatch, block):
+    """``blocks`` lists every request in serving order, ``rows`` each cell's share of it, and
+    ``sizes`` counts them; a row whose never-recorded prefix is pinned to NaN asks too."""
+    ds = with_nulls(two_class_dataset(n_per_class=40, n_obs=6), 0.2, 1)
+    values = ds.values.copy()
+    values[ds.offsets[3] : ds.offsets[4], 0] = np.nan  # sample 3 never records its prefix
+    ds = dataclasses.replace(ds, values=values, fixed_prefix_len=1)
+    grid = build_slice_grid(ds, 10)
+    a = assign_slices(ds, grid)
+    monkeypatch.setattr(slicing, "_BLOCK", block)  # 1: a sample per block; 40: 4 samples
+    rows, cells = serving_order(ds, 10, a)
+    requests = Requests(ds, 10, a)
+    got_rows, got_cells = map(np.concatenate, zip(*requests.blocks()))
+    np.testing.assert_array_equal(got_rows, rows)
+    np.testing.assert_array_equal(got_cells, cells)
+    np.testing.assert_array_equal(requests.sizes, np.bincount(cells, minlength=20))
+    for c in range(20):
+        np.testing.assert_array_equal(requests.rows(c), rows[cells == c])
+    assert requests.n_rows == ds.n_samples * 10 + len(requests.null_rows)
+    assert set(range(ds.offsets[3], ds.offsets[4])) <= set(requests.null_rows)
