@@ -170,7 +170,7 @@ def cmd_demo_oscillator(args) -> int:
               [np.array(train.ids, dtype=object)[owner], np.array(train.labels, dtype=object)[owner],
                train.times, train.times - exp.grid.t_min, assignment, *train.values.T])
 
-    # the vectors a tsmote impute of the training set draws, cell by cell in pool order
+    # the vectors a tsmote impute of the training set draws, cell by cell, in the order its requests take them
     n_slices = exp.grid.n_slices
     requests = Requests(train, n_slices, assignment)
     buf = np.empty((requests.n_rows, train.n_features))

@@ -52,17 +52,21 @@ def _slice_statistics(
     n_slices: int,
     assignment: np.ndarray,
     method: str,
+    unrecorded: np.ndarray,
 ) -> np.ndarray:
     """(n_cells, F) featurewise mean or median of each (class, slice) cell's observed values.
 
-    An empty cell, or one that never observes a feature, raises ``ValueError``; the
-    first such cell in cell order is the one named.
+    An empty cell, or one that never observes a feature its fill reads, raises
+    ``ValueError``; the first such cell in cell order is the one named. A cell reads
+    every feature after the fixed prefix and the prefix columns ``unrecorded``
+    (``Requests.unrecorded``) marks; an unread prefix column with no values gets 0.
     """
-    stats = []
-    for _, name, rows in cell_blocks(dataset, n_slices, assignment):
+    stats, n_fix = [], dataset.fixed_prefix_len
+    for c, name, rows in cell_blocks(dataset, n_slices, assignment):
         seen = (~np.isnan(rows)).sum(axis=0)
-        if not seen.all():
+        if (seen[n_fix:] == 0).any() or (seen[:n_fix] == 0)[unrecorded[c]].any():
             raise ValueError(f"{name} has a feature with no observed values")
+        rows[:, seen == 0] = 0.0  # unread: no mean of an empty column to warn of
         if method == SLICE_MEAN:
             stats.append(np.nanmean(rows, axis=0))
             continue
@@ -85,9 +89,10 @@ def impute_dataset(
     ``assignment`` is the (N,) slice index of every row, as ``assign_slices``
     returns it; it is computed when omitted, must lie in ``[0, grid.n_slices)``,
     and may not go down within a sample, as no slice grid's does.
-    ``synthesis_config.seed`` seeds both the pool and, under
-    ``replacement_policy="with"``, the draws from it. The returned tensor's grid
-    times are ``grid.data_grid_times()``.
+    ``synthesis_config.seed`` seeds each (class, slice) cell's pool and the cell's
+    draws from it. Under tsmote, rows that still hold a null once the fixed prefix
+    is pinned need ``allow_null_feature_imputation``; a prefix null that pinning
+    fills does not. The returned tensor's grid times are ``grid.data_grid_times()``.
     """
     imp = imputation_config or ImputationConfig()
     syn = synthesis_config or SynthesisConfig()
@@ -104,20 +109,20 @@ def impute_dataset(
     n_fix = dataset.fixed_prefix_len
     first_rows = dataset.offsets[:-1]
 
-    if imp.method == TSMOTE and np.isnan(dataset.values).any() and not imp.allow_null_feature_imputation:
+    requests = Requests(dataset, n_t, assignment)
+    null_rows = requests.null_rows
+    if imp.method == TSMOTE and len(null_rows) and not imp.allow_null_feature_imputation:
         raise ValueError(
             "dataset contains null feature entries; imputing them samples each feature "
             "from its marginal distribution, which destroys cross-feature correlations. "
             "Set allow_null_feature_imputation=True only if the features are independent."
         )
-    requests = Requests(dataset, n_t, assignment)
-    null_rows = requests.null_rows
     n_slots = n_d * n_t
     buf = np.empty((requests.n_rows, n_f))
     if imp.method == TSMOTE:
         generate_pool(dataset, n_t, assignment, requests, buf, syn)
     else:
-        for c, stat in enumerate(_slice_statistics(dataset, n_t, assignment, imp.method)):
+        for c, stat in enumerate(_slice_statistics(dataset, n_t, assignment, imp.method, requests.unrecorded)):
             buf[requests.rows(c)] = stat
     del requests
     values = dataset.values.copy()  # each sample's fixed prefix pinned to its value

@@ -151,9 +151,6 @@ def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarra
         yield c, f"class={lab!r} slice={si}", rows
 
 
-_BLOCK = 8192  # slots whose requests ``Requests.blocks`` lists at a time
-
-
 class Requests:
     """The draws a fill makes: one for each null-bearing row and each empty (sample, slice) slot.
 
@@ -161,18 +158,18 @@ class Requests:
     then one for each of ``null_rows``, the rows that still hold a null once the
     fixed prefix is pinned to the sample's value. Requests are served sample by
     sample: its null-bearing rows in row order, then its empty slots in slice
-    order. No request table is kept: ``rows`` lists one cell's buffer rows and
-    ``blocks`` a few samples' requests at a time, from the ``occupied`` slot mask.
-    ``sizes`` counts each (class, slice) cell's requests, numbered as ``cell_index``.
+    order. No request table is kept: ``rows`` lists one cell's buffer rows from
+    the ``occupied`` slot mask. ``sizes`` counts each (class, slice) cell's
+    requests, numbered as ``cell_index``, and ``unrecorded`` marks the prefix
+    columns each cell's fill reads: those of a sample there that never records one.
     """
 
     def __init__(self, dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
-        owner, fix = dataset.row_sample, dataset.fixed_prefix_len
-        self.dataset, self.n_slices, self.n_slots = dataset, n_slices, dataset.n_samples * n_slices
+        owner, fix, never = dataset.row_sample, dataset.fixed_prefix_len, np.isnan(dataset.fixed_values)
+        self.n_slices, self.n_slots = n_slices, dataset.n_samples * n_slices
         self.occupied = np.zeros((dataset.n_samples, n_slices), dtype=bool)
         self.occupied[owner, assignment] = True
-        self.null_rows = np.flatnonzero(
-            np.isnan(dataset.values[:, fix:]).any(axis=1) | np.isnan(dataset.fixed_values).any(axis=1)[owner])
+        self.null_rows = np.flatnonzero(np.isnan(dataset.values[:, fix:]).any(axis=1) | never.any(axis=1)[owner])
         self.n_rows = self.n_slots + len(self.null_rows)  # rows in the fill's buffer
         self.null_owner = owner[self.null_rows]
         self.null_cells = cell_index(dataset, self.null_owner, assignment[self.null_rows], n_slices)
@@ -181,6 +178,10 @@ class Requests:
         self.sizes = np.concatenate([len(m) - self.occupied[m].sum(axis=0) for m in self.members]) + n_nulls
         self.null_ends = np.cumsum(n_nulls)
         self.by_cell = np.argsort(self.null_cells, kind="stable")  # each cell's null-bearing rows, in row order
+        # every row of a sample that never records a prefix feature is null-bearing
+        r, f = np.nonzero(never[self.null_owner])
+        self.unrecorded = np.zeros((len(self.sizes), fix), dtype=bool)
+        self.unrecorded[self.null_cells[r], f] = True
 
     def rows(self, c: int) -> np.ndarray:
         """Cell ``c``'s buffer rows in serving order, which is sample order: a sample asks
@@ -192,17 +193,6 @@ class Requests:
         nulls = self.by_cell[self.null_ends[c] - (self.sizes[c] - len(empty)) : self.null_ends[c]]
         rows = np.concatenate((self.n_slots + nulls, empty * self.n_slices + s))
         return rows[np.argsort(np.concatenate((self.null_owner[nulls], empty)), kind="stable")]
-
-    def blocks(self):
-        """Yield ``(rows, cells)``, the buffer rows and cells of a few samples' requests, in serving order."""
-        n_t = self.n_slices
-        step = max(1, _BLOCK // n_t)
-        for lo in range(0, len(self.occupied), step):
-            empty = lo * n_t + np.flatnonzero(~self.occupied[lo : lo + step])
-            a, b = np.searchsorted(self.null_owner, (lo, lo + step))
-            at = np.searchsorted(empty, self.null_owner[a:b] * n_t)  # before the sample's first empty slot
-            yield (np.insert(empty, at, self.n_slots + np.arange(a, b)),
-                   np.insert(cell_index(self.dataset, *np.divmod(empty, n_t), n_t), at, self.null_cells[a:b]))
 
 
 def build_slice_grid(

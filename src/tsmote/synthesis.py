@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .slicing import Requests, cell_blocks, cell_index
+from .slicing import Requests, cell_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -192,7 +192,8 @@ def synthesize_slice(
     ``slice_obs`` is an (n_obs, n_features) array with NaN marking nulls.
     Every generated component lies in the closed interval between its seed
     and neighbor values, hence within the column's observed range. A column in
-    ``unread`` is left NaN but still draws its weights, keeping the others' values.
+    ``unread`` is left NaN, needs no values, and still draws its weights, keeping
+    the others' values.
     """
     obs = np.asarray(slice_obs, dtype=float)
     if obs.ndim != 2:
@@ -204,7 +205,7 @@ def synthesize_slice(
 
     col_valid = [np.flatnonzero(~np.isnan(obs[:, f])) for f in range(n_feat)]
     for f, idx in enumerate(col_valid):
-        if idx.size < 2:
+        if idx.size < 2 and f not in unread:
             where = f" in {label}" if label else ""
             raise SynthesisError(
                 f"feature {f}{where} has {idx.size} non-null values; need at least 2"
@@ -240,29 +241,18 @@ def generate_pool(
     and ``requests`` the ``slicing.Requests`` it gives. Each (class, slice) cell
     makes as many vectors as it has requests; one with none needs no usable
     column. A cell generates from its own RNG stream keyed by (seed, class,
-    slice), so its vectors do not depend on the other cells. Without replacement
-    the cell's vectors are put in a random order drawn from the same stream, and
-    a cell's n-th request takes its n-th vector, so every vector is taken once.
-    With replacement a request takes a uniformly drawn vector of its cell, from
-    one ``integers`` stream on ``default_rng(seed)`` in serving order, drawn a few
-    samples at a time (the same values as one call per request); each pick waits
-    in column 0 of its request's row, which float64 holds exactly, until its cell
-    is filled. Neighbor search costs O(n log n) per column of an n-row cell (see
-    ``_neighbor_table``). A fixed-prefix column is left NaN in a cell without a
-    row of a sample that never records it: only such a row's fill reads the
-    pooled value.
+    slice), so its vectors do not depend on the other cells. The same stream
+    then picks the vector each of the cell's requests takes, in serving order:
+    a random order of the vectors without replacement, so every vector is taken
+    once, or uniform draws with replacement. Neighbor search costs O(n log n)
+    per column of an n-row cell (see ``_neighbor_table``). A fixed-prefix column
+    is left NaN, and may hold fewer than 2 values, in a cell that
+    ``requests.unrecorded`` says does not read it.
     """
-    sizes, with_replacement = requests.sizes, config.replacement_policy == "with"
-    if with_replacement:
-        rng = np.random.default_rng(config.seed)
-        for rows, cells in requests.blocks():
-            out[rows, 0] = rng.integers(0, sizes[cells])
-    r, f = np.nonzero(np.isnan(dataset.fixed_values)[dataset.row_sample])
-    unrecorded = np.zeros((len(sizes), dataset.fixed_prefix_len), dtype=bool)
-    unrecorded[cell_index(dataset, dataset.row_sample[r], assignment[r], n_slices), f] = True
+    with_replacement = config.replacement_policy == "with"
     for c, name, obs in cell_blocks(dataset, n_slices, assignment):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_slices)))
-        pool = synthesize_slice(obs, config, sizes[c], rng, label=name, unread=np.flatnonzero(~unrecorded[c]))
-        rows = requests.rows(c)
+        n = requests.sizes[c]
+        pool = synthesize_slice(obs, config, n, rng, label=name, unread=np.flatnonzero(~requests.unrecorded[c]))
         # without replacement: the same order and RNG state as rng.shuffle(pool, axis=0), far faster
-        out[rows] = pool[out[rows, 0].astype(np.intp) if with_replacement else rng.permutation(sizes[c])]
+        out[requests.rows(c)] = pool[rng.integers(0, n, n) if with_replacement else rng.permutation(n)]

@@ -196,8 +196,8 @@ GOLDEN_OUTPUT_SHA256 = {
     ("demo-1", "pool.csv"): "3d49add8ddbe4c16c2be048a0029a80bd386939fafbbfe52fe489fe5ee0fd403",
     ("slice", "assignment.csv"): "8a5270f9e374555ff1f706d3e68514e11a0a686f7e99f240addbbfa26c0b2bbc",
     ("compare", "comparison.csv"): "8d675527cfe267e2506d6995613f05cdb2398f5657632aa7407c681265c354c5",
-    ("impute-smooth", "imputed.csv"): "bbd51ce9dcbce7a9d0d0e04051542d6d122e63c790e170e0018150262dbf1733",
-    ("impute-smooth", "imputed.json"): "f202268e6bac171629d315bdaf282398096849f62b8439170dd5f294c195f2b4",
+    ("impute-smooth", "imputed.csv"): "2ceb6159517d0fdbd146d24a0d60cb875cc196b68862bb0f1e4652c313848b38",
+    ("impute-smooth", "imputed.json"): "07a731a31d1a580e3abcf20773ed91feb29494c71c47bd09b15255e94ade1759",
     ("impute-mean", "imputed.csv"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     ("impute-mean", "imputed.json"): "44588f0a592ac350cd6b0173573ae9a2bd0a8ef0ceb12ff091595a98c1cfa400",
 }
@@ -681,6 +681,27 @@ def test_unrecorded_fixed_feature_constant_under_baseline(tmp_path, run_cli):
     ages = {sid: {r[4] for r in rows if r[0] == sid} for sid in ("a", "b", "c", "g")}
     assert ages["a"] == {"40.0"} and ages["b"] == {"50.0"} and ages["c"] == {"70.0"}
     assert len(ages["g"]) == 1, ages["g"]
+
+
+def test_age_recorded_at_the_first_visit_imputes(golden_runs, tmp_path, run_cli):
+    # the demo training set with an age column recorded at each sample's first row only:
+    # most cells hold fewer than two ages, and none is read
+    with open(golden_runs / "demo-0" / "train.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    ages, out_rows = {}, []
+    for sid, time, label, *xy in rows:
+        age = "" if sid in ages else ages.setdefault(sid, str(40 + len(ages)))
+        out_rows.append([sid, time, label, age, *xy])
+    path = tmp_path / "age.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([[*header[:3], "age", *header[3:]], *out_rows])
+    out = tmp_path / "out"
+    res = run_cli(["impute", str(path), "--fixed", "1", "-o", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    with open(out / "imputed.csv", newline="") as fh:
+        imputed = list(csv.DictReader(fh))
+    assert len(imputed) == 50 * len(ages)
+    assert {(r["sample_id"], r["age"]) for r in imputed} == {(sid, f"{age}.0") for sid, age in ages.items()}
 
 
 def test_pinned_nulls_need_no_draws(tmp_path, run_cli):

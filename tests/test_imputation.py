@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tsmote import imputation, synthesis
@@ -307,6 +307,43 @@ class TestImputeDataset:
         assert changed.any()
 
 
+def test_another_class_leaves_the_draws_alone():
+    """Every cell draws from its own stream under replacement too: prepending samples of
+    a new class to the file leaves every other sample's rows bit for bit."""
+    exp = generate_two_class_experiment(0)
+    train = exp.train
+    copies = [i for i, lab in enumerate(train.labels) if lab == "w4"]
+    bounds = list(zip(train.offsets[:-1], train.offsets[1:]))
+    order = copies + list(range(train.n_samples))
+    ds = TimeSeriesDataset.from_segments(
+        [f"copy-{train.ids[i]}" for i in copies] + list(train.ids),
+        [train.times[a:b] for a, b in (bounds[i] for i in order)],
+        [train.values[a:b] for a, b in (bounds[i] for i in order)],
+        labels=["w9"] * len(copies) + list(train.labels),
+    )
+    syn = SynthesisConfig(replacement_policy="with")
+    alone = impute_dataset(train, exp.grid, synthesis_config=syn).data
+    beside = impute_dataset(ds, exp.grid, synthesis_config=syn).data
+    assert ds.classes == ("w2", "w4", "w9") and len(copies) > 0
+    assert beside[len(copies):].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_prefix_recorded_once_needs_no_flag(method):
+    """An age recorded at each sample's first visit only is pinned like one recorded on every
+    row: no flag, and the same tensor bytes, though many cells hold fewer than two ages."""
+    train = generate_two_class_experiment(0).train
+    age = np.repeat(40.0 + np.arange(train.n_samples), train.counts)
+    every = dataclasses.replace(train, values=np.column_stack((age, train.values)),
+                                feature_names=("age", *train.feature_names), fixed_prefix_len=1)
+    age[np.setdiff1d(np.arange(len(age)), train.offsets[:-1])] = np.nan
+    once = dataclasses.replace(every, values=np.column_stack((age, train.values)))
+    grid = build_slice_grid(every, 20)
+    imp = ImputationConfig(method=method)
+    want = impute_dataset(every, grid, imputation_config=imp).data
+    assert impute_dataset(once, grid, imputation_config=imp).data.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("policy", ["with", "without"])
 def test_pool_sized_to_the_requests_served(monkeypatch, policy):
     """Each cell makes as many vectors as the fill draws from it.
@@ -323,8 +360,8 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
 
     def record_served(dataset, n_slices, assignment, requests, out, config):
         generate(dataset, n_slices, assignment, requests, out, config)
-        rows, cells = map(np.concatenate, zip(*requests.blocks()))
-        served.append((cells, out[rows]))
+        cells = np.arange(len(requests.sizes))
+        served.append((np.repeat(cells, requests.sizes), out[np.concatenate([requests.rows(c) for c in cells])]))
 
     monkeypatch.setattr(synthesis, "synthesize_slice", record_made)
     monkeypatch.setattr(imputation, "generate_pool", record_served)
@@ -418,11 +455,20 @@ def reference_impute(dataset, grid, syn, imp, reshape):
     order, then its empty slots in slice order. Under tsmote a first pass
     counts each cell's draws, and each cell's pool is built from
     ``synthesize_slice`` with exactly that many vectors, on the cell's own
-    ``SeedSequence``; the second pass checks it draws each cell that often.
+    ``SeedSequence``, which then picks the vector each draw takes; the second
+    pass checks it draws each cell that often. A cell reads a fixed-prefix
+    column only where one of its samples never records that feature, so only
+    there must the column hold values.
     """
     a = assign_slices(dataset, grid)
-    n_t = grid.n_slices
+    n_t, n_fix = grid.n_slices, dataset.fixed_prefix_len
     labels = dataset.classes
+    reads = np.ones((len(labels) * n_t, dataset.n_features), dtype=bool)  # the columns each cell's fill reads
+    reads[:, :n_fix] = False
+    for i, lab in enumerate(dataset.labels):
+        lo, hi = dataset.offsets[i], dataset.offsets[i + 1]
+        for si in a[lo:hi]:
+            reads[labels.index(lab) * n_t + si, :n_fix] |= np.isnan(dataset.values[lo:hi, :n_fix]).all(axis=0)
 
     def cells():
         for c in range(len(labels) * n_t):
@@ -437,10 +483,10 @@ def reference_impute(dataset, grid, syn, imp, reshape):
     if imp.method != "tsmote":
         reduce = np.nanmean if imp.method == "slice_mean" else np.nanmedian
         stats = {}
-        for _, lab, si, rows in cells():
-            if np.isnan(rows).all(axis=0).any():
+        for c, lab, si, rows in cells():
+            if np.isnan(rows[:, reads[c]]).all(axis=0).any():
                 raise ValueError(f"class={lab!r} slice={si} has a feature with no observed values")
-            stats[lab, si] = reduce(rows, axis=0)
+            stats[lab, si] = reduce(np.where(reads[c], rows, 0.0), axis=0)
         return fill_per_sample(dataset, a, n_t, reshape, lambda lab, si: stats[lab, si])
 
     counts = np.zeros(len(labels) * n_t, dtype=np.intp)
@@ -453,16 +499,18 @@ def reference_impute(dataset, grid, syn, imp, reshape):
     pools = []
     for c, lab, si, rows in cells():
         rng = np.random.default_rng(np.random.SeedSequence(entropy=syn.seed, spawn_key=(c // n_t, si)))
-        pool = synthesize_slice(rows, syn, counts[c], rng, label=f"class={lab!r} slice={si}")
-        pools.append(pool if syn.replacement_policy == "with" else pool[rng.permutation(counts[c])])
-    rng = np.random.default_rng(syn.seed)
+        pool = synthesize_slice(rows, syn, counts[c], rng, label=f"class={lab!r} slice={si}",
+                                unread=np.flatnonzero(~reads[c]))
+        if syn.replacement_policy == "with":
+            pools.append([pool[int(rng.integers(counts[c]))] for _ in range(counts[c])])
+        else:
+            pools.append(pool[rng.permutation(counts[c])])
     cursor = np.zeros_like(counts)
 
     def draw(lab, si):
         c = labels.index(lab) * n_t + si
-        pick = int(rng.integers(counts[c])) if syn.replacement_policy == "with" else cursor[c]
         cursor[c] += 1
-        return pools[c][pick]
+        return pools[c][cursor[c] - 1]
 
     rows = fill_per_sample(dataset, a, n_t, reshape, draw)
     np.testing.assert_array_equal(cursor, counts)  # every cell drawn exactly its size
@@ -516,7 +564,8 @@ def test_cell_medians_match_nanmedian(n_samples, n_slices, null_rate):
     expected = np.array([np.nanmedian(rows, axis=0) for _, _, rows in cell_blocks(ds, n_slices, a)])
     sizes = [len(rows) for _, _, rows in cell_blocks(ds, n_slices, a)]
     assert {n % 2 for n in sizes} == {0, 1} and (min(sizes) >= 600) == (n_slices == 2)
-    assert imputation._slice_statistics(ds, n_slices, a, "slice_median").tobytes() == expected.tobytes()
+    median = imputation._slice_statistics(ds, n_slices, a, "slice_median", Requests(ds, n_slices, a).unrecorded)
+    assert median.tobytes() == expected.tobytes()
 
 
 def test_cell_median_of_signed_zeros_keeps_dataset_order():
@@ -529,7 +578,8 @@ def test_cell_median_of_signed_zeros_keeps_dataset_order():
     for seed in range(10):
         zeros = np.where(np.random.default_rng(seed).random(n) < 0.5, 0.0, -0.0)
         ds = TimeSeriesDataset(("s",), np.array([0, n]), np.arange(n, dtype=float), zeros[:, None], labels=("c",))
-        median = imputation._slice_statistics(ds, 1, np.zeros(n, dtype=int), "slice_median")
+        a = np.zeros(n, dtype=int)
+        median = imputation._slice_statistics(ds, 1, a, "slice_median", Requests(ds, 1, a).unrecorded)
         assert median.shape == (1, 1) and np.signbit(median[0, 0]) == np.signbit(zeros[n // 2])
 
 
@@ -546,6 +596,9 @@ def test_cell_median_of_signed_zeros_keeps_dataset_order():
     policy=st.sampled_from(["with", "without"]),
     k=st.integers(1, 3),
 )
+# a cell with one row, whose only column is a prefix that no sample there leaves unrecorded
+@example(seed=8495, n_samples=3, n_features=1, fixed=True, labeled=False, null_rate=0.0, n_slices=3,
+         method="tsmote", policy="without", k=1)
 def test_fill_matches_per_sample_reference(
     reshape_reference, seed, n_samples, n_features, fixed, labeled, null_rate, n_slices, method,
     policy, k,
@@ -588,13 +641,13 @@ def test_fill_matches_per_sample_reference(
 # sha256 of the imputed.csv write_tensor_csv writes for impute_dataset(...) on the demo training set,
 # keyed by (seed, replacement policy, method)
 GOLDEN_DEMO_SHA256 = {
-    (0, "with", "tsmote"): "e53f74b45b2d73141a13758b40630c4e2e9ab27ec9c61efc20d127085c7ee6ad",
+    (0, "with", "tsmote"): "fbee8e37d5676082f35a3b42dfbf6665acfd18dca368749d66d45d6e1e2ef99e",
     (0, "with", "slice_mean"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     (0, "with", "slice_median"): "12744d9901bbcad6a22e34e83e805612944fd3f41b32804fb9bde55cf3595476",
     (0, "without", "tsmote"): "7e986a6242f0287107bb7084e528d050b273692cd5b5a80b4d1bb38cfc18b9f0",
     (0, "without", "slice_mean"): "4ec821aeaa2e077967f4e6836b7409ec02900a2a3fc62d003e15fd094939eca7",
     (0, "without", "slice_median"): "12744d9901bbcad6a22e34e83e805612944fd3f41b32804fb9bde55cf3595476",
-    (1, "with", "tsmote"): "129bb4b2329901661759a1cd2448487c7900acfdaa45f386369e367d44fe76f9",
+    (1, "with", "tsmote"): "592223f02dc737a45e88586401b96cdea758e4fcee1af9305c10a79977998f1d",
     (1, "with", "slice_mean"): "fa002ee6791e3cc1f1641ca6eba96e092cd7d563d8b207a213faf2e530cf413f",
     (1, "with", "slice_median"): "4002d0f4af047a126f8e4037396239ac94ccc32d87bbf23af31f30c572eb509e",
     (1, "without", "tsmote"): "ed179a33965dd6bc91a49d949407986407705298e2ff6d76954422a12f0a88f3",

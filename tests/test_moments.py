@@ -145,7 +145,7 @@ class TestVarianceLaws:
         assert abs(ratios.mean() - predicted) <= 3 * se
 
     def test_class_blind_slice_mean_fails_the_battery(self, monkeypatch):
-        def pooled_over_classes(dataset, n_slices, assignment, method):
+        def pooled_over_classes(dataset, n_slices, assignment, method, unrecorded):
             stats = [np.nanmean(dataset.values[assignment == s], axis=0) for s in range(n_slices)]
             return np.tile(stats, (len(dataset.classes), 1))
 

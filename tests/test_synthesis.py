@@ -3,14 +3,12 @@
 import dataclasses
 import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tsmote import slicing
 from tsmote.data import TimeSeriesDataset
 from tsmote.slicing import Requests, assign_slices, build_slice_grid
 from tsmote.synthesis import (
@@ -232,7 +230,8 @@ def two_class_dataset(n_per_class=50, n_obs=4, seed=0, with_null=False):
 
 def reference_pool(ds, n_slices, assignment, cells, config):
     """Oracle: each cell's vectors from ``synthesize_slice`` on the cell's own
-    ``SeedSequence``, then served one request at a time."""
+    ``SeedSequence``, then the order its requests take them from the same stream,
+    served one request at a time."""
     labels = ds.classes
     row_class = np.array(ds.labels, dtype=object)[ds.row_sample]
     sizes = np.bincount(cells, minlength=len(labels) * n_slices)
@@ -243,16 +242,15 @@ def reference_pool(ds, n_slices, assignment, cells, config):
             np.random.SeedSequence(entropy=config.seed, spawn_key=(c // n_slices, c % n_slices))
         )
         pool = synthesize_slice(rows, config, size, rng)
-        pools.append(pool if config.replacement_policy == "with" else pool[rng.permutation(size)])
-    rng, cursor = np.random.default_rng(config.seed), np.zeros_like(sizes)
+        if config.replacement_policy == "with":
+            pools.append([pool[int(rng.integers(size))] for _ in range(size)])
+        else:
+            pools.append(pool[rng.permutation(size)])
+    cursor = np.zeros_like(sizes)
     out = []
     for c in cells:
-        if config.replacement_policy == "with":
-            pick = int(rng.integers(sizes[c]))
-        else:
-            pick = cursor[c]
-            cursor[c] += 1
-        out.append(pools[c][pick])
+        out.append(pools[c][cursor[c]])
+        cursor[c] += 1
     return np.array(out).reshape(len(cells), ds.n_features)
 
 
@@ -364,41 +362,36 @@ class TestGeneratePool:
     null_rate=st.sampled_from([0.0, 0.2]),
     policy=st.sampled_from(["with", "without"]),
     seed=st.integers(0, 2**32 - 1),
-    one_sample_blocks=st.booleans(),
 )
-def test_serve_matches_one_request_at_a_time(n_obs, null_rate, policy, seed, one_sample_blocks):
-    """Serving a cell at a time gives the vectors of one-by-one draws in serving order, however
-    many samples' with-replacement draws are made at once."""
+def test_serve_matches_one_request_at_a_time(n_obs, null_rate, policy, seed):
+    """Serving a cell at a time gives the vectors of one-by-one draws in serving order."""
     ds = with_nulls(two_class_dataset(n_per_class=8, n_obs=n_obs, seed=seed % 5), null_rate, seed)
     grid = build_slice_grid(ds, 3)
     config = SynthesisConfig(k_neighbors=2, seed=seed, replacement_policy=policy)
     try:
-        with mock.patch.object(slicing, "_BLOCK", 1 if one_sample_blocks else slicing._BLOCK):
-            cells, got = pool_for(ds, grid, config)
+        cells, got = pool_for(ds, grid, config)
         want = reference_pool(ds, 3, assign_slices(ds, grid), cells, config)
     except SynthesisError:
         assume(False)
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("block", [1, 40, slicing._BLOCK])
-def test_requests_list_the_serving_order(monkeypatch, block):
-    """``blocks`` lists every request in serving order, ``rows`` each cell's share of it, and
-    ``sizes`` counts them; a row whose never-recorded prefix is pinned to NaN asks too."""
+def test_requests_list_the_serving_order():
+    """``rows`` lists each cell's share of the requests in serving order, and ``sizes`` counts
+    them; a row whose never-recorded prefix is pinned to NaN asks too, and its cell reads the prefix."""
     ds = with_nulls(two_class_dataset(n_per_class=40, n_obs=6), 0.2, 1)
     values = ds.values.copy()
     values[ds.offsets[3] : ds.offsets[4], 0] = np.nan  # sample 3 never records its prefix
     ds = dataclasses.replace(ds, values=values, fixed_prefix_len=1)
     grid = build_slice_grid(ds, 10)
     a = assign_slices(ds, grid)
-    monkeypatch.setattr(slicing, "_BLOCK", block)  # 1: a sample per block; 40: 4 samples
     rows, cells = serving_order(ds, 10, a)
     requests = Requests(ds, 10, a)
-    got_rows, got_cells = map(np.concatenate, zip(*requests.blocks()))
-    np.testing.assert_array_equal(got_rows, rows)
-    np.testing.assert_array_equal(got_cells, cells)
     np.testing.assert_array_equal(requests.sizes, np.bincount(cells, minlength=20))
     for c in range(20):
         np.testing.assert_array_equal(requests.rows(c), rows[cells == c])
     assert requests.n_rows == ds.n_samples * 10 + len(requests.null_rows)
     assert set(range(ds.offsets[3], ds.offsets[4])) <= set(requests.null_rows)
+    # only the cells of sample 3's rows read the prefix
+    reads = {ds.class_codes[3] * 10 + si for si in a[ds.offsets[3] : ds.offsets[4]]}
+    np.testing.assert_array_equal(requests.unrecorded, np.isin(np.arange(20), list(reads))[:, None])
