@@ -174,7 +174,7 @@ def cmd_demo_oscillator(args) -> int:
     n_slices = exp.grid.n_slices
     requests = Requests(train, n_slices, assignment)
     buf = np.empty((requests.n_rows, train.n_features))
-    generate_pool(train, n_slices, assignment, requests, buf, SynthesisConfig(seed=args.seed))
+    generate_pool(requests, buf, SynthesisConfig(seed=args.seed))
     cells = np.arange(len(requests.sizes))
     pool = buf[np.concatenate([requests.rows(c) for c in cells])]
     position, si = np.divmod(np.repeat(cells, requests.sizes), n_slices)
@@ -282,6 +282,8 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config_file(args)
             args = parser.parse_args(argv)  # string defaults go through the option's type, as flags do
+        if vars(args).get("seed", 0) < 0:  # numpy's own error would name no option
+            _fail(f"--seed must be a non-negative integer, not {args.seed}")
         if vars(args).get("grid"):
             # parsed again without option defaults, args hold only what argv or the config file set
             # (the file's values are the parser's own defaults, which stay)

@@ -6,12 +6,14 @@ observations that share a slot componentwise, and fill the empty slots. It
 works in one buffer: a row for every (sample, slice) slot, then one row for
 each null-bearing row. The draws are served sample by sample (null-bearing
 rows in row order, then empty slots in slice order), but no table of them is
-kept: ``slicing.Requests`` lists each (class, slice) cell's buffer rows from a
-slot mask when the cell is filled. The method only decides how a cell serves
-its requests, each written straight into its row: tsmote from the per-class
-synthetic pool, the slice_mean / slice_median baselines with the cell's
-per-feature statistic. The null components are then filled from the buffer's
-tail and the rows averaged into its head, which is the returned tensor.
+kept. ``slicing.Requests`` sorts the rows by (class, slice) cell once, and both
+the pool and the baselines iterate it: each cell in cell order, with its
+observations and its buffer rows, listed from a slot mask when the cell is
+reached. The method only decides how a cell serves its requests, each written
+straight into its row: tsmote from the per-class synthetic pool, the
+slice_mean / slice_median baselines with the cell's per-feature statistic.
+The null components are then filled from the buffer's tail and the rows
+averaged into its head, which is the returned tensor.
 
 Real observations are never overwritten: a slot that had original data keeps
 it exactly (or its degenerate average). Time-independent prefix features are
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ImputedTensor, TimeSeriesDataset
-from .slicing import Requests, SliceGrid, assign_slices, cell_blocks
+from .slicing import Requests, SliceGrid, assign_slices
 from .synthesis import SynthesisConfig, generate_pool
 
 TSMOTE = "tsmote"
@@ -47,34 +49,27 @@ class ImputationConfig:
             raise ValueError(f"method must be one of {METHODS}")
 
 
-def _slice_statistics(
-    dataset: TimeSeriesDataset,
-    n_slices: int,
-    assignment: np.ndarray,
-    method: str,
-    unrecorded: np.ndarray,
-) -> np.ndarray:
-    """(n_cells, F) featurewise mean or median of each (class, slice) cell's observed values.
+def _slice_statistics(requests: Requests, method: str):
+    """Yield each (class, slice) cell's buffer rows and the featurewise mean or median of its observed values.
 
     An empty cell, or one that never observes a feature its fill reads, raises
     ``ValueError``; the first such cell in cell order is the one named. A cell reads
-    every feature after the fixed prefix and the prefix columns ``unrecorded``
-    (``Requests.unrecorded``) marks; an unread prefix column with no values gets 0.
+    every feature after the fixed prefix and the prefix columns ``requests.unrecorded``
+    marks; an unread prefix column with no values gets 0.
     """
-    stats, n_fix = [], dataset.fixed_prefix_len
-    for c, name, rows in cell_blocks(dataset, n_slices, assignment):
-        seen = (~np.isnan(rows)).sum(axis=0)
-        if (seen[n_fix:] == 0).any() or (seen[:n_fix] == 0)[unrecorded[c]].any():
+    n_fix = requests.unrecorded.shape[1]
+    for c, name, obs, rows in requests:
+        seen = (~np.isnan(obs)).sum(axis=0)
+        if (seen[n_fix:] == 0).any() or (seen[:n_fix] == 0)[requests.unrecorded[c]].any():
             raise ValueError(f"{name} has a feature with no observed values")
-        rows[:, seen == 0] = 0.0  # unread: no mean of an empty column to warn of
+        obs[:, seen == 0] = 0.0  # unread: no mean of an empty column to warn of
         if method == SLICE_MEAN:
-            stats.append(np.nanmean(rows, axis=0))
+            yield rows, np.nanmean(obs, axis=0)
             continue
         # the midpoint of each column's middle pair of observed values (NaN sorts last): np.nanmedian's
         # bits without importing numpy.ma; stable, so equal values such as 0.0 and -0.0 keep dataset order
-        x, f = np.sort(rows, axis=0, kind="stable"), np.arange(rows.shape[1])
-        stats.append((x[(seen - 1) // 2, f] + x[seen // 2, f]) / 2)
-    return np.array(stats)
+        x, f = np.sort(obs, axis=0, kind="stable"), np.arange(obs.shape[1])
+        yield rows, (x[(seen - 1) // 2, f] + x[seen // 2, f]) / 2
 
 
 def impute_dataset(
@@ -120,10 +115,10 @@ def impute_dataset(
     n_slots = n_d * n_t
     buf = np.empty((requests.n_rows, n_f))
     if imp.method == TSMOTE:
-        generate_pool(dataset, n_t, assignment, requests, buf, syn)
+        generate_pool(requests, buf, syn)
     else:
-        for c, stat in enumerate(_slice_statistics(dataset, n_t, assignment, imp.method, requests.unrecorded)):
-            buf[requests.rows(c)] = stat
+        for rows, stat in _slice_statistics(requests, imp.method):
+            buf[rows] = stat
     del requests
     values = dataset.values.copy()  # each sample's fixed prefix pinned to its value
     values[:, :n_fix] = dataset.fixed_values[dataset.row_sample]

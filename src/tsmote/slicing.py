@@ -102,23 +102,28 @@ class SliceGrid:
         if not isinstance(d, dict):
             raise ValueError(f"a slice grid must be a JSON object, not {type(d).__name__}")
 
-        def entry(key, convert):
-            try:
-                return convert(d[key])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ValueError(f"slice grid entry {key!r} is missing or malformed: {d.get(key)!r}") from None
-
-        def floats(xs):
-            return tuple(float(x) for x in xs)
+        def entry(key, kind, many=False):
+            """``d[key]`` as ``kind`` (a tuple of them if ``many``) from JSON values of that type:
+            not a bool, nor a string that ``int()`` or ``float()`` would read."""
+            value = d.get(key)
+            items = value if many else [value]
+            kinds = (int, float) if kind is float else kind
+            if key in d and isinstance(items, (list, tuple)) and all(
+                    isinstance(x, kinds) and not isinstance(x, bool) for x in items):
+                try:
+                    return tuple(map(kind, items)) if many else kind(value)
+                except OverflowError:
+                    pass
+            raise ValueError(f"slice grid entry {key!r} is missing or malformed: {value!r}")
 
         return cls(
             n_slices=entry("n_slices", int),
-            boundaries=entry("boundaries", floats),
-            grid_times=entry("grid_times", floats),
-            grid_time_policy=entry("grid_time_policy", lambda p: p),
+            boundaries=entry("boundaries", float, many=True),
+            grid_times=entry("grid_times", float, many=True),
+            grid_time_policy=entry("grid_time_policy", str),
             t_min=entry("t_min", float),
             t_max=entry("t_max", float),
-            occupancy=entry("occupancy", lambda xs: tuple(int(x) for x in xs)) if "occupancy" in d else (),
+            occupancy=entry("occupancy", int, many=True) if "occupancy" in d else (),
         )
 
     @classmethod
@@ -126,62 +131,40 @@ class SliceGrid:
         return cls.from_dict(json.loads(text))
 
 
-def cell_index(dataset: TimeSeriesDataset, samples: np.ndarray, slices: np.ndarray, n_slices: int) -> np.ndarray:
-    """The (class, slice) cell ``dataset.class_codes[sample] * n_slices + slice`` of each pair."""
-    return dataset.class_codes[samples] * n_slices + slices
-
-
-def cell_blocks(dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
-    """Yield ``(cell, name, rows)`` for every (class, slice) cell in cell order.
-
-    ``rows`` holds the cell's values in dataset order (sample order, then
-    observation order), NaN marking nulls; ``name`` reads ``class=... slice=...``.
-    A cell with no rows raises ``ValueError`` when it is reached, so errors
-    come out in cell order.
-    """
-    cells = cell_index(dataset, dataset.row_sample, assignment, n_slices)
-    counts = np.bincount(cells, minlength=len(dataset.classes) * n_slices)
-    blocks = np.split(dataset.values[np.argsort(cells, kind="stable")], np.cumsum(counts)[:-1])
-    for c, rows in enumerate(blocks):
-        lab, si = dataset.classes[c // n_slices], c % n_slices
-        if len(rows) == 0:
-            raise ValueError(
-                f"class={lab!r} has no observations in slice {si}; reduce n_slices or provide more data"
-            )
-        yield c, f"class={lab!r} slice={si}", rows
-
-
 class Requests:
-    """The draws a fill makes: one for each null-bearing row and each empty (sample, slice) slot.
+    """The (class, slice) cell layout, and the draws a fill makes from each cell.
 
-    The fill writes into one buffer: a row for every flat (sample, slice) slot,
+    ``order``, one stable ``argsort`` of every row's cell, lists each cell's rows
+    in dataset order. A fill draws once for each null-bearing row and each empty
+    (sample, slice) slot, and writes into one buffer: a row for every flat slot,
     then one for each of ``null_rows``, the rows that still hold a null once the
     fixed prefix is pinned to the sample's value. Requests are served sample by
     sample: its null-bearing rows in row order, then its empty slots in slice
-    order. No request table is kept: ``rows`` lists one cell's buffer rows from
-    the ``occupied`` slot mask. ``sizes`` counts each (class, slice) cell's
-    requests, numbered as ``cell_index``, and ``unrecorded`` marks the prefix
-    columns each cell's fill reads: those of a sample there that never records one.
+    order. No request table is kept: ``rows(c)`` lists cell ``c``'s buffer rows
+    from the ``occupied`` slot mask and the cell's rows. ``sizes`` counts each
+    cell's requests, and ``unrecorded`` marks the prefix columns each cell's fill
+    reads: those of a sample there that never records one.
     """
 
     def __init__(self, dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
         owner, fix, never = dataset.row_sample, dataset.fixed_prefix_len, np.isnan(dataset.fixed_values)
-        self.n_slices, self.n_slots = n_slices, dataset.n_samples * n_slices
+        self.dataset, self.n_slices, self.n_slots = dataset, n_slices, dataset.n_samples * n_slices
         self.occupied = np.zeros((dataset.n_samples, n_slices), dtype=bool)
         self.occupied[owner, assignment] = True
-        self.null_rows = np.flatnonzero(np.isnan(dataset.values[:, fix:]).any(axis=1) | never.any(axis=1)[owner])
-        self.n_rows = self.n_slots + len(self.null_rows)  # rows in the fill's buffer
-        self.null_owner = owner[self.null_rows]
-        self.null_cells = cell_index(dataset, self.null_owner, assignment[self.null_rows], n_slices)
+        cells = dataset.class_codes[owner] * n_slices + assignment
         self.members = [np.flatnonzero(dataset.class_codes == k) for k in range(len(dataset.classes))]
-        n_nulls = np.bincount(self.null_cells, minlength=len(self.members) * n_slices)
+        self.order = np.argsort(cells, kind="stable")  # every row, cell by cell, in dataset order
+        self.ends = np.cumsum(np.bincount(cells, minlength=len(self.members) * n_slices))  # of each cell's rows
+        self.null_bearing = np.isnan(dataset.values[:, fix:]).any(axis=1) | never.any(axis=1)[owner]
+        self.null_rows = np.flatnonzero(self.null_bearing)
+        self.n_rows = self.n_slots + len(self.null_rows)  # rows in the fill's buffer
+        null_cells = cells[self.null_rows]
+        n_nulls = np.bincount(null_cells, minlength=len(self.ends))
         self.sizes = np.concatenate([len(m) - self.occupied[m].sum(axis=0) for m in self.members]) + n_nulls
-        self.null_ends = np.cumsum(n_nulls)
-        self.by_cell = np.argsort(self.null_cells, kind="stable")  # each cell's null-bearing rows, in row order
         # every row of a sample that never records a prefix feature is null-bearing
-        r, f = np.nonzero(never[self.null_owner])
+        r, f = np.nonzero(never[owner[self.null_rows]])
         self.unrecorded = np.zeros((len(self.sizes), fix), dtype=bool)
-        self.unrecorded[self.null_cells[r], f] = True
+        self.unrecorded[null_cells[r], f] = True
 
     def rows(self, c: int) -> np.ndarray:
         """Cell ``c``'s buffer rows in serving order, which is sample order: a sample asks
@@ -190,9 +173,22 @@ class Requests:
         empty = members[~self.occupied[members, s]]
         if len(empty) == self.sizes[c]:  # no null-bearing rows
             return empty * self.n_slices + s
-        nulls = self.by_cell[self.null_ends[c] - (self.sizes[c] - len(empty)) : self.null_ends[c]]
-        rows = np.concatenate((self.n_slots + nulls, empty * self.n_slices + s))
-        return rows[np.argsort(np.concatenate((self.null_owner[nulls], empty)), kind="stable")]
+        cell = self.order[self.ends[c - 1] if c else 0 : self.ends[c]]
+        nulls = cell[self.null_bearing[cell]]
+        rows = np.concatenate((self.n_slots + np.searchsorted(self.null_rows, nulls), empty * self.n_slices + s))
+        return rows[np.argsort(np.concatenate((self.dataset.row_sample[nulls], empty)), kind="stable")]
+
+    def __iter__(self):
+        """Yield ``(c, name, obs, rows)`` for every cell in cell order: ``obs`` holds its values in
+        dataset order, NaN marking nulls, ``name`` reads ``class=... slice=...`` and ``rows`` is
+        ``rows(c)``. An empty cell raises ``ValueError`` when reached, so errors come in cell order."""
+        for c, cell in enumerate(np.split(self.order, self.ends[:-1])):
+            lab, si = self.dataset.classes[c // self.n_slices], c % self.n_slices
+            if len(cell) == 0:
+                raise ValueError(
+                    f"class={lab!r} has no observations in slice {si}; reduce n_slices or provide more data"
+                )
+            yield c, f"class={lab!r} slice={si}", self.dataset.values[cell], self.rows(c)
 
 
 def build_slice_grid(

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeSeriesDataset
-from .slicing import Requests, cell_blocks
+from .slicing import Requests
 
 logger = logging.getLogger(__name__)
 
@@ -227,32 +226,24 @@ def synthesize_slice(
     return out
 
 
-def generate_pool(
-    dataset: TimeSeriesDataset,
-    n_slices: int,
-    assignment: np.ndarray,
-    requests: Requests,
-    out: np.ndarray,
-    config: SynthesisConfig,
-) -> None:
+def generate_pool(requests: Requests, out: np.ndarray, config: SynthesisConfig) -> None:
     """Write one synthetic vector for each of ``requests`` into its row of ``out``.
 
-    ``assignment`` is the (N,) slice index of every row, from ``assign_slices``,
-    and ``requests`` the ``slicing.Requests`` it gives. Each (class, slice) cell
-    makes as many vectors as it has requests; one with none needs no usable
-    column. A cell generates from its own RNG stream keyed by (seed, class,
-    slice), so its vectors do not depend on the other cells. The same stream
-    then picks the vector each of the cell's requests takes, in serving order:
-    a random order of the vectors without replacement, so every vector is taken
-    once, or uniform draws with replacement. Neighbor search costs O(n log n)
-    per column of an n-row cell (see ``_neighbor_table``). A fixed-prefix column
-    is left NaN, and may hold fewer than 2 values, in a cell that
+    ``requests`` is the ``slicing.Requests`` of the dataset and its slice
+    assignment. Each (class, slice) cell makes as many vectors as it has requests;
+    one with none needs no usable column. A cell generates from its own RNG stream
+    keyed by (seed, class, slice), so its vectors do not depend on the other cells.
+    The same stream then picks the vector each of the cell's requests takes, in
+    serving order: a random order of the vectors without replacement, so every
+    vector is taken once, or uniform draws with replacement. Neighbor search costs
+    O(n log n) per column of an n-row cell (see ``_neighbor_table``). A fixed-prefix
+    column is left NaN, and may hold fewer than 2 values, in a cell that
     ``requests.unrecorded`` says does not read it.
     """
     with_replacement = config.replacement_policy == "with"
-    for c, name, obs in cell_blocks(dataset, n_slices, assignment):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, n_slices)))
+    for c, name, obs, rows in requests:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, requests.n_slices)))
         n = requests.sizes[c]
         pool = synthesize_slice(obs, config, n, rng, label=name, unread=np.flatnonzero(~requests.unrecorded[c]))
         # without replacement: the same order and RNG state as rng.shuffle(pool, axis=0), far faster
-        out[requests.rows(c)] = pool[rng.integers(0, n, n) if with_replacement else rng.permutation(n)]
+        out[rows] = pool[rng.integers(0, n, n) if with_replacement else rng.permutation(n)]

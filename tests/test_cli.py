@@ -536,6 +536,25 @@ class TestRejectedInput:
         assert json.loads(res.stderr)["error"] == f"n_repetitions must be at least 1, not {reps}"
         assert not (out / "comparison.csv").exists()
 
+    # every method and subcommand, from argv or a config file, before any work
+    @pytest.mark.parametrize("argv", [
+        ["impute", "{csv}", "--slices", "3", "--method", "slice_mean"],
+        ["impute", "{csv}", "--slices", "3", "--method", "tsmote"],
+        ["demo-oscillator"],
+        ["verify-moments"],
+        ["compare-imputers"],
+    ], ids=["slice_mean", "tsmote", "demo-oscillator", "verify-moments", "compare-imputers"])
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_negative_seed_exits_2(self, toy_csv, tmp_path, capsys, argv, source):
+        config, out = tmp_path / "cfg.json", tmp_path / "out"
+        config.write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", "-1"] if source == "argv" else ["--config", str(config)]
+        with pytest.raises(SystemExit) as exc:
+            tsmote.cli.main([*(a.format(csv=toy_csv) for a in argv), "-o", str(out), *seed])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "--seed must be a non-negative integer, not -1"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["slice", "impute"])
     def test_fixed_feature_checked_before_use(self, tmp_path, run_cli, command):
         path = tmp_path / "age.csv"
@@ -591,6 +610,7 @@ class TestRejectedInput:
         ({**TOY_GRID, "t_max": None}, "slice grid entry 't_max' is missing or malformed: None"),
         ({**TOY_GRID, "grid_times": [float("nan"), 2.5, 4.5]}, "slice grid entries must be finite"),
         ({**TOY_GRID, "boundaries": [0.0, float("nan"), 3.5, 5.0]}, "slice grid entries must be finite"),
+        ({**TOY_GRID, "n_slices": "3"}, "slice grid entry 'n_slices' is missing or malformed: '3'"),
     ])
     def test_malformed_grid_file_exits_2(self, toy_csv, tmp_path, run_cli, grid, error):
         path = tmp_path / "grid.json"

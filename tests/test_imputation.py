@@ -14,7 +14,7 @@ from tsmote.data import TimeSeriesDataset, write_tensor_csv
 from tsmote.imputation import METHODS, ImputationConfig, impute_dataset
 from tsmote.oscillator import generate_two_class_experiment
 from tsmote.slicing import (
-    MIDPOINT, Requests, SliceGrid, SliceGridError, assign_slices, build_slice_grid, cell_blocks,
+    MIDPOINT, Requests, SliceGrid, SliceGridError, assign_slices, build_slice_grid,
 )
 from tsmote.synthesis import SynthesisConfig, SynthesisError, synthesize_slice
 
@@ -358,8 +358,8 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
         made.append(synthesize(*args, **kwargs))
         return made[-1]
 
-    def record_served(dataset, n_slices, assignment, requests, out, config):
-        generate(dataset, n_slices, assignment, requests, out, config)
+    def record_served(requests, out, config):
+        generate(requests, out, config)
         cells = np.arange(len(requests.sizes))
         served.append((np.repeat(cells, requests.sizes), out[np.concatenate([requests.rows(c) for c in cells])]))
 
@@ -561,10 +561,11 @@ def test_cell_medians_match_nanmedian(n_samples, n_slices, null_rate):
                            labels=tuple("ab"[i % 2] for i in range(n_samples)))
     grid = build_slice_grid(ds, n_slices)
     a = assign_slices(ds, grid)
-    expected = np.array([np.nanmedian(rows, axis=0) for _, _, rows in cell_blocks(ds, n_slices, a)])
-    sizes = [len(rows) for _, _, rows in cell_blocks(ds, n_slices, a)]
+    cells = ds.class_codes[ds.row_sample] * n_slices + a
+    expected = np.array([np.nanmedian(ds.values[cells == c], axis=0) for c in range(2 * n_slices)])
+    sizes = np.bincount(cells, minlength=2 * n_slices)
     assert {n % 2 for n in sizes} == {0, 1} and (min(sizes) >= 600) == (n_slices == 2)
-    median = imputation._slice_statistics(ds, n_slices, a, "slice_median", Requests(ds, n_slices, a).unrecorded)
+    median = np.array([stat for _, stat in imputation._slice_statistics(Requests(ds, n_slices, a), "slice_median")])
     assert median.tobytes() == expected.tobytes()
 
 
@@ -579,8 +580,8 @@ def test_cell_median_of_signed_zeros_keeps_dataset_order():
         zeros = np.where(np.random.default_rng(seed).random(n) < 0.5, 0.0, -0.0)
         ds = TimeSeriesDataset(("s",), np.array([0, n]), np.arange(n, dtype=float), zeros[:, None], labels=("c",))
         a = np.zeros(n, dtype=int)
-        median = imputation._slice_statistics(ds, 1, a, "slice_median", Requests(ds, 1, a).unrecorded)
-        assert median.shape == (1, 1) and np.signbit(median[0, 0]) == np.signbit(zeros[n // 2])
+        (_, median), = imputation._slice_statistics(Requests(ds, 1, a), "slice_median")
+        assert median.shape == (1,) and np.signbit(median[0]) == np.signbit(zeros[n // 2])
 
 
 @settings(max_examples=300, deadline=None)

@@ -162,6 +162,17 @@ class TestGridInvariants:
         ({**VALID_GRID, "t_min": None}, "entry 't_min' is missing or malformed: None"),
         ({**VALID_GRID, "n_slices": "three"}, "entry 'n_slices' is missing or malformed: 'three'"),
         ({**VALID_GRID, "occupancy": None}, "entry 'occupancy' is missing or malformed: None"),
+        # JSON's types only: what int() or float() would read is still malformed
+        ({**VALID_GRID, "n_slices": 4.7}, "entry 'n_slices' is missing or malformed: 4.7"),
+        ({**VALID_GRID, "n_slices": "3"}, "entry 'n_slices' is missing or malformed: '3'"),
+        ({**VALID_GRID, "n_slices": True}, "entry 'n_slices' is missing or malformed: True"),
+        ({**VALID_GRID, "boundaries": "0123"}, "entry 'boundaries' is missing or malformed: '0123'"),
+        ({**VALID_GRID, "grid_times": [0.5, "2.5", 4.5]},
+         r"entry 'grid_times' is missing or malformed: \[0.5, '2.5', 4.5\]"),
+        ({**VALID_GRID, "t_min": True}, "entry 't_min' is missing or malformed: True"),
+        ({**VALID_GRID, "t_max": "15"}, "entry 't_max' is missing or malformed: '15'"),
+        ({**VALID_GRID, "occupancy": [2.9, 3, "4"]}, r"entry 'occupancy' is missing or malformed: \[2.9, 3, '4'\]"),
+        ({**VALID_GRID, "occupancy": [2, False, 4]}, r"entry 'occupancy' is missing or malformed: \[2, False, 4\]"),
     ])
     def test_malformed_dict_names_the_entry(self, doc, error):
         with pytest.raises(ValueError, match=error):

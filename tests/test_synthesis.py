@@ -278,7 +278,7 @@ def pool_for(ds, grid, config):
     a = assign_slices(ds, grid)
     requests = Requests(ds, grid.n_slices, a)
     out = np.full((requests.n_rows, ds.n_features), np.inf)
-    generate_pool(ds, grid.n_slices, a, requests, out, config)
+    generate_pool(requests, out, config)
     rows, cells = serving_order(ds, grid.n_slices, a)
     return cells, out[rows]
 
@@ -378,7 +378,8 @@ def test_serve_matches_one_request_at_a_time(n_obs, null_rate, policy, seed):
 
 def test_requests_list_the_serving_order():
     """``rows`` lists each cell's share of the requests in serving order, and ``sizes`` counts
-    them; a row whose never-recorded prefix is pinned to NaN asks too, and its cell reads the prefix."""
+    them; a row whose never-recorded prefix is pinned to NaN asks too, and its cell reads the prefix.
+    Iterating yields every cell in cell order with its observations in dataset order and its rows."""
     ds = with_nulls(two_class_dataset(n_per_class=40, n_obs=6), 0.2, 1)
     values = ds.values.copy()
     values[ds.offsets[3] : ds.offsets[4], 0] = np.nan  # sample 3 never records its prefix
@@ -390,6 +391,12 @@ def test_requests_list_the_serving_order():
     np.testing.assert_array_equal(requests.sizes, np.bincount(cells, minlength=20))
     for c in range(20):
         np.testing.assert_array_equal(requests.rows(c), rows[cells == c])
+    in_cell = ds.class_codes[ds.row_sample] * 10 + a
+    assert [c for c, *_ in requests] == list(range(20))
+    for c, name, obs, cell_rows in requests:
+        assert name == f"class={ds.classes[c // 10]!r} slice={c % 10}"
+        np.testing.assert_array_equal(obs, ds.values[in_cell == c])
+        np.testing.assert_array_equal(cell_rows, rows[cells == c])
     assert requests.n_rows == ds.n_samples * 10 + len(requests.null_rows)
     assert set(range(ds.offsets[3], ds.offsets[4])) <= set(requests.null_rows)
     # only the cells of sample 3's rows read the prefix
