@@ -18,7 +18,7 @@ import numpy as np
 from .data import ImputedTensor, run_beside
 from .imputation import METHODS, ImputationConfig, impute_dataset
 from .oscillator import ExperimentConfig, generate_two_class_experiment
-from .slicing import assign_slices
+from .slicing import assign_slices  # unused here, but perfbench/traced.py wraps it in this module
 from .smoothing import SmoothingConfig, smooth_tensor
 from .synthesis import SynthesisConfig
 
@@ -88,7 +88,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
         M = np.column_stack((hess, grad))
         for j in range(len(grad)):
             pivot = M[j] / M[j, j]
-            M -= np.outer(M[:, j], pivot)
+            M -= M[:, j, None] * pivot
             M[j] = pivot
         step = M[:, -1]
         decrement = (grad * step).sum()
@@ -199,7 +199,6 @@ def repetition_scores(rep_seed: int, config: ComparisonConfig) -> list[tuple[flo
     The experiment and the tsmote pool are both seeded with ``rep_seed``.
     """
     exp = generate_two_class_experiment(rep_seed, config.experiment)
-    assignment = assign_slices(exp.train, exp.grid)
     test_tensor = impute_dataset(exp.test, exp.grid, imputation_config=ImputationConfig(method="slice_mean"))
     if config.smoothing is not None:
         test_tensor = smooth_tensor(test_tensor, config.smoothing)
@@ -208,7 +207,7 @@ def repetition_scores(rep_seed: int, config: ComparisonConfig) -> list[tuple[flo
 
     scores = []
     for method in METHODS:
-        train_tensor = impute_dataset(exp.train, exp.grid, assignment, SynthesisConfig(seed=rep_seed),
+        train_tensor = impute_dataset(exp.train, exp.grid, SynthesisConfig(seed=rep_seed),
                                       ImputationConfig(method=method))
         if config.smoothing is not None:
             train_tensor = smooth_tensor(train_tensor, config.smoothing)

@@ -175,9 +175,9 @@ def cmd_demo_oscillator(args) -> int:
     requests = Requests(train, n_slices, assignment)
     buf = np.empty((requests.n_rows, train.n_features))
     generate_pool(requests, buf, SynthesisConfig(seed=args.seed))
-    cells = np.arange(len(requests.sizes))
-    pool = buf[np.concatenate([requests.rows(c) for c in cells])]
-    position, si = np.divmod(np.repeat(cells, requests.sizes), n_slices)
+    rows = [requests.rows(c) for c in range(len(requests.ends))]
+    pool = buf[np.concatenate(rows)]
+    position, si = np.divmod(np.repeat(np.arange(len(rows)), [len(r) for r in rows]), n_slices)
     write_csv(_out(args, "pool.csv"), ["class", "slice_index", "grid_time", *train.feature_names],
               [np.array(train.classes, dtype=object)[position], si,
                exp.grid.data_grid_times()[si], *pool.T])

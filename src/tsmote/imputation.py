@@ -49,8 +49,8 @@ class ImputationConfig:
             raise ValueError(f"method must be one of {METHODS}")
 
 
-def _slice_statistics(requests: Requests, method: str):
-    """Yield each (class, slice) cell's buffer rows and the featurewise mean or median of its observed values.
+def _slice_statistics(requests: Requests, out: np.ndarray, method: str) -> None:
+    """Write each (class, slice) cell's featurewise mean or median of its observed values into its rows of ``out``.
 
     An empty cell, or one that never observes a feature its fill reads, raises
     ``ValueError``; the first such cell in cell order is the one named. A cell reads
@@ -64,26 +64,23 @@ def _slice_statistics(requests: Requests, method: str):
             raise ValueError(f"{name} has a feature with no observed values")
         obs[:, seen == 0] = 0.0  # unread: no mean of an empty column to warn of
         if method == SLICE_MEAN:
-            yield rows, np.nanmean(obs, axis=0)
-            continue
-        # the midpoint of each column's middle pair of observed values (NaN sorts last): np.nanmedian's
-        # bits without importing numpy.ma; stable, so equal values such as 0.0 and -0.0 keep dataset order
-        x, f = np.sort(obs, axis=0, kind="stable"), np.arange(obs.shape[1])
-        yield rows, (x[(seen - 1) // 2, f] + x[seen // 2, f]) / 2
+            out[rows] = np.nanmean(obs, axis=0)
+        else:
+            # the midpoint of each column's middle pair of observed values (NaN sorts last): np.nanmedian's
+            # bits without importing numpy.ma; stable, so equal values such as 0.0 and -0.0 keep dataset order
+            x, f = np.sort(obs, axis=0, kind="stable"), np.arange(obs.shape[1])
+            out[rows] = (x[(seen - 1) // 2, f] + x[seen // 2, f]) / 2
 
 
 def impute_dataset(
     dataset: TimeSeriesDataset,
     grid: SliceGrid,
-    assignment: Optional[np.ndarray] = None,
     synthesis_config: Optional[SynthesisConfig] = None,
     imputation_config: Optional[ImputationConfig] = None,
 ) -> ImputedTensor:
     """Produce one complete trajectory per sample on the slice grid.
 
-    ``assignment`` is the (N,) slice index of every row, as ``assign_slices``
-    returns it; it is computed when omitted, must lie in ``[0, grid.n_slices)``,
-    and may not go down within a sample, as no slice grid's does.
+    Each row goes to the slice ``assign_slices`` gives it on ``grid``.
     ``synthesis_config.seed`` seeds each (class, slice) cell's pool and the cell's
     draws from it. Under tsmote, rows that still hold a null once the fixed prefix
     is pinned need ``allow_null_feature_imputation``; a prefix null that pinning
@@ -92,15 +89,8 @@ def impute_dataset(
     imp = imputation_config or ImputationConfig()
     syn = synthesis_config or SynthesisConfig()
     n_d, n_t, n_f = dataset.n_samples, grid.n_slices, dataset.n_features
-    if assignment is None:
-        assignment = assign_slices(dataset, grid)
-    outside = np.flatnonzero((assignment < 0) | (assignment >= n_t))
-    if outside.size:
-        raise ValueError(f"assignment {assignment[outside[0]]} at row {outside[0]} is outside [0, {n_t}), "
-                         "the grid's slices")
-    slots = dataset.row_sample * n_t + assignment  # flat (sample, slice) slot of each row
-    if (np.diff(slots) < 0).any():
-        raise ValueError("assignment goes down within a sample, whose rows are in time order")
+    assignment = assign_slices(dataset, grid)
+    slots = dataset.row_sample * n_t + assignment  # flat (sample, slice) slot of each row, non-decreasing as times are
     n_fix = dataset.fixed_prefix_len
     first_rows = dataset.offsets[:-1]
 
@@ -117,8 +107,7 @@ def impute_dataset(
     if imp.method == TSMOTE:
         generate_pool(requests, buf, syn)
     else:
-        for rows, stat in _slice_statistics(requests, imp.method):
-            buf[rows] = stat
+        _slice_statistics(requests, buf, imp.method)
     del requests
     values = dataset.values.copy()  # each sample's fixed prefix pinned to its value
     values[:, :n_fix] = dataset.fixed_values[dataset.row_sample]

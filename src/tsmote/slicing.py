@@ -44,9 +44,9 @@ class SliceGrid:
     ``boundaries[0] == 0`` and ``boundaries[-1] == t_max - t_min``.
     ``grid_times[i]`` lies inside slice ``i``; the policy is either the
     boundary midpoint or the median of the observations that formed the
-    slice. ``occupancy`` records the construction-time group sizes; the
-    spread can exceed 1 only when duplicate timestamps forced a split to
-    shift.
+    slice. ``occupancy``, empty or one count of at least 1 per slice, records
+    the construction-time group sizes; the spread can exceed 1 only when
+    duplicate timestamps forced a split to shift.
     """
 
     n_slices: int
@@ -72,6 +72,8 @@ class SliceGrid:
             raise ValueError("each grid time must lie in its slice")
         if self.grid_time_policy not in _POLICIES:
             raise ValueError(f"unknown grid_time_policy {self.grid_time_policy!r}; use one of {_POLICIES}")
+        if self.occupancy and (len(self.occupancy) != self.n_slices or min(self.occupancy) < 1):
+            raise ValueError(f"occupancy must be n_slices counts of at least 1, not {list(self.occupancy)}")
 
     def data_grid_times(self) -> np.ndarray:
         """The grid times in data units, ``t_min + grid_times``, as a float array."""
@@ -141,9 +143,9 @@ class Requests:
     fixed prefix is pinned to the sample's value. Requests are served sample by
     sample: its null-bearing rows in row order, then its empty slots in slice
     order. No request table is kept: ``rows(c)`` lists cell ``c``'s buffer rows
-    from the ``occupied`` slot mask and the cell's rows. ``sizes`` counts each
-    cell's requests, and ``unrecorded`` marks the prefix columns each cell's fill
-    reads: those of a sample there that never records one.
+    from the ``occupied`` slot mask and the cell's rows. ``unrecorded`` marks the
+    prefix columns each cell's fill reads: those of a sample there that never
+    records one.
     """
 
     def __init__(self, dataset: TimeSeriesDataset, n_slices: int, assignment: np.ndarray):
@@ -158,21 +160,16 @@ class Requests:
         self.null_bearing = np.isnan(dataset.values[:, fix:]).any(axis=1) | never.any(axis=1)[owner]
         self.null_rows = np.flatnonzero(self.null_bearing)
         self.n_rows = self.n_slots + len(self.null_rows)  # rows in the fill's buffer
-        null_cells = cells[self.null_rows]
-        n_nulls = np.bincount(null_cells, minlength=len(self.ends))
-        self.sizes = np.concatenate([len(m) - self.occupied[m].sum(axis=0) for m in self.members]) + n_nulls
         # every row of a sample that never records a prefix feature is null-bearing
         r, f = np.nonzero(never[owner[self.null_rows]])
-        self.unrecorded = np.zeros((len(self.sizes), fix), dtype=bool)
-        self.unrecorded[null_cells[r], f] = True
+        self.unrecorded = np.zeros((len(self.ends), fix), dtype=bool)
+        self.unrecorded[cells[self.null_rows[r]], f] = True
 
     def rows(self, c: int) -> np.ndarray:
         """Cell ``c``'s buffer rows in serving order, which is sample order: a sample asks
         the cell for its null-bearing rows in that slice, or else for its empty slot."""
         members, s = self.members[c // self.n_slices], c % self.n_slices
         empty = members[~self.occupied[members, s]]
-        if len(empty) == self.sizes[c]:  # no null-bearing rows
-            return empty * self.n_slices + s
         cell = self.order[self.ends[c - 1] if c else 0 : self.ends[c]]
         nulls = cell[self.null_bearing[cell]]
         rows = np.concatenate((self.n_slots + np.searchsorted(self.null_rows, nulls), empty * self.n_slices + s))

@@ -243,7 +243,7 @@ def generate_pool(requests: Requests, out: np.ndarray, config: SynthesisConfig) 
     with_replacement = config.replacement_policy == "with"
     for c, name, obs, rows in requests:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=divmod(c, requests.n_slices)))
-        n = requests.sizes[c]
+        n = len(rows)
         pool = synthesize_slice(obs, config, n, rng, label=name, unread=np.flatnonzero(~requests.unrecorded[c]))
         # without replacement: the same order and RNG state as rng.shuffle(pool, axis=0), far faster
         out[rows] = pool[rng.integers(0, n, n) if with_replacement else rng.permutation(n)]

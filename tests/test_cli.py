@@ -611,6 +611,7 @@ class TestRejectedInput:
         ({**TOY_GRID, "grid_times": [float("nan"), 2.5, 4.5]}, "slice grid entries must be finite"),
         ({**TOY_GRID, "boundaries": [0.0, float("nan"), 3.5, 5.0]}, "slice grid entries must be finite"),
         ({**TOY_GRID, "n_slices": "3"}, "slice grid entry 'n_slices' is missing or malformed: '3'"),
+        ({**TOY_GRID, "occupancy": [-4, 7]}, "occupancy must be n_slices counts of at least 1, not [-4, 7]"),
     ])
     def test_malformed_grid_file_exits_2(self, toy_csv, tmp_path, run_cli, grid, error):
         path = tmp_path / "grid.json"

@@ -81,31 +81,6 @@ class TestReshape:
         data = slice_mean(with_background(x))
         np.testing.assert_array_equal(data[0], [[k, -k] for k in range(5)])
 
-    def test_rejects_assignment_going_down_within_a_sample(self, monkeypatch):
-        # rows are time-sorted within a sample, so no slice grid assigns them a lower slice later;
-        # the check comes before any fill work
-        def fill(*args):
-            pytest.fail("the fill ran before the assignment was checked")
-
-        monkeypatch.setattr(imputation, "generate_pool", fill)
-        monkeypatch.setattr(imputation, "_slice_statistics", fill)
-        ds = with_background(("x", [(0.5, (1.0, 2.0)), (3.5, (3.0, 4.0))]))
-        assignment = assign_slices(ds, GRID5)
-        assignment[[0, 1]] = assignment[[1, 0]]
-        for method in METHODS:
-            with pytest.raises(ValueError, match="assignment goes down within a sample"):
-                impute_dataset(ds, GRID5, assignment, imputation_config=ImputationConfig(method=method))
-
-    @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("row, value", [(1, 5), (0, -1)])
-    def test_rejects_assignment_outside_the_grid(self, method, row, value):
-        # still non-decreasing within the sample: slice 5 would be the next sample's slot 0
-        ds = with_background(("x", [(0.5, (1.0, 2.0)), (3.5, (3.0, 4.0))]))
-        assignment = assign_slices(ds, GRID5)
-        assignment[row] = value
-        with pytest.raises(ValueError, match=rf"assignment {value} at row {row} is outside \[0, 5\)"):
-            impute_dataset(ds, GRID5, assignment, imputation_config=ImputationConfig(method=method))
-
     @pytest.mark.parametrize("method, error, message", [
         ("slice_mean", ValueError, "slice=0 has a feature with no observed values"),
         ("slice_median", ValueError, "slice=0 has a feature with no observed values"),
@@ -142,7 +117,8 @@ class TestFillMissing:
         for policy in ("with", "without"):
             syn = SynthesisConfig(replacement_policy=policy)
             # nothing is requested, so the pool is built empty
-            assert Requests(ds, GRID5.n_slices, assign_slices(ds, GRID5)).sizes.sum() == 0
+            requests = Requests(ds, GRID5.n_slices, assign_slices(ds, GRID5))
+            assert sum(len(requests.rows(c)) for c in range(len(requests.ends))) == 0
             t = impute_dataset(ds, GRID5, synthesis_config=syn)
             np.testing.assert_array_equal(t.data, ds.values.reshape(3, 5, 2))
 
@@ -170,9 +146,8 @@ class TestImputeDataset:
 
     def test_real_observations_preserved(self, observed_grid):
         ds, grid = grid_world(seed=3)
-        a = assign_slices(ds, grid)
-        t = impute_dataset(ds, grid, a, SynthesisConfig(seed=1))
-        expected = observed_grid(ds, a, grid.n_slices)
+        t = impute_dataset(ds, grid, SynthesisConfig(seed=1))
+        expected = observed_grid(ds, assign_slices(ds, grid), grid.n_slices)
         mask = ~np.isnan(expected)
         np.testing.assert_array_equal(t.data[mask], expected[mask])
 
@@ -294,14 +269,14 @@ class TestImputeDataset:
 
     def test_determinism_and_seed_isolation(self, observed_grid):
         exp = generate_two_class_experiment(5)
-        a = assign_slices(exp.train, exp.grid)
-        t1 = impute_dataset(exp.train, exp.grid, a, SynthesisConfig(seed=7))
-        t2 = impute_dataset(exp.train, exp.grid, a, SynthesisConfig(seed=7))
+        t1 = impute_dataset(exp.train, exp.grid, SynthesisConfig(seed=7))
+        t2 = impute_dataset(exp.train, exp.grid, SynthesisConfig(seed=7))
         np.testing.assert_array_equal(t1.data, t2.data)
 
-        t3 = impute_dataset(exp.train, exp.grid, a, SynthesisConfig(seed=8))
+        t3 = impute_dataset(exp.train, exp.grid, SynthesisConfig(seed=8))
         changed = t1.data != t3.data
         # differences are confined to slots with no original observation
+        a = assign_slices(exp.train, exp.grid)
         observed_mask = ~np.isnan(observed_grid(exp.train, a, exp.grid.n_slices))
         assert not changed[observed_mask].any()
         assert changed.any()
@@ -360,8 +335,8 @@ def test_pool_sized_to_the_requests_served(monkeypatch, policy):
 
     def record_served(requests, out, config):
         generate(requests, out, config)
-        cells = np.arange(len(requests.sizes))
-        served.append((np.repeat(cells, requests.sizes), out[np.concatenate([requests.rows(c) for c in cells])]))
+        rows = [requests.rows(c) for c in range(len(requests.ends))]
+        served.append((np.repeat(np.arange(len(rows)), [len(r) for r in rows]), out[np.concatenate(rows)]))
 
     monkeypatch.setattr(synthesis, "synthesize_slice", record_made)
     monkeypatch.setattr(imputation, "generate_pool", record_served)
@@ -565,7 +540,9 @@ def test_cell_medians_match_nanmedian(n_samples, n_slices, null_rate):
     expected = np.array([np.nanmedian(ds.values[cells == c], axis=0) for c in range(2 * n_slices)])
     sizes = np.bincount(cells, minlength=2 * n_slices)
     assert {n % 2 for n in sizes} == {0, 1} and (min(sizes) >= 600) == (n_slices == 2)
-    median = np.array([stat for _, stat in imputation._slice_statistics(Requests(ds, n_slices, a), "slice_median")])
+    requests, median = Requests(ds, n_slices, a), np.empty((2 * n_slices, 2))
+    requests.rows = lambda c: [c]  # each cell's statistic into its own row of median
+    imputation._slice_statistics(requests, median, "slice_median")
     assert median.tobytes() == expected.tobytes()
 
 
@@ -579,9 +556,10 @@ def test_cell_median_of_signed_zeros_keeps_dataset_order():
     for seed in range(10):
         zeros = np.where(np.random.default_rng(seed).random(n) < 0.5, 0.0, -0.0)
         ds = TimeSeriesDataset(("s",), np.array([0, n]), np.arange(n, dtype=float), zeros[:, None], labels=("c",))
-        a = np.zeros(n, dtype=int)
-        (_, median), = imputation._slice_statistics(Requests(ds, 1, a), "slice_median")
-        assert median.shape == (1,) and np.signbit(median[0]) == np.signbit(zeros[n // 2])
+        requests, out = Requests(ds, 1, np.zeros(n, dtype=int)), np.empty((1, 1))
+        requests.rows = lambda c: [c]  # the one sample observes the one slot: give the statistic a row
+        imputation._slice_statistics(requests, out, "slice_median")
+        assert np.signbit(out[0, 0]) == np.signbit(zeros[n // 2])
 
 
 @settings(max_examples=300, deadline=None)

@@ -173,6 +173,9 @@ class TestGridInvariants:
         ({**VALID_GRID, "t_max": "15"}, "entry 't_max' is missing or malformed: '15'"),
         ({**VALID_GRID, "occupancy": [2.9, 3, "4"]}, r"entry 'occupancy' is missing or malformed: \[2.9, 3, '4'\]"),
         ({**VALID_GRID, "occupancy": [2, False, 4]}, r"entry 'occupancy' is missing or malformed: \[2, False, 4\]"),
+        # well-typed, but not one count of at least 1 per slice, as build_slice_grid records
+        ({**VALID_GRID, "occupancy": [-4, 7]}, r"occupancy must be n_slices counts of at least 1, not \[-4, 7\]"),
+        ({**VALID_GRID, "occupancy": [1, 2]}, r"occupancy must be n_slices counts of at least 1, not \[1, 2\]"),
     ])
     def test_malformed_dict_names_the_entry(self, doc, error):
         with pytest.raises(ValueError, match=error):

@@ -377,8 +377,8 @@ def test_serve_matches_one_request_at_a_time(n_obs, null_rate, policy, seed):
 
 
 def test_requests_list_the_serving_order():
-    """``rows`` lists each cell's share of the requests in serving order, and ``sizes`` counts
-    them; a row whose never-recorded prefix is pinned to NaN asks too, and its cell reads the prefix.
+    """``rows`` lists each cell's share of the requests in serving order; a row whose
+    never-recorded prefix is pinned to NaN asks too, and its cell reads the prefix.
     Iterating yields every cell in cell order with its observations in dataset order and its rows."""
     ds = with_nulls(two_class_dataset(n_per_class=40, n_obs=6), 0.2, 1)
     values = ds.values.copy()
@@ -388,7 +388,7 @@ def test_requests_list_the_serving_order():
     a = assign_slices(ds, grid)
     rows, cells = serving_order(ds, 10, a)
     requests = Requests(ds, 10, a)
-    np.testing.assert_array_equal(requests.sizes, np.bincount(cells, minlength=20))
+    assert [len(requests.rows(c)) for c in range(20)] == np.bincount(cells, minlength=20).tolist()
     for c in range(20):
         np.testing.assert_array_equal(requests.rows(c), rows[cells == c])
     in_cell = ds.class_codes[ds.row_sample] * 10 + a
